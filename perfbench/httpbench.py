@@ -33,9 +33,9 @@ from repro.service.client import ServiceError, VerificationClient
 OPEN_LOOP_RPS = 25.0
 #: Share of the measured time spent in the open-loop phases (rest: closed loop).
 OPEN_SHARE = 0.6
-#: Rounds of (open loop, closed loop); figures are medians over the rounds,
-#: so a slow spell of the host in one round does not move them.  Each open
-#: loop sends ~100 requests in a 20 s run, enough for its p90.
+#: Rounds of (open loop, closed loop), so both phases sample the whole run.
+#: Each open loop sends ~120 requests in a 25 s run; latencies and block
+#: rates are pooled over the rounds.
 BLOCKS = 3
 #: Sender threads, each with its own connection (at most ``nproc``).
 SENDERS = max(1, min(2, os.cpu_count() or 1))
@@ -45,6 +45,12 @@ SWEEP_EVERY = 4
 #: ``ingest`` reads the server's peak RSS after this many enrollments, a
 #: fixed count, because the registry keeps every key it was given.
 INGEST_RSS_AFTER = 12
+#: Replies per block when the closed loop's rate is taken block by block
+#: (~0.25 s at ~125 req/s, ~35 blocks in a 25 s run).
+RATE_BLOCK = 32
+#: Enrollments per block for ``ingest``'s rate: each enrollment is its own
+#: block (~0.35 s, ~60 blocks in a 25 s run).
+INGEST_RATE_BLOCK = 1
 
 REQUEST_ERRORS = (ServiceError, OSError, http.client.HTTPException, ValueError)
 
@@ -215,6 +221,8 @@ class Enrollment:
     register_s: float
     upload_verify_s: float
     ok: bool
+    #: ``time.perf_counter()`` when the enrollment and its checks were done.
+    done: float
 
 
 def measure_ingest(server: ServerProcess, fleet: Fleet, seed: int, seconds: float,
@@ -257,7 +265,8 @@ def measure_ingest(server: ServerProcess, fleet: Fleet, seed: int, seconds: floa
                 if problems:
                     failures.add("; ".join(problems[:3]))
                 ok = not problems
-            enrollments.append(Enrollment(insert_s, t2 - t1, t3 - t2, ok))
+            enrollments.append(Enrollment(insert_s, t2 - t1, t3 - t2, ok,
+                                          time.perf_counter()))
             if len(enrollments) == INGEST_RSS_AFTER:
                 rss_mb = server.peak_rss_mb()
     elapsed = time.perf_counter() - started

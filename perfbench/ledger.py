@@ -23,7 +23,7 @@ from perfbench.wrap import SWEEP_ATTACKS
 # (name, unit, better, layer, should move)
 PER_LAYER: List[Tuple[str, str, str, str, str]] = [
     ("codec.model_encode_ms", "ms", "lower", "service.client/service.codec encode",
-     "latency_p50_ms/p90 on ingest (upload_verify); ~0 on verify-id"),
+     "latency_p25_ms on ingest (upload_verify); ~0 on verify-id"),
     ("codec.key_encode_ms", "ms", "lower", "service.client/service.codec encode",
      "register latency on ingest; ~0 on verify-id"),
     ("wire.model_bytes", "bytes", "lower", "service.codec wire payload",
@@ -31,15 +31,15 @@ PER_LAYER: List[Tuple[str, str, str, str, str]] = [
     ("wire.key_bytes", "bytes", "lower", "service.codec wire payload",
      "register latency on ingest"),
     ("codec.model_decode_ms", "ms", "lower", "service.codec decode",
-     "latency_p50_ms/p90 on ingest"),
+     "latency_p25_ms on ingest"),
     ("codec.key_decode_ms", "ms", "lower", "service.codec decode",
      "register latency on ingest"),
     ("http.residual_ms", "ms", "lower", "service.http (client latency - traced stages)",
-     "latency_p50_ms on verify-id; upload_verify on ingest, scaled by bytes"),
+     "latency_p25_ms on verify-id; upload_verify on ingest, scaled by bytes"),
     ("dispatch.admit_ms", "ms", "lower", "service.dispatch admission",
-     "latency_p50_ms, throughput_per_s on verify-id"),
+     "latency_p25_ms, throughput_per_s on verify-id"),
     ("dispatch.queue_ms", "ms", "lower", "service.dispatch batching queue",
-     "latency_p50_ms, throughput_per_s on verify-id"),
+     "latency_p25_ms, throughput_per_s on verify-id"),
     ("dispatch.mean_batch_size", "count", "higher", "service.dispatch",
      "throughput_per_s on verify-id"),
     ("dispatch.batches", "count", "lower", "service.dispatch",
@@ -51,11 +51,11 @@ PER_LAYER: List[Tuple[str, str, str, str, str]] = [
     ("registry.key_loads", "count", "lower", "service.registry residency",
      "setup_s; latency on a cold registry"),
     ("engine.locate_ms", "ms", "lower", "engine reproduce_locations",
-     "latency_p50_ms on verify-id (largest share); upload_verify on ingest; ~0 on sweep"),
+     "latency_p25_ms on verify-id (largest share); upload_verify on ingest; ~0 on sweep"),
     ("plan.fingerprint_ms", "ms", "lower", "engine.plan fingerprint",
-     "latency_p50_ms on verify-id and ingest"),
+     "latency_p25_ms on verify-id and ingest"),
     ("engine.plan_cache_hit_ratio", "ratio", "higher", "engine plan cache",
-     "latency_p50_ms on verify-id"),
+     "latency_p25_ms on verify-id"),
     ("engine.match_ms", "ms", "lower", "engine FleetVerificationSession.verify (self)",
      "all workloads; small everywhere"),
     ("engine.insert_ms", "ms", "lower", "engine insert",
@@ -65,7 +65,7 @@ PER_LAYER: List[Tuple[str, str, str, str, str]] = [
     ("scoring.select_ms", "ms", "lower", "core.scoring select_candidates (summed over layers)",
      "insert latency on ingest; throughput_per_s on sweep"),
     ("audit.record_ms", "ms", "lower", "service.audit record",
-     "latency_p50_ms on verify-id"),
+     "latency_p25_ms on verify-id"),
     ("audit.dropped_writes", "count", "lower", "service.audit", "error_rate"),
     ("model.clone_ms", "ms", "lower", "quant.base QuantizedModel.clone",
      "throughput_per_s on sweep; insert latency on ingest"),
@@ -86,7 +86,7 @@ PER_LAYER: List[Tuple[str, str, str, str, str]] = [
      "(check) ~1"),
     ("trace.traced_share", "ratio", "higher", "ledger: same, without the residual stage",
      "(check) share the wrappers explain"),
-    ("trace.overhead_pct", "%", "lower", "traced vs untraced end-to-end median",
+    ("trace.overhead_pct", "%", "lower", "traced vs untraced latency_p25_ms",
      "(check) tracing cost"),
 ]
 

@@ -29,6 +29,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+#: BLAS runs one thread in this process and in every process it starts
+#: (they inherit the environment).  The engine already spreads work over a
+#: pool of ``nproc`` threads; BLAS threads beside them oversubscribe the
+#: cores and made sweep pass times swing by 40% from one process to the next.
+#: Set before anything imports NumPy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 PERFBENCH = Path(__file__).resolve().parent
 ROOT = PERFBENCH.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -39,13 +47,17 @@ WORKLOADS = ("verify-id", "ingest", "sweep")
 SETUP_REPEATS = 3
 #: Longest a sweep process may take to set up before the run is abandoned.
 SETUP_TIMEOUT_S = 60.0
+#: The sweep process runs the engine serially too (``REPRO_ENGINE_WORKERS``).
+#: On two shared vCPUs its two-thread pool was no faster (pass ~470 ms either
+#: way), but beside another busy process five runs each ranged 490-680 ms a
+#: pass with the pool and 480-605 ms serially.
+SWEEP_ENV = {"REPRO_ENGINE_WORKERS": "1"}
 OUT_DIR = ROOT / ".perfbench_out"
 WORK_DIR = ROOT / ".perfbench_run"
 
 # (name, unit) of every end-to-end metric, in BENCHMARK.json order.
 END_TO_END = (
-    ("latency_p50_ms", "ms"),
-    ("latency_p90_ms", "ms"),
+    ("latency_p25_ms", "ms"),
     ("throughput_per_s", "1/s"),
     ("peak_rss_mb", "MB"),
     ("setup_s", "s"),
@@ -56,8 +68,9 @@ END_TO_END = (
 class Result:
     attempted: int
     failed: int
-    p50_ms: float
-    p90_ms: float
+    #: Lower quartile of the workload's operation times (``stats.LATENCY_Q``).
+    latency_ms: float
+    #: Upper quartile of its block rates (``stats.RATE_Q``).
     throughput: float
     peak_rss_mb: float
     setup_s: List[float]
@@ -71,8 +84,7 @@ class Result:
 
     def end_to_end(self) -> Dict[str, float]:
         return {
-            "latency_p50_ms": self.p50_ms,
-            "latency_p90_ms": self.p90_ms,
+            "latency_p25_ms": self.latency_ms,
             "throughput_per_s": self.throughput,
             "peak_rss_mb": self.peak_rss_mb,
             "setup_s": statistics.median(self.setup_s),
@@ -84,56 +96,64 @@ class Result:
 # ----------------------------------------------------------------------
 def _verify_id_measure(server, fleet, seed, seconds, failures) -> Dict[str, object]:
     from perfbench import httpbench
-    from perfbench.stats import percentile
+    from perfbench.stats import LATENCY_Q, RATE_Q, block_rates, percentile
 
     rounds = httpbench.measure_verify_id(server.port, fleet, seed, seconds, failures)
-    opens = [o for o, _ in rounds]
-    closeds = [c for _, c in rounds]
-    latencies = [[x.latency * 1000.0 for x in o.outcomes] for o in opens]
-    p50 = statistics.median(percentile(block, 50) for block in latencies)
-    p90 = statistics.median(percentile(block, 90) for block in latencies)
-    rps = statistics.median(c.succeeded / c.seconds for c in closeds)
+    samples = [x.latency * 1000.0 for o, _ in rounds for x in o.outcomes]
+    latency = percentile(samples, LATENCY_Q)
+    p50 = percentile(samples, 50)
+    p90 = percentile(samples, 90)
+    rates = [r for _, c in rounds
+             for r in block_rates([x.done for x in c.outcomes], httpbench.RATE_BLOCK)]
+    rps = percentile(rates, RATE_Q)
+    mean_rps = sum(c.succeeded for _, c in rounds) / sum(c.seconds for _, c in rounds)
     lines = [f"round {i}: {o.summary()}; {c.summary()}" for i, (o, c) in enumerate(rounds)]
     lines.append(f"open-loop rate {httpbench.OPEN_LOOP_RPS:g} req/s on {httpbench.SENDERS} "
                  f"connections; one attribution sweep per {httpbench.SWEEP_EVERY} requests; "
-                 f"figures are medians over {len(rounds)} rounds")
+                 f"latencies pooled over {len(rounds)} rounds; closed-loop rate p{RATE_Q:g} "
+                 f"of {len(rates)} blocks of {httpbench.RATE_BLOCK} replies")
     return {
         "attempted": sum(o.sent + c.sent for o, c in rounds),
-        "p50": p50, "p90": p90, "throughput": rps, "rss": server.peak_rss_mb(),
-        "samples": [v for block in latencies for v in block],
-        "lag_ms": [x.lateness * 1000.0 for o in opens for x in o.outcomes],
+        "latency": latency, "throughput": rps, "rss": server.peak_rss_mb(),
+        "samples": samples,
+        "lag_ms": [x.lateness * 1000.0 for o, _ in rounds for x in o.outcomes],
         "lines": lines,
-        "named": [("verify_id_p50_ms", p50, "ms"), ("verify_id_p90_ms", p90, "ms"),
-                  ("verify_id_rps", rps, "req/s")],
+        "named": [("verify_id_p25_ms", latency, "ms"), ("verify_id_p50_ms", p50, "ms"),
+                  ("verify_id_p90_ms", p90, "ms"), ("verify_id_rps", rps, "req/s"),
+                  ("verify_id_mean_rps", mean_rps, "req/s")],
     }
 
 
 def _ingest_measure(server, fleet, seed, seconds, failures) -> Dict[str, object]:
     from perfbench import httpbench
-    from perfbench.stats import percentile
+    from perfbench.stats import LATENCY_Q, RATE_Q, block_rates, percentile
 
     enrollments, rss, elapsed = httpbench.measure_ingest(server, fleet, seed, seconds, failures)
     ok = [e for e in enrollments if e.ok]
     if not ok:
         raise RuntimeError(f"no enrollment succeeded: {failures.reasons[:3]}")
     uploads = [e.upload_verify_s * 1000.0 for e in ok]
+    latency = percentile(uploads, LATENCY_Q)
     p50 = percentile(uploads, 50)
-    p90 = percentile(uploads, 90)
-    rate = len(enrollments) / elapsed
+    rates = block_rates([e.done for e in enrollments], httpbench.INGEST_RATE_BLOCK)
+    rate = percentile(rates, RATE_Q)
     return {
         "attempted": len(enrollments),
-        "p50": p50, "p90": p90, "throughput": rate, "rss": rss,
+        "latency": latency, "throughput": rate, "rss": rss,
         "samples": uploads,
         "lag_ms": [],
         "lines": [f"phase enroll (closed loop, 1 connection): sent={len(enrollments)} "
                   f"succeeded={len(ok)} failed={len(enrollments) - len(ok)} over "
                   f"{elapsed:.2f}s; peak RSS read after {httpbench.INGEST_RSS_AFTER} "
-                  "enrollments"],
+                  f"enrollments; enrollment rate p{RATE_Q:g} of {len(rates)} blocks of "
+                  f"{httpbench.INGEST_RATE_BLOCK}"],
         "named": [
             ("insert_p50_ms", percentile([e.insert_s * 1000.0 for e in enrollments], 50), "ms"),
             ("register_p50_ms", percentile([e.register_s * 1000.0 for e in ok], 50), "ms"),
-            ("upload_verify_p50_ms", p50, "ms"), ("upload_verify_p90_ms", p90, "ms"),
+            ("upload_verify_p25_ms", latency, "ms"), ("upload_verify_p50_ms", p50, "ms"),
+            ("upload_verify_p90_ms", percentile(uploads, 90), "ms"),
             ("enrollments_per_s", rate, "1/s"),
+            ("enrollments_mean_per_s", len(enrollments) / elapsed, "1/s"),
         ],
     }
 
@@ -173,7 +193,7 @@ def run_http(workload: str, seed: int, seconds: float, trace: bool, workdir: Pat
 
     ledger = None
     if trace:
-        untraced_p50 = body["p50"]
+        untraced_latency = body["latency"]
         spans_path = workdir / "server-spans.json"
         server, _ = httpbench.start_server(fleet, workdir / "server-traced", spans_path)
         store = SpanStore()
@@ -193,7 +213,7 @@ def run_http(workload: str, seed: int, seconds: float, trace: bool, workdir: Pat
         apply_counters(ledger, delta)
         if body["lag_ms"]:
             ledger.set("loadgen.lag_ms", percentile(body["lag_ms"], 90), len(body["lag_ms"]))
-        ledger.set("trace.overhead_pct", (body["p50"] / untraced_p50 - 1.0) * 100.0)
+        ledger.set("trace.overhead_pct", (body["latency"] / untraced_latency - 1.0) * 100.0)
         lines += ["traced: " + line for line in body["lines"]]
         store.dump(out_stem.with_suffix(".client-spans.json"))
         shutil.copyfile(spans_path, out_stem.with_suffix(".server-spans.json"))
@@ -202,7 +222,7 @@ def run_http(workload: str, seed: int, seconds: float, trace: bool, workdir: Pat
                  + ", ".join(f"{k}={v:g}" for k, v in delta.items()))
     return Result(
         attempted=attempted, failed=failures.count,
-        p50_ms=body["p50"], p90_ms=body["p90"], throughput=body["throughput"],
+        latency_ms=body["latency"], throughput=body["throughput"],
         peak_rss_mb=body["rss"], setup_s=setups, samples_ms=body["samples"],
         named=body["named"] + [("peak_rss_mb", body["rss"], "MB")],
         lines=lines, problems=failures.reasons, ledger=ledger,
@@ -233,7 +253,7 @@ def _spawn_sweep(args: List[str], workdir: Path) -> Tuple[subprocess.Popen, floa
     started = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, str(PERFBENCH / "sweep_worker.py"), *args],
-        stdout=subprocess.PIPE, stderr=log, env=program_env(), cwd=str(ROOT),
+        stdout=subprocess.PIPE, stderr=log, env={**program_env(), **SWEEP_ENV}, cwd=str(ROOT),
     )
     log.close()
     ready, _, _ = select.select([proc.stdout], [], [], SETUP_TIMEOUT_S)
@@ -247,12 +267,15 @@ def _spawn_sweep(args: List[str], workdir: Path) -> Tuple[subprocess.Popen, floa
 
 
 def _sweep_figures(data: Dict[str, object]) -> Tuple[float, float, float]:
-    """p50 and p90 of the pass time (ms), and cells/s at the median pass."""
-    from perfbench.stats import percentile
+    """Pass time (ms) as the sum over the cells of each cell's lower-quartile
+    time, the median pass time (ms), and cells/s at the upper quartile of the
+    per-pass rates."""
+    from perfbench.stats import LATENCY_Q, RATE_Q, percentile
 
-    passes = data["pass_ms"]
-    p50 = percentile(passes, 50)
-    return p50, percentile(passes, 90), data["cells_per_pass"] / p50 * 1000.0
+    per_cell = zip(*data["cell_ms"])
+    latency = sum(percentile(times, LATENCY_Q) for times in per_cell)
+    rates = [len(cells) / sum(cells) * 1000.0 for cells in data["cell_ms"]]
+    return latency, percentile(data["pass_ms"], 50), percentile(rates, RATE_Q)
 
 
 def run_sweep(seed: int, seconds: float, trace: bool, workdir: Path, out_stem: Path) -> Result:
@@ -273,7 +296,7 @@ def run_sweep(seed: int, seconds: float, trace: bool, workdir: Path, out_stem: P
         raise RuntimeError("sweep process failed:\n"
                            + (workdir / "sweep.log").read_text(errors="replace")[-2000:])
     data = json.loads(out.read_text())
-    p50, p90, rate = _sweep_figures(data)
+    latency, p50, rate = _sweep_figures(data)
     ledger = None
     lines = [f"phase passes (serial gauntlet, quality off): passes={len(data['pass_ms'])} "
              f"of {data['cells_per_pass']} cells; cells checked={data['checked_cells']} "
@@ -283,15 +306,14 @@ def run_sweep(seed: int, seconds: float, trace: bool, workdir: Path, out_stem: P
         ledger = Ledger()
         ledger.values.update(data["ledger"]["values"])
         ledger.counts.update(data["ledger"]["counts"])
-        untraced_p50 = _sweep_figures(dict(data["untraced"],
-                                           cells_per_pass=data["cells_per_pass"]))[0]
-        ledger.set("trace.overhead_pct", (p50 / untraced_p50 - 1.0) * 100.0)
+        untraced_latency = _sweep_figures(data["untraced"])[0]
+        ledger.set("trace.overhead_pct", (latency / untraced_latency - 1.0) * 100.0)
         shutil.copyfile(out.with_suffix(".spans.json"), out_stem.with_suffix(".spans.json"))
     return Result(
         attempted=data["checked_cells"], failed=data["failed_cells"],
-        p50_ms=p50, p90_ms=p90, throughput=rate, peak_rss_mb=data["peak_rss_mb"],
+        latency_ms=latency, throughput=rate, peak_rss_mb=data["peak_rss_mb"],
         setup_s=setups, samples_ms=data["pass_ms"],
-        named=[("pass_p50_ms", p50, "ms"), ("pass_p90_ms", p90, "ms"),
+        named=[("pass_cells_p25_ms", latency, "ms"), ("pass_p50_ms", p50, "ms"),
                ("cells_per_s", rate, "cells/s"), ("peak_rss_mb", data["peak_rss_mb"], "MB")],
         lines=lines, problems=data["problems"], ledger=ledger,
     )

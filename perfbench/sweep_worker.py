@@ -87,8 +87,12 @@ class Sweep:
         return passes
 
 
-def _pass_times(passes: List[List[Window]]) -> Dict[str, List[float]]:
-    return {"pass_ms": [(cells[-1].end - cells[0].start) * 1000.0 for cells in passes]}
+def _pass_times(passes: List[List[Window]]) -> Dict[str, list]:
+    """Each pass's wall time and its cells' times (ms), in pass order."""
+    return {
+        "pass_ms": [(cells[-1].end - cells[0].start) * 1000.0 for cells in passes],
+        "cell_ms": [[(c.end - c.start) * 1000.0 for c in cells] for cells in passes],
+    }
 
 
 def _cache_lookups(engines) -> Dict[str, int]:

@@ -19,7 +19,8 @@ from perfbench.loadgen import lateness, poisson_schedule, run_closed_loop, run_o
 from perfbench.oracle import check_response, check_sweep_pass
 from perfbench.spans import Span, SpanStore, Window, covered, group_by_window, self_times, \
     solo_windows
-from perfbench.stats import highest_reportable, percentile, reportable, samples_beyond
+from perfbench.stats import block_rates, highest_reportable, percentile, reportable, \
+    samples_beyond
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -51,6 +52,26 @@ def test_tail_needs_ten_samples_beyond_it():
     assert highest_reportable(1000) == 99
     assert highest_reportable(20) == 50
     assert highest_reportable(19) is None
+
+
+def test_block_rates_span_consecutive_completions():
+    done = [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.1]
+    # blocks 0.0->1.0, 1.0->2.5, 2.5->3.1; the first completion only opens a block
+    assert block_rates(done, 2) == pytest.approx([2 / 1.0, 2 / 1.5, 2 / 0.6])
+    assert block_rates(list(reversed(done)), 3) == pytest.approx([3 / 2.0, 3 / 1.1])
+    assert block_rates([1.0, 2.0], 2) == []
+    with pytest.raises(ValueError):
+        block_rates(done, 0)
+
+
+def test_sweep_figures_sum_per_cell_lower_quartiles():
+    # four passes of two cells; the slow pass (host spell) does not move the figure
+    cells = [[10.0, 20.0], [11.0, 21.0], [12.0, 22.0], [50.0, 90.0]]
+    latency, p50, rate = run._sweep_figures(
+        {"cell_ms": cells, "pass_ms": [sum(c) for c in cells]})
+    assert latency == 10.0 + 20.0
+    assert p50 == 32.0
+    assert rate == pytest.approx(2 / 32.0 * 1000.0)  # p75 of the per-pass rates
 
 
 # ----------------------------------------------------------------------
