@@ -162,7 +162,8 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
         "audit_digests_equal": bool,
         "registry_scale": dict,
         "registry_cold_start_key_loads_x1000": int,
-        "registry_cold_start_resident_x1000": int,
+        "registry_cold_start_tickets_x1000": int,
+        "registry_first_touch_key_loads_x1000": int,
     },
     "service_jobs": {
         "benchmark": str,
@@ -329,18 +330,25 @@ def _gate_service_fleet(report: Dict[str, object]) -> List[str]:
     for level, result in report["shard_levels"].items():
         if not isinstance(result, dict) or not result.get("throughput_rps", 0) > 0:
             failures.append(f"shard level {level!r} reports no throughput")
-    # Lazy residency is a structural claim, never a timing: re-opening a
-    # registry over ×1000 persisted keys must read zero NPZ archives.
+    # Lazy tickets are a structural claim, never a timing: re-opening a
+    # registry over ×1000 persisted keys must read zero NPZ archives, and
+    # the first touch of a key derives its ticket from exactly one load.
     if report["registry_cold_start_key_loads_x1000"] != 0:
         failures.append(
             f"registry startup performed "
             f"{report['registry_cold_start_key_loads_x1000']} bulk NPZ loads "
             "at x1000 scale (must be 0)"
         )
-    if report["registry_cold_start_resident_x1000"] != 0:
+    if report["registry_cold_start_tickets_x1000"] != 0:
         failures.append(
-            f"registry startup left {report['registry_cold_start_resident_x1000']} "
-            "keys resident at x1000 scale (must be 0)"
+            f"registry startup left {report['registry_cold_start_tickets_x1000']} "
+            "tickets resident at x1000 scale (must be 0)"
+        )
+    if report["registry_first_touch_key_loads_x1000"] != 1:
+        failures.append(
+            f"first touch of a key performed "
+            f"{report['registry_first_touch_key_loads_x1000']} key loads "
+            "at x1000 scale (must be exactly 1)"
         )
     if (
         not report["smoke"]

@@ -15,8 +15,9 @@ Three claims ride in one report (``BENCH_fleet.json``):
    Both are digest-gated unconditionally.
 3. **Registry scale-up** — a registry re-opened over ×100 and ×1000
    synthetic persisted keys must index records only: zero NPZ loads and
-   zero resident keys at startup (gated unconditionally at ×1000), with
-   lazy per-key load + bounded-LRU residency measured afterwards.
+   zero resident tickets at startup, and the first touch of a key derives
+   its ticket from exactly one key load (both gated unconditionally at
+   ×1000); touch latencies and ticket vs key bytes are measured afterwards.
 """
 
 from __future__ import annotations
@@ -208,8 +209,9 @@ def _synthetic_keys(base_key, count: int):
 
 def _measure_registry_scale(base_key, count: int) -> Dict[str, object]:
     root = Path(tempfile.mkdtemp(prefix=f"fleet-registry-x{count}-"))
+    engine = WatermarkEngine(EngineConfig())
     try:
-        writer = KeyRegistry(root, max_resident_keys=32)
+        writer = KeyRegistry(root, engine=engine)
         persist_started = time.perf_counter()
         key_ids = [
             writer.register(key, owner=f"owner-{i}").key_id
@@ -221,44 +223,49 @@ def _measure_registry_scale(base_key, count: int) -> Dict[str, object]:
         # The claim under test: re-opening over N persisted keys indexes
         # records only — no NPZ archive is read until a key is asked for.
         reopen_started = time.perf_counter()
-        registry = KeyRegistry(root, max_resident_keys=32)
+        registry = KeyRegistry(root, engine=engine)
         startup_seconds = time.perf_counter() - reopen_started
         stats = registry.stats()
         cold_key_loads = stats["key_loads"]
-        cold_resident = stats["resident"]
+        cold_tickets = stats["tickets"]
         assert stats["keys"] == count
 
-        # Lazy path: first touch loads exactly one archive (mmap), the
-        # second touch is resident.
+        # Lazy path: the first touch loads one archive (mmap) and derives the
+        # key's ticket; the second touch is served by the resident ticket.
         first_touch_started = time.perf_counter()
-        registry.get_key(key_ids[0])
+        ticket = registry.active_keys([key_ids[0]])[key_ids[0]]
         first_touch_ms = (time.perf_counter() - first_touch_started) * 1000.0
-        assert registry.stats()["key_loads"] == cold_key_loads + 1
+        first_touch_key_loads = registry.stats()["key_loads"] - cold_key_loads
         resident_touch_started = time.perf_counter()
-        registry.get_key(key_ids[0])
+        registry.active_keys([key_ids[0]])
         resident_touch_ms = (time.perf_counter() - resident_touch_started) * 1000.0
-        assert registry.stats()["key_loads"] == cold_key_loads + 1
+        assert registry.stats()["key_loads"] == cold_key_loads + first_touch_key_loads
 
-        # Bounded residency: touching every key cannot exceed the LRU cap.
+        # Every touched key keeps exactly one ticket resident, loaded once.
         sample = key_ids if count <= 100 else key_ids[:100]
-        for key_id in sample:
-            registry.get_key(key_id)
+        registry.active_keys(sample)
         after = registry.stats()
-        assert after["resident"] <= 32
-        assert after["evictions"] >= len(sample) - 32
+        assert after["tickets"] == len(sample)
+        assert after["key_loads"] == cold_key_loads + len(sample)
         return {
             "keys": count,
             "persist_seconds": persist_seconds,
             "startup_seconds": startup_seconds,
             "cold_start_key_loads": cold_key_loads,
-            "cold_start_resident": cold_resident,
+            "cold_start_tickets": cold_tickets,
+            "first_touch_key_loads": first_touch_key_loads,
             "first_touch_ms": first_touch_ms,
             "resident_touch_ms": resident_touch_ms,
-            "max_resident_keys": 32,
-            "resident_after_sweep": after["resident"],
-            "evictions_after_sweep": after["evictions"],
+            "tickets_after_sweep": after["tickets"],
+            "ticket_bytes": sum(
+                array.nbytes
+                for layer in ticket.layers
+                for array in (layer.locations, layer.reference, layer.signature)
+            ),
+            "key_bytes": sum(array.nbytes for array in base_key.to_payload()[1].values()),
         }
     finally:
+        engine.close()
         shutil.rmtree(root, ignore_errors=True)
 
 
@@ -331,7 +338,8 @@ def test_service_fleet():
         "audit_digests_equal": audits_equal,
         "registry_scale": registry_scale,
         "registry_cold_start_key_loads_x1000": registry_scale["x1000"]["cold_start_key_loads"],
-        "registry_cold_start_resident_x1000": registry_scale["x1000"]["cold_start_resident"],
+        "registry_cold_start_tickets_x1000": registry_scale["x1000"]["cold_start_tickets"],
+        "registry_first_touch_key_loads_x1000": registry_scale["x1000"]["first_touch_key_loads"],
     }
     results_dir = _results_dir()
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -344,6 +352,7 @@ def test_service_fleet():
     assert digests_equal, "fleet decisions diverged from the unsharded server"
     assert audits_equal, "occupancy-audit digest changed with the shard count"
     assert payload["registry_cold_start_key_loads_x1000"] == 0
-    assert payload["registry_cold_start_resident_x1000"] == 0
+    assert payload["registry_cold_start_tickets_x1000"] == 0
+    assert payload["registry_first_touch_key_loads_x1000"] == 1
     for level, result in shard_levels.items():
         assert result["throughput_rps"] > 0, f"no throughput at {level} shard(s)"

@@ -120,15 +120,15 @@ def main():
             with VerificationClient(port=handle.port) as client:
                 stats = client.stats()
             dispatcher = stats["dispatcher"]
-            cache = stats["plan_cache"]
+            registry = stats["registry"]
             print("\n== 6. serving statistics ==")
             print(f"   micro-batching: {dispatcher['jobs_dispatched']} requests in "
                   f"{dispatcher['batches']} engine sweeps "
                   f"(mean batch {dispatcher['mean_batch_size']:.1f}, "
                   f"largest {dispatcher['largest_batch']})")
-            print(f"   plan cache: {cache['hits']} hits / {cache['misses']} misses "
-                  f"({100 * cache['hit_rate']:.1f}% — misses happen once per key, "
-                  f"then every verification is pure lookups)")
+            print(f"   registry: {registry['tickets']} verification ticket(s) resident, "
+                  f"{registry['key_loads']} key loads (a ticket is derived once per key; "
+                  f"verifications never touch plans or full keys)")
             print(f"   audit log: {stats['audit']['entries']} ownership decisions "
                   f"recorded at {audit_path.name}")
 

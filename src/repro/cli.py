@@ -273,7 +273,7 @@ def _cmd_insert(args: argparse.Namespace) -> int:
     if args.registry:
         from repro.service.registry import KeyRegistry
 
-        registry = KeyRegistry(args.registry)
+        registry = KeyRegistry(args.registry, engine=context.engine)
         for owner_id, key in result.keys().items():
             registry.register(key, owner=owner_id)
         logger.info("registered %d keys into %s", result.num_owners, args.registry)
@@ -324,6 +324,7 @@ def _cmd_insert(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.engine.engine import EngineConfig, WatermarkEngine
     from repro.service.audit import AuditLog
     from repro.service.registry import KeyRegistry
     from repro.service.server import ServiceConfig, VerificationServer
@@ -342,8 +343,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    registry = KeyRegistry(args.registry)
+    engine = WatermarkEngine(EngineConfig())
+    registry = KeyRegistry(args.registry, engine=engine)
     server = VerificationServer(
+        engine=engine,
         registry=registry,
         audit=AuditLog(args.audit_log),
         config=config,
@@ -384,7 +387,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.service.codec import load_model
     from repro.service.registry import KeyRegistry, RegistryError
 
-    registry = KeyRegistry(args.registry)
+    engine = WatermarkEngine()
+    registry = KeyRegistry(args.registry, engine=engine)
     suspect = load_model(args.suspect)
     try:
         keys = registry.active_keys(args.key_id)
@@ -395,7 +399,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: registry holds no active keys", file=sys.stderr)
         return 2
     threshold = args.wer_threshold if args.wer_threshold is not None else DEFAULT_OWNERSHIP_THRESHOLD
-    report = WatermarkEngine().verify_fleet(
+    report = engine.verify_fleet(
         {"suspect": suspect}, keys, wer_threshold=threshold
     )
     if args.json:

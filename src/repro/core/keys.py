@@ -294,9 +294,9 @@ class WatermarkKey:
             outlier_columns: Dict[str, np.ndarray] = {}
             activation_arrays: Dict[str, np.ndarray] = {}
             # ``asarray`` instead of ``astype``: already-int64 inputs pass
-            # through untouched, so a key restored from shared-memory views
-            # (see :mod:`repro.engine.shm`) stays zero-copy and read-only;
-            # mistyped inputs are still converted exactly as before.
+            # through untouched, so a key loaded from a memory-mapped archive
+            # stays zero-copy and read-only; mistyped inputs are still
+            # converted exactly as before.
             for key, value in arrays.items():
                 if key.startswith("weights/"):
                     reference_weights[key[len("weights/") :]] = np.asarray(value, dtype=np.int64)
@@ -342,8 +342,8 @@ class WatermarkKey:
 
         With ``mmap=True`` uncompressed archive members come back as read-only
         memory-mapped views (compressed members silently fall back to an
-        in-memory read), so a registry holding many resident keys keeps its
-        bulk arrays in the page cache rather than anonymous memory.
+        in-memory read), so a registry's on-demand key loads read their bulk
+        arrays through the page cache rather than into anonymous memory.
 
         Raises
         ------

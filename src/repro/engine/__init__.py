@@ -10,6 +10,9 @@ pipeline in the reproduction:
 * :mod:`repro.engine.reports` — structured reports: insertion timing
   (wall-clock vs. summed per-layer CPU), extraction results, and the batch
   fleet-verification / batch-insertion reports.
+* :mod:`repro.engine.ticket` — :class:`VerificationTicket`, the few-KB
+  per-key evidence a verdict reads (locations, reference integers at them,
+  signature slices, layer shapes), derived once per key.
 * :mod:`repro.engine.allocator` — :class:`SlotAllocator`, the
   slot-allocation layer tracking which (layer, flat-index) watermark
   positions of a model are already held, so several independently keyed
@@ -38,6 +41,7 @@ Quickstart
 from repro.engine.allocator import SlotAllocator, SlotCollisionError
 from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.plan import LocationPlan, plan_fingerprint
+from repro.engine.ticket import VerificationTicket
 from repro.engine.reports import (
     BatchInsertionItem,
     BatchInsertionResult,
@@ -69,6 +73,7 @@ __all__ = [
     "PlanCache",
     "LocationPlan",
     "plan_fingerprint",
+    "VerificationTicket",
     "SlotAllocator",
     "SlotCollisionError",
     "InsertionReport",

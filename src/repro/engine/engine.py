@@ -55,6 +55,7 @@ from repro.core.signature import (
 from repro.engine.allocator import SlotAllocator
 from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.plan import LocationPlan, plan_fingerprint
+from repro.engine.ticket import VerificationTicket
 from repro.engine.reports import (
     DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
     DEFAULT_OWNERSHIP_THRESHOLD,
@@ -91,7 +92,9 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 ModelGroup = Union[QuantizedModel, Sequence[QuantizedModel], Mapping[str, QuantizedModel]]
-KeyGroup = Union[WatermarkKey, Sequence[WatermarkKey], Mapping[str, WatermarkKey]]
+#: What verification accepts in place of a key: the key itself, or its ticket.
+KeyLike = Union[WatermarkKey, VerificationTicket]
+KeyGroup = Union[KeyLike, Sequence[KeyLike], Mapping[str, KeyLike]]
 
 
 @dataclass(frozen=True)
@@ -150,22 +153,23 @@ class FleetVerificationSession:
 
     The batched :meth:`WatermarkEngine.verify_fleet` needs every suspect in
     memory before the sweep starts, which pins a whole grid of attacked
-    models at once.  A session inverts the control flow: keys are registered
-    up front (or added as they appear), each key's location plans are
-    reproduced **exactly once** — lazily, on the first suspect that needs
-    them — and :meth:`verify` turns one ``(suspect, key)`` pair into a
+    models at once.  A session inverts the control flow: keys (or ready
+    tickets, used verbatim) are registered up front or as they appear, each
+    key becomes a :class:`~repro.engine.ticket.VerificationTicket` **exactly
+    once** — lazily, on the first suspect that needs it — and :meth:`verify`
+    turns one ``(suspect, key)`` pair into a
     :class:`~repro.engine.reports.PairVerification` the moment the suspect
     exists.  The caller can then drop the suspect immediately, so a
     streaming pipeline holds O(in-flight suspects), not O(fleet size).
 
     Thread safety: :meth:`verify` and :meth:`add_key` may be called from
-    concurrent workers.  Location reproduction is guarded per key (two
-    workers racing on a cold key reproduce it once; one blocks), and the
-    match pass itself only reads.
+    concurrent workers.  Ticket derivation is guarded per key (two workers
+    racing on a cold key derive it once; one blocks), and the match pass
+    itself only reads.
 
     Decisions are bit-identical to a batched sweep over the same pairs —
-    both paths share :meth:`WatermarkEngine.reproduce_locations` and the
-    pure integer-comparison matcher.
+    both paths share :meth:`WatermarkEngine.ticket_for` and the ticket
+    matcher.
 
     Created via :meth:`WatermarkEngine.verification_session`; ``verify_fleet``
     itself runs on a session internally.
@@ -174,15 +178,15 @@ class FleetVerificationSession:
     def __init__(
         self,
         engine: "WatermarkEngine",
-        keys: Optional[Mapping[str, WatermarkKey]] = None,
+        keys: Optional[Mapping[str, KeyLike]] = None,
         wer_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD,
         max_false_claim_probability: Optional[float] = DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
     ) -> None:
         self._engine = engine
         self.wer_threshold = float(wer_threshold)
         self.max_false_claim_probability = max_false_claim_probability
-        self._keys: Dict[str, WatermarkKey] = {}
-        self._locations: Dict[str, Dict[str, np.ndarray]] = {}
+        self._keys: Dict[str, KeyLike] = {}
+        self._tickets: Dict[str, VerificationTicket] = {}
         self._key_locks: Dict[str, threading.Lock] = {}
         self._registry_lock = threading.Lock()
         self._stats_at_open = engine.cache.stats()
@@ -190,8 +194,8 @@ class FleetVerificationSession:
         for key_id, key in (keys or {}).items():
             self.add_key(key_id, key)
 
-    def add_key(self, key_id: str, key: WatermarkKey) -> None:
-        """Register (idempotently) a key under ``key_id``.
+    def add_key(self, key_id: str, key: KeyLike) -> None:
+        """Register (idempotently) a key or ticket under ``key_id``.
 
         Re-registering the same object is a no-op; binding a *different* key
         to an existing id is an error — it would silently change what already
@@ -205,37 +209,17 @@ class FleetVerificationSession:
                 )
             self._keys[key_id] = key
             self._key_locks.setdefault(key_id, threading.Lock())
+            if isinstance(key, VerificationTicket):
+                self._tickets[key_id] = key
 
     def key_ids(self) -> List[str]:
         """Ids of the registered keys (insertion order)."""
         with self._registry_lock:
             return list(self._keys)
 
-    def preload_locations(
-        self, key_id: str, locations: Mapping[str, np.ndarray]
-    ) -> None:
-        """Seed a registered key's reproduced locations instead of computing them.
-
-        Process-pool gauntlet workers receive each key's locations
-        precomputed once by the parent — small per-layer index arrays, cheap
-        to ship — so no worker repeats the scoring pass.  Verdicts are
-        bit-identical to a locally reproduced run because :meth:`verify`
-        consumes the mapping verbatim, and location reproduction is itself a
-        pure function of the key.
-        """
-        with self._registry_lock:
-            if key_id not in self._keys:
-                raise KeyError(f"unknown key id {key_id!r}; register the key first")
-            lock = self._key_locks[key_id]
-        with lock:
-            self._locations[key_id] = {
-                name: np.asarray(locs, dtype=np.int64)
-                for name, locs in locations.items()
-            }
-
-    def locations(self, key_id: str) -> Dict[str, np.ndarray]:
-        """The (per-session memoized) reproduced locations of one key."""
-        cached = self._locations.get(key_id)
+    def ticket(self, key_id: str) -> VerificationTicket:
+        """The (per-session memoized) verification ticket of one key."""
+        cached = self._tickets.get(key_id)
         if cached is not None:
             return cached
         with self._registry_lock:
@@ -247,24 +231,21 @@ class FleetVerificationSession:
                 ) from exc
             lock = self._key_locks[key_id]
         with lock:
-            cached = self._locations.get(key_id)
+            cached = self._tickets.get(key_id)
             if cached is None:
-                cached = self._engine.reproduce_locations(key)
-                self._locations[key_id] = cached
+                cached = self._engine.ticket_for(key)
+                self._tickets[key_id] = cached
         return cached
 
     def _evaluate_pair(
         self,
         suspect_id: str,
         suspect: QuantizedModel,
-        key: WatermarkKey,
+        ticket: VerificationTicket,
         key_id: str,
-        key_locations: Dict[str, np.ndarray],
     ) -> PairVerification:
         pair_start = time.perf_counter()
-        result = self._engine._match_locations(
-            suspect, key, key_locations, strict_layout=False, wall_start=pair_start
-        )
+        result = ticket.match(suspect)
         owned = result.wer_percent >= self.wer_threshold and (
             self.max_false_claim_probability is None
             or result.false_claim_probability <= self.max_false_claim_probability
@@ -290,27 +271,24 @@ class FleetVerificationSession:
         release it as soon as this returns.
         """
         with span("engine.verify_pair", suspect=suspect_id, key=key_id):
-            key_locations = self.locations(key_id)
-            with self._registry_lock:
-                key = self._keys[key_id]
-            return self._evaluate_pair(suspect_id, suspect, key, key_id, key_locations)
+            return self._evaluate_pair(suspect_id, suspect, self.ticket(key_id), key_id)
 
     def verify_once(
-        self, suspect_id: str, suspect: QuantizedModel, key: WatermarkKey, key_id: str
+        self, suspect_id: str, suspect: QuantizedModel, key: KeyLike, key_id: str
     ) -> PairVerification:
         """Verify against a one-shot key without registering anything.
 
         For keys that will never be consulted again (e.g. a re-watermarking
         cell's per-attack adversary key): the evidence is bit-identical to
         :meth:`verify` on a registered key, but neither the key — whose
-        reference weights are a full model-size snapshot — nor its
-        reproduced locations are retained in the session, so streaming
-        pipelines stay O(in-flight suspects) even when every cell brings its
-        own key.  (Layer plans still land in the engine's bounded LRU cache,
-        so a key that *does* come back is still served warm.)
+        reference weights are a full model-size snapshot — nor its ticket is
+        retained in the session, so streaming pipelines stay O(in-flight
+        suspects) even when every cell brings its own key.  (Layer plans
+        still land in the engine's bounded LRU cache, so a key that *does*
+        come back is still served warm.)
         """
-        key_locations = self._engine.reproduce_locations(key)
-        return self._evaluate_pair(suspect_id, suspect, key, key_id, key_locations)
+        ticket = self._engine.ticket_for(key)
+        return self._evaluate_pair(suspect_id, suspect, ticket, key_id)
 
     def cache_traffic(self) -> CacheStats:
         """Plan-cache traffic since the session opened (delta counters).
@@ -738,83 +716,36 @@ class WatermarkEngine:
         with span("engine.reproduce_locations", layers=len(key.layer_names)):
             return dict(self.map_layers(reproduce, key.layer_names))
 
-    def _match_locations(
-        self,
-        suspect: QuantizedModel,
-        key: WatermarkKey,
-        locations: Dict[str, np.ndarray],
-        strict_layout: bool,
-        wall_start: float,
-    ) -> ExtractionResult:
-        """Pure integer-comparison pass: match the suspect at known locations.
-
-        No scoring, no hashing — this is the per-suspect cost of a fleet
-        sweep once a key's locations are reproduced.
+    def ticket_for(self, key: KeyLike, key_id: Optional[str] = None) -> VerificationTicket:
+        """The one derivation of ``key``'s :class:`VerificationTicket` (a
+        ticket passes through): :meth:`reproduce_locations`, then the values
+        at those locations.  ``key_id`` is recorded as given, never hashed.
         """
-        matched = 0
-        total = 0
-        per_layer_wer: Dict[str, float] = {}
-        for name in key.layer_names:
-            layer_signature = key.signature_for_layer(name)
-            total += layer_signature.size
-            if name not in suspect.layers:
-                if strict_layout:
-                    raise KeyError(f"suspect model has no quantized layer named {name!r}")
-                per_layer_wer[name] = 0.0
-                continue
-            suspect_layer = suspect.get_layer(name)
-            reference = key.reference_weights[name]
-            if suspect_layer.weight_int.shape != reference.shape:
-                if strict_layout:
-                    raise ValueError(
-                        f"layer {name!r} shape mismatch: suspect {suspect_layer.weight_int.shape} "
-                        f"vs reference {reference.shape}"
-                    )
-                per_layer_wer[name] = 0.0
-                continue
-            layer_locations = locations[name]
-            delta = (
-                suspect_layer.weight_int.reshape(-1)[layer_locations]
-                - reference.reshape(-1)[layer_locations]
-            )
-            layer_matches = int(np.sum(delta == layer_signature))
-            matched += layer_matches
-            per_layer_wer[name] = 100.0 * layer_matches / layer_signature.size
-        return ExtractionResult.from_counts(
-            total_bits=total,
-            matched_bits=matched,
-            per_layer_wer=per_layer_wer,
-            # Shallow copy: fleet sweeps reuse one locations dict per key,
-            # and each result should own its mapping (the arrays themselves
-            # are cached read-only plans).
-            locations=dict(locations),
-            wall_clock_seconds=time.perf_counter() - wall_start,
-        )
+        if isinstance(key, VerificationTicket):
+            return key
+        return VerificationTicket.from_key(key, self.reproduce_locations(key), key_id=key_id)
 
     def extract(
         self,
         suspect: QuantizedModel,
-        key: WatermarkKey,
+        key: KeyLike,
         strict_layout: bool = True,
     ) -> ExtractionResult:
         """Extract the watermark from ``suspect`` and compare it with the key.
 
-        Location reproduction runs in parallel across layers and is served
-        from the plan cache when warm (zero rescoring for previously verified
-        keys); the signature match is a cheap integer-comparison pass.  See
-        :func:`repro.core.extraction.extract_watermark` for parameter
+        ``key`` (a key or its ticket) is matched through :meth:`ticket_for`.
+        See :func:`repro.core.extraction.extract_watermark` for parameter
         documentation.
         """
         wall_start = time.perf_counter()
-        locations = self.reproduce_locations(key)
-        result = self._match_locations(suspect, key, locations, strict_layout, wall_start)
+        result = self.ticket_for(key).match(suspect, strict_layout, wall_start)
         logger.debug("extraction from %s: %s", suspect.config.name, result.summary())
         return result
 
     def verify(
         self,
         suspect: QuantizedModel,
-        key: WatermarkKey,
+        key: KeyLike,
         wer_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD,
         max_false_claim_probability: Optional[float] = DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
     ) -> bool:
@@ -840,7 +771,7 @@ class WatermarkEngine:
     # ------------------------------------------------------------------
     def verification_session(
         self,
-        keys: Optional[Mapping[str, WatermarkKey]] = None,
+        keys: Optional[Mapping[str, KeyLike]] = None,
         wer_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD,
         max_false_claim_probability: Optional[float] = DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
     ) -> FleetVerificationSession:
@@ -850,9 +781,9 @@ class WatermarkEngine:
         front (or :meth:`~FleetVerificationSession.add_key` them as they
         appear), then call :meth:`~FleetVerificationSession.verify` per
         ``(suspect, key)`` pair as suspects materialize, releasing each
-        suspect immediately afterwards.  Per-key location reproduction still
-        happens exactly once per session (and is served from the plan cache
-        across sessions).
+        suspect immediately afterwards.  Each key's ticket is still derived
+        exactly once per session (location reproduction is served from the
+        plan cache across sessions); registered tickets are used as given.
         """
         return FleetVerificationSession(
             self,
@@ -875,12 +806,13 @@ class WatermarkEngine:
         thresholded; this is the bulk ownership-verification workload (many
         deployed models × many registered owners).  Suspects and keys can be
         a single object, a sequence (auto-named ``suspect-0`` …) or a mapping
-        of explicit ids.
+        of explicit ids; a key may be a :class:`~repro.core.keys.WatermarkKey`
+        or its :class:`~repro.engine.ticket.VerificationTicket`.
 
-        Per-key work is done exactly once: each key's locations are
-        reproduced a single time (cached plans, parallel layers, one
-        fingerprint hash per layer), after which every suspect in the fleet
-        is a pure integer-comparison pass against those locations.
+        Per-key work is done at most once: each key is turned into its
+        ticket a single time (cached plans, parallel layers, one fingerprint
+        hash per layer; nothing at all for a ticket), after which every
+        suspect in the fleet is a pure integer-comparison pass against it.
 
         Parameters
         ----------
@@ -891,7 +823,7 @@ class WatermarkEngine:
             each target different keys share one sweep without paying for
             pairs nobody asked about.  Each listed pair is verified exactly
             as it would be in a full sweep (bit-identical evidence and
-            verdicts); keys with no requested pair skip location reproduction
+            verdicts); keys with no requested pair skip ticket derivation
             entirely.
 
         Returns
@@ -916,7 +848,7 @@ class WatermarkEngine:
                 raise KeyError(f"verify_fleet pairs reference unknown ids: {sorted(unknown)[:4]}")
         # The batched sweep is the degenerate streaming case: one session,
         # every suspect already in memory.  Keys with no requested pair never
-        # reach session.verify, so their locations are never reproduced.
+        # reach session.verify, so their tickets are never derived.
         session = self.verification_session(
             keys=dict(key_items),
             wer_threshold=wer_threshold,

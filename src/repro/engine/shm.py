@@ -1,10 +1,12 @@
 """Shared-memory model residency for multi-process execution.
 
 The process-pool gauntlet (``mode="process"``) needs every worker to see the
-subject models and owner keys without paying a per-worker copy: a grid over a
-fleet of subjects would otherwise multiply the resident weights by the worker
-count before a single attack runs.  This module publishes the bulk arrays
-**once** into one ``multiprocessing.shared_memory`` block and ships only
+subject models without paying a per-worker copy: a grid over a fleet of
+subjects would otherwise multiply the resident weights by the worker count
+before a single attack runs.  (Owner keys need no such treatment: workers
+receive their few-KB verification tickets by pickle.)  This module publishes
+the bulk arrays **once** into one ``multiprocessing.shared_memory`` block and
+ships only
 picklable *handles* (block name + an ``{array name: (offset, dtype, shape)}``
 manifest plus scalar metadata); each worker re-materializes read-only,
 zero-copy numpy views over the same physical pages.
@@ -20,11 +22,10 @@ Three layers:
   is a frozen, picklable description; :meth:`ArenaHandle.attach` maps the
   block in the worker and hands out read-only views (attachers never unlink;
   see :func:`_attach` for the resource-tracker story).
-* :func:`share_model` / :func:`share_key` and their handle classes — the
-  domain flattening: a :class:`~repro.quant.base.QuantizedModel` or
-  :class:`~repro.core.keys.WatermarkKey` becomes a set of prefixed arena
-  arrays plus a small metadata dict, and restores as a frozen (read-only
-  weights) object whose arrays alias the shared block.
+* :func:`share_model` and :class:`SharedModelHandle` — the domain
+  flattening: a :class:`~repro.quant.base.QuantizedModel` becomes a set of
+  prefixed arena arrays plus a small metadata dict, and restores as a frozen
+  (read-only weights) model whose arrays alias the shared block.
 
 Nothing here is gauntlet-specific: any future remote/multi-host cell
 executor can reuse the same handle protocol with a different transport.
@@ -42,7 +43,6 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.keys import WatermarkKey
 from repro.models.config import ModelConfig
 from repro.quant.base import QuantizationGrid, QuantizedLinear, QuantizedModel
 
@@ -52,9 +52,7 @@ __all__ = [
     "ArenaHandle",
     "ArenaView",
     "SharedModelHandle",
-    "SharedKeyHandle",
     "share_model",
-    "share_key",
 ]
 
 #: Prefix of every arena's shared-memory segment name.  On Linux the segment
@@ -151,14 +149,6 @@ class ArenaView:
         view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=offset)
         view.flags.writeable = False
         return view
-
-    def arrays_with_prefix(self, prefix: str) -> Dict[str, np.ndarray]:
-        """All arrays under ``prefix``, keyed by the remainder of their name."""
-        return {
-            name[len(prefix):]: self.array(name)
-            for name in self._manifest
-            if name.startswith(prefix)
-        }
 
     def close(self) -> None:
         """Drop this process's mapping (never unlinks — that is the owner's)."""
@@ -273,7 +263,7 @@ class SharedArena:
 
 
 # ----------------------------------------------------------------------
-# Domain flattening: QuantizedModel / WatermarkKey <-> arena arrays
+# Domain flattening: QuantizedModel <-> arena arrays
 # ----------------------------------------------------------------------
 _LAYER_OPTIONAL_FIELDS = ("bias", "input_smoothing", "outlier_columns", "outlier_weight")
 
@@ -358,32 +348,3 @@ def share_model(arena: SharedArena, model: QuantizedModel, prefix: str) -> Share
         layer_specs=tuple(layer_specs),
         state_keys=tuple(model.full_precision_state),
     )
-
-
-@dataclass(frozen=True)
-class SharedKeyHandle:
-    """Picklable recipe for rebuilding one :class:`WatermarkKey` from an arena.
-
-    Reuses the key's own ``(meta, arrays)`` payload form — the same flattening
-    behind :meth:`WatermarkKey.save` and the service wire codec — so the
-    shared-memory path cannot drift from the serialization one.  The key's
-    reference weights are a full model-size snapshot; sharing them is what
-    keeps a process pool's resident set O(workers × attacked model) instead
-    of O(workers × (subject + attacked)).
-    """
-
-    prefix: str
-    meta: Tuple[Tuple[str, object], ...]
-
-    def restore(self, view: ArenaView) -> WatermarkKey:
-        """Rebuild the key; its arrays are read-only views over the block."""
-        arrays = view.arrays_with_prefix(f"{self.prefix}/")
-        return WatermarkKey.from_payload(dict(self.meta), arrays)
-
-
-def share_key(arena: SharedArena, key: WatermarkKey, prefix: str) -> SharedKeyHandle:
-    """Stage ``key``'s payload arrays into ``arena``; return the restore handle."""
-    meta, arrays = key.to_payload()
-    for name, array in arrays.items():
-        arena.stage(f"{prefix}/{name}", array)
-    return SharedKeyHandle(prefix=prefix, meta=tuple(meta.items()))

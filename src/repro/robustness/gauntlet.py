@@ -24,7 +24,7 @@ into one reusable engine-backed pipeline:
    the reference implementation; its decision digest is bit-identical to the
    streaming path at any worker count (the benchmark gates on it).
 4. **Process mode** (``mode="process"``) — cells run in worker *processes*
-   over shared-memory model/key residents
+   over shared-memory models
    (:mod:`repro.robustness.procpool`): one publication of the subjects into
    a :class:`~repro.engine.shm.SharedArena`, zero-copy read-only views per
    worker, only cell coordinates and verdicts crossing the process
@@ -128,7 +128,7 @@ class GauntletConfig:
         ``"streaming"`` (default) verifies and releases each cell as its
         worker finishes; ``"batched"`` retains every attacked model and runs
         one ``verify_fleet`` sweep; ``"process"`` runs cells in worker
-        processes over shared-memory residents (GIL-free attack stages);
+        processes over shared-memory models (GIL-free attack stages);
         ``"auto"`` falls back to serial streaming on single-core boxes or
         grids smaller than the worker pool, process execution otherwise.
         Decisions are bit-identical in every mode — the resolved choice is
@@ -747,7 +747,7 @@ class Gauntlet:
         )
 
     # ------------------------------------------------------------------
-    # Process mode: worker processes over shared-memory residents
+    # Process mode: worker processes over shared-memory models
     # ------------------------------------------------------------------
     def _run_process(
         self,
@@ -772,13 +772,11 @@ class Gauntlet:
                 wired.append((owner_id, key_id))
             if wired:
                 co_key_ids[model_id] = tuple(wired)
-        # The parent reproduces every registered key's locations exactly once
-        # (served from the plan cache when warm); workers consume the small
-        # index arrays verbatim instead of re-running the scoring pass —
-        # bit-identical by purity of location reproduction.
-        key_locations = {
-            key_id: self.engine.reproduce_locations(key) for key_id, key in keys.items()
-        }
+        # The parent derives every registered key's ticket exactly once
+        # (locations served from the plan cache when warm); workers match
+        # the pickled tickets verbatim instead of re-running the scoring
+        # pass — bit-identical by purity of ticket derivation.
+        tickets = {key_id: self.engine.ticket_for(key) for key_id, key in keys.items()}
         attacks = {cell.spec.name: cell.spec for cell in cells}
         harnesses = {
             model_id: subject.harness
@@ -797,8 +795,7 @@ class Gauntlet:
         collector = get_collector()
         executor = ProcessCellExecutor(
             models=models,
-            keys=keys,
-            key_locations=key_locations,
+            tickets=tickets,
             co_key_ids=co_key_ids,
             attacks=attacks,
             harnesses=harnesses,

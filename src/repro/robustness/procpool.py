@@ -1,18 +1,18 @@
-"""Process-pool execution of gauntlet cells over shared-memory residents.
+"""Process-pool execution of gauntlet cells over shared-memory models.
 
 The thread-mode gauntlet is GIL-bound wherever an attack's heavy stage is
 Python-level work (GPTQ requantization, adaptive-oracle scoring), so on
 multi-core boxes ``mode="process"`` farms cells out to real processes.  The
 memory model:
 
-* **Shared, read-only, published once** — every subject model and owner key
-  is flattened into one :class:`~repro.engine.shm.SharedArena` block; each
-  worker re-materializes zero-copy read-only views at initialization.  The
+* **Shared, read-only, published once** — every subject model is flattened
+  into one :class:`~repro.engine.shm.SharedArena` block; each worker
+  re-materializes zero-copy read-only views at initialization.  The
   per-worker marginal footprint is therefore O(attacked model), not
   O(subject + attacked).
 * **Pickled once per worker** — the small context (attack specs, evaluation
-  harnesses, precomputed key locations, thresholds, the grid seed) rides in
-  a :class:`WorkerPayload` through the pool initializer.
+  harnesses, the owner keys' few-KB verification tickets, thresholds, the
+  grid seed) rides in a :class:`WorkerPayload` through the pool initializer.
 * **Pickled per cell** — only a :class:`CellTask` (four scalars) goes out
   and a :class:`CellOutcome` (verdicts + quality numbers) comes back.
 
@@ -22,10 +22,10 @@ object resident on the worker side — so the same cell executor can later be
 backed by remote hosts instead of local processes.
 
 Determinism: a worker derives each cell's RNG from ``(seed, coordinates)``
-exactly as the in-process modes do, verification consumes the parent's
-precomputed locations verbatim, and location reproduction itself is a pure
-function of the key — so decision digests are bit-identical to serial and
-thread execution at any worker count and under any start method.
+exactly as the in-process modes do, verification matches the parent's
+tickets verbatim, and ticket derivation itself is a pure function of the
+key — so decision digests are bit-identical to serial and thread execution
+at any worker count and under any start method.
 """
 
 from __future__ import annotations
@@ -38,20 +38,16 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.keys import WatermarkKey
 from repro.engine.engine import FleetVerificationSession, WatermarkEngine
 from repro.engine.reports import PairVerification
 from repro.engine.shm import (
     ArenaHandle,
     ArenaView,
     SharedArena,
-    SharedKeyHandle,
     SharedModelHandle,
-    share_key,
     share_model,
 )
+from repro.engine.ticket import VerificationTicket
 from repro.eval.harness import EvaluationHarness, QualityReport
 from repro.obs.trace import SpanRecord, TraceCollector, span, tracing
 from repro.quant.base import QuantizedModel
@@ -150,16 +146,15 @@ class CellOutcome:
 class WorkerPayload:
     """Per-worker resident context, delivered through the pool initializer.
 
-    ``arena``/``models``/``keys`` are shared-memory handles (bulk arrays are
-    never pickled); the rest is small and rides the pickle: attack specs,
-    optional per-subject harnesses, the parent's precomputed per-key
-    locations, co-owner key-id wiring, decision thresholds and the grid seed.
+    ``arena``/``models`` are shared-memory handles (model arrays are never
+    pickled); the rest is small and rides the pickle: the parent's
+    verification tickets, attack specs, optional per-subject harnesses,
+    co-owner key-id wiring, decision thresholds and the grid seed.
     """
 
     arena: ArenaHandle
     models: Mapping[str, SharedModelHandle]
-    keys: Mapping[str, SharedKeyHandle]
-    key_locations: Mapping[str, Mapping[str, np.ndarray]]
+    tickets: Mapping[str, VerificationTicket]
     co_key_ids: Mapping[str, Tuple[Tuple[str, str], ...]]
     attacks: Mapping[str, AttackSpec]
     harnesses: Mapping[str, EvaluationHarness]
@@ -192,31 +187,25 @@ def _init_worker(payload: WorkerPayload) -> None:
 
     Each worker gets a private :class:`WatermarkEngine` (and with it a
     private plan cache) — per-worker cache hygiene instead of cross-process
-    cache coherence.  The verification session is pre-seeded with the
-    parent's reproduced locations, so no worker repeats the scoring pass for
-    registered keys; only per-cell attacker keys (re-watermarking cells)
-    reproduce locally, which is deterministic and therefore digest-safe.
+    cache coherence.  The verification session holds the parent's tickets,
+    so no worker repeats the scoring pass for registered keys; only per-cell
+    attacker keys (re-watermarking cells) derive tickets locally, which is
+    deterministic and therefore digest-safe.
     """
     global _WORKER
     collector = TraceCollector() if payload.trace else None
     with tracing(collector) if collector is not None else contextlib.nullcontext():
-        with span("shm.restore", models=len(payload.models), keys=len(payload.keys)):
+        with span("shm.restore", models=len(payload.models)):
             view = payload.arena.attach()
             models = {
                 model_id: handle.restore(view)
                 for model_id, handle in payload.models.items()
             }
-            keys = {
-                key_id: handle.restore(view) for key_id, handle in payload.keys.items()
-            }
-        engine = WatermarkEngine()
-        session = engine.verification_session(
-            keys=keys,
+        session = WatermarkEngine().verification_session(
+            keys=payload.tickets,
             wer_threshold=payload.wer_threshold,
             max_false_claim_probability=payload.max_false_claim_probability,
         )
-        for key_id, locations in payload.key_locations.items():
-            session.preload_locations(key_id, locations)
     _WORKER = _WorkerState(
         models=models, session=session, payload=payload, view=view, collector=collector
     )
@@ -282,8 +271,8 @@ def _run_cell(task: CellTask) -> CellOutcome:
 class ProcessCellExecutor:
     """Owns one gauntlet run's arena + process pool, as a context manager.
 
-    Construction publishes the models and keys into shared memory (the only
-    copy the whole run pays); entering spawns the pool; :meth:`run` maps
+    Construction publishes the models into shared memory (the only copy the
+    whole run pays); entering spawns the pool; :meth:`run` maps
     tasks in submission order.  Exiting shuts the pool down and closes the
     arena in a ``finally`` — combined with the arena's atexit sweep, the
     shared block is unlinked exactly once even when a worker dies mid-cell
@@ -293,8 +282,7 @@ class ProcessCellExecutor:
     def __init__(
         self,
         models: Mapping[str, QuantizedModel],
-        keys: Mapping[str, WatermarkKey],
-        key_locations: Mapping[str, Mapping[str, np.ndarray]],
+        tickets: Mapping[str, VerificationTicket],
         co_key_ids: Mapping[str, Tuple[Tuple[str, str], ...]],
         attacks: Mapping[str, AttackSpec],
         harnesses: Mapping[str, EvaluationHarness],
@@ -312,14 +300,10 @@ class ProcessCellExecutor:
         self._arena = SharedArena()
         self._pool: Optional[ProcessPoolExecutor] = None
         try:
-            with span("shm.publish", models=len(models), keys=len(keys)):
+            with span("shm.publish", models=len(models)):
                 model_handles = {
                     model_id: share_model(self._arena, model, f"model/{model_id}")
                     for model_id, model in models.items()
-                }
-                key_handles = {
-                    key_id: share_key(self._arena, key, f"key/{key_id}")
-                    for key_id, key in keys.items()
                 }
                 arena_handle = self._arena.seal()
         except BaseException:
@@ -328,8 +312,7 @@ class ProcessCellExecutor:
         self._payload = WorkerPayload(
             arena=arena_handle,
             models=model_handles,
-            keys=key_handles,
-            key_locations={kid: dict(locs) for kid, locs in key_locations.items()},
+            tickets=dict(tickets),
             co_key_ids=dict(co_key_ids),
             attacks=dict(attacks),
             harnesses=dict(harnesses),

@@ -10,11 +10,11 @@ Two mechanisms sit between the HTTP handlers and the
   task.  Concurrent ``/verify`` requests are coalesced into one
   :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` call per batch:
   the batch's suspects and keys are deduplicated, and the engine is handed
-  the exact ``(suspect, key)`` pairs the batched requests asked for.  The
-  fleet call reproduces each key's watermark locations once for the whole
-  batch (served from the plan cache when warm), which is where batching wins
-  over per-request verification — N concurrent requests against the same key
-  pay for one location reproduction, not N.
+  the exact ``(suspect, key)`` pairs the batched requests asked for.  Keys
+  arrive as the registry's resident
+  :class:`~repro.engine.ticket.VerificationTicket`\\ s, so each pair is a
+  gather-and-compare; batching amortizes the executor hand-off and lets the
+  queue absorb bursts while a batch runs.
 
 Verdicts are bit-identical to unbatched ``verify_fleet`` calls because each
 pair's evidence (match counts, WER, Equation 8 probability) is computed
@@ -31,13 +31,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.keys import WatermarkKey
 from repro.engine.engine import WatermarkEngine
 from repro.engine.reports import (
     DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
     DEFAULT_OWNERSHIP_THRESHOLD,
     PairVerification,
 )
+from repro.engine.ticket import VerificationTicket
 from repro.obs.metrics import MetricsRegistry
 from repro.quant.base import QuantizedModel
 from repro.utils.logging import get_logger
@@ -250,15 +250,15 @@ class OwnerRateLimiter:
 class VerifyJob:
     """One enqueued verification request.
 
-    ``suspect_id``/``key_ids`` name the work; the model and key objects ride
-    along so the dispatcher never goes back to the stores (a key revoked
-    after admission still completes — the admission-time view wins).
+    ``suspect_id``/``key_ids`` name the work; the model and the keys'
+    tickets ride along so the dispatcher never goes back to the stores (a key
+    revoked after admission still completes — the admission-time view wins).
     """
 
     request_id: str
     suspect_id: str
     suspect: QuantizedModel
-    keys: Dict[str, WatermarkKey]
+    keys: Dict[str, VerificationTicket]
     wer_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD
     max_false_claim_probability: Optional[float] = DEFAULT_MAX_FALSE_CLAIM_PROBABILITY
     enqueued_at: float = field(default_factory=time.perf_counter)
@@ -284,8 +284,7 @@ class MicroBatchDispatcher:
     Parameters
     ----------
     engine:
-        The verification engine (its plan cache is what batch coalescing
-        amortizes against).
+        The verification engine the coalesced sweeps run on.
     max_batch:
         Hard cap on jobs folded into one ``verify_fleet`` call.
     max_wait_ms:
@@ -462,7 +461,7 @@ class MicroBatchDispatcher:
             # each job's own suspect_id in its outcome.
             alias_of: Dict[int, str] = {}
             suspects: Dict[str, QuantizedModel] = {}
-            keys: Dict[str, WatermarkKey] = {}
+            keys: Dict[str, VerificationTicket] = {}
             pairs: List[Tuple[str, str]] = []
             seen_pairs = set()
             job_alias: Dict[int, str] = {}

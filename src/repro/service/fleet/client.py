@@ -27,7 +27,7 @@ from repro.quant.base import QuantizedModel
 from repro.service.client import VerificationClient
 from repro.service.fleet.audit import OccupancyAuditReport
 from repro.service.fleet.hashring import HashRing
-from repro.service.fleet.router import shard_labels
+from repro.service.fleet.router import rollup_stats, shard_labels
 
 __all__ = ["FleetClient"]
 
@@ -152,21 +152,14 @@ class FleetClient:
     def stats(self) -> Dict[str, object]:
         """Per-shard ``/v1/stats`` plus fleet totals (same roll-up keys as
         the router's ``/v1/fleet/stats``)."""
-        per_shard = []
-        totals = {"verifications": 0, "decisions_owned": 0, "decisions_not_owned": 0,
-                  "registry_keys": 0, "registry_resident": 0, "suspects": 0}
-        for label, client in zip(self.labels, self._clients):
-            stats = client.stats()
-            per_shard.append({"shard": label, "stats": stats, "ok": True})
-            server = stats.get("server", {})
-            registry = stats.get("registry", {})
-            totals["verifications"] += int(server.get("verifications", 0))
-            totals["decisions_owned"] += int(server.get("decisions_owned", 0))
-            totals["decisions_not_owned"] += int(server.get("decisions_not_owned", 0))
-            totals["registry_keys"] += int(registry.get("keys", 0))
-            totals["registry_resident"] += int(registry.get("resident", 0))
-            totals["suspects"] += int(stats.get("suspects", {}).get("count", 0))
-        return {"fleet": {"shards": len(self.labels), **totals}, "shards": per_shard}
+        all_stats = [client.stats() for client in self._clients]
+        return {
+            "fleet": {"shards": len(self.labels), **rollup_stats(all_stats)},
+            "shards": [
+                {"shard": label, "stats": stats, "ok": True}
+                for label, stats in zip(self.labels, all_stats)
+            ],
+        }
 
     def audit(self) -> Dict[str, object]:
         """Fan out ``GET /v1/audit`` and merge into one fleet report dict."""

@@ -53,16 +53,14 @@ class FleetConfig:
 
     ``registry_root`` is the parent directory of the per-shard registry
     partitions (``<root>/shard-i``); ``None`` runs every shard in memory.
-    ``max_resident_keys`` bounds each shard's lazily-loaded key residency
-    (persistent registries only) and ``plan_cache_entries`` sizes each
-    shard's private plan cache.  ``run_audit`` gates the build-time
-    occupancy audit; ``replicas`` is the ring's virtual-node count and must
-    match whatever clients use for client-side routing.
+    ``plan_cache_entries`` sizes each shard's private plan cache (it serves
+    ticket derivation).  ``run_audit`` gates the build-time occupancy audit;
+    ``replicas`` is the ring's virtual-node count and must match whatever
+    clients use for client-side routing.
     """
 
     num_shards: int = 2
     registry_root: Optional[Union[str, Path]] = None
-    max_resident_keys: Optional[int] = None
     plan_cache_entries: int = 256
     max_wait_ms: float = 2.0
     max_batch: int = 32
@@ -150,11 +148,8 @@ def launch_fleet(config: Optional[FleetConfig] = None, **kwargs) -> FleetHandle:
 
     shards: List[VerificationServer] = []
     for index, label in enumerate(labels):
-        registry = KeyRegistry(
-            root / label if root is not None else None,
-            max_resident_keys=cfg.max_resident_keys if root is not None else None,
-        )
         engine = WatermarkEngine(EngineConfig(plan_cache_entries=cfg.plan_cache_entries))
+        registry = KeyRegistry(root / label if root is not None else None, engine=engine)
         server = VerificationServer(
             engine=engine,
             registry=registry,

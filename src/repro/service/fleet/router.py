@@ -53,6 +53,26 @@ logger = get_logger("service.fleet.router")
 _FORWARD_TIMEOUT_S = 120.0
 
 
+#: Fleet totals summed over shards' ``/v1/stats``: total -> (section, field).
+_ROLLUP = {
+    "verifications": ("server", "verifications"),
+    "decisions_owned": ("server", "decisions_owned"),
+    "decisions_not_owned": ("server", "decisions_not_owned"),
+    "registry_keys": ("registry", "keys"),
+    "registry_tickets": ("registry", "tickets"),
+    "suspects": ("suspects", "count"),
+}
+
+
+def rollup_stats(shard_stats: Sequence[Dict[str, object]]) -> Dict[str, int]:
+    """Fleet totals of reachable shards' ``/v1/stats`` payloads — the one
+    roll-up behind both ``/v1/fleet/stats`` and :meth:`FleetClient.stats`."""
+    return {
+        total: sum(int(stats.get(section, {}).get(name, 0)) for stats in shard_stats)
+        for total, (section, name) in _ROLLUP.items()
+    }
+
+
 def shard_labels(count: int) -> List[str]:
     """Canonical shard labels (``shard-0`` … ``shard-N-1``) for a fleet."""
     return [f"shard-{i}" for i in range(count)]
@@ -299,9 +319,7 @@ class ShardRouter(AsyncHttpServer):
     async def _handle_stats(self, _body, _params, _query) -> Tuple[int, Dict[str, object]]:
         shards = await self._fan_out("GET", "/v1/stats")
         per_shard = []
-        totals = {"verifications": 0, "decisions_owned": 0, "decisions_not_owned": 0,
-                  "registry_keys": 0, "registry_resident": 0, "suspects": 0}
-        reachable = 0
+        reachable_stats = []
         for label, status, payload in shards:
             entry: Dict[str, object] = {
                 "shard": label,
@@ -309,16 +327,8 @@ class ShardRouter(AsyncHttpServer):
                 "ok": status == 200,
             }
             if status == 200:
-                reachable += 1
+                reachable_stats.append(payload)
                 entry["stats"] = payload
-                server = payload.get("server", {})
-                registry = payload.get("registry", {})
-                totals["verifications"] += int(server.get("verifications", 0))
-                totals["decisions_owned"] += int(server.get("decisions_owned", 0))
-                totals["decisions_not_owned"] += int(server.get("decisions_not_owned", 0))
-                totals["registry_keys"] += int(registry.get("keys", 0))
-                totals["registry_resident"] += int(registry.get("resident", 0))
-                totals["suspects"] += int(payload.get("suspects", {}).get("count", 0))
             else:
                 entry["error"] = payload.get("error")
             per_shard.append(entry)
@@ -327,10 +337,10 @@ class ShardRouter(AsyncHttpServer):
         return 200, {
             "fleet": {
                 "shards": len(self.labels),
-                "reachable_shards": reachable,
+                "reachable_shards": len(reachable_stats),
                 "router": dict(self._stats),
                 "suspects_routed": routed,
-                **totals,
+                **rollup_stats(reachable_stats),
             },
             "shards": per_shard,
         }

@@ -22,23 +22,25 @@ that mode backs unit tests and ephemeral servers.
 
 Startup is *record-only*: only the small ``record.json`` files are read, never
 the bulk NPZ archives, so a shard fronting a million keys comes up in seconds.
-Key material is loaded lazily on first use (memory-mapped when the archive is
-uncompressed), held in a bounded LRU (``max_resident_keys``), and evicted
-under pressure — a persisted key can always be re-loaded from disk.  Corrupt
-entries are quarantined (directory renamed to ``<key_id>.corrupt``) instead of
-bricking the registry, both at startup (bad record) and lazily (bad arrays).
+Each key is served by its resident few-KB
+:class:`~repro.engine.ticket.VerificationTicket`, derived at registration or,
+after a restart, on first use from one load of the key on disk.  Full keys are
+evidence: they load on demand only (occupancy audit, gauntlet subjects).
+Corrupt entries are quarantined (directory renamed to ``<key_id>.corrupt``)
+instead of bricking the registry, both at startup (bad record) and lazily (bad
+arrays).
 
 Thread-safety and lock order
 ----------------------------
-All public methods are thread-safe.  Three lock tiers exist, and nesting only
+All public methods are thread-safe.  Two lock tiers exist, and nesting only
 ever goes downward through this list:
 
-1. per-fingerprint *stripe* locks — serialise disk I/O (load / persist) for
-   one model family, so ``/register`` and ``/verify`` on different families
-   never contend;
-2. the *index* lock — guards the record map, model index, and the maintained
-   O(1) counters behind :meth:`stats`;
-3. the *resident* lock — guards the LRU of loaded key material.
+1. per-fingerprint *stripe* locks — serialise disk I/O (persist, and the
+   load-and-derive of a ticket) for one model family, so ``/register`` and
+   ``/verify`` on different families never contend and two first touches of
+   one key load it once;
+2. the *index* lock — guards the record map, model index, resident tickets
+   and the maintained O(1) counters behind :meth:`stats`.
 
 The index lock is never held while acquiring a stripe lock (lookups snapshot
 the record first, then drop to the stripe), which keeps the order acyclic for
@@ -50,12 +52,13 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.core.keys import WatermarkKey
+from repro.engine.engine import WatermarkEngine, get_default_engine
+from repro.engine.ticket import VerificationTicket
 from repro.utils.logging import get_logger
 from repro.utils.serialization import load_json, save_json
 
@@ -155,7 +158,7 @@ class KeyRecord:
 
 
 class KeyRegistry:
-    """Thread-safe store of :class:`WatermarkKey`s with optional persistence.
+    """Thread-safe store of watermark keys, served as verification tickets.
 
     Parameters
     ----------
@@ -163,11 +166,9 @@ class KeyRegistry:
         Directory to persist into (created if missing; existing entries are
         indexed from their ``record.json`` only — bulk arrays load lazily).
         ``None`` keeps the registry purely in memory.
-    max_resident_keys:
-        Upper bound on lazily-loaded key material held in memory at once
-        (least-recently-used eviction).  ``None`` (the default) never evicts.
-        Only meaningful with a ``root``: an in-memory registry has nowhere to
-        reload evicted material from, so it pins every registered key.
+    engine:
+        Engine that derives tickets (its plan cache serves the location
+        reproduction); the process-wide default engine when omitted.
     stripes:
         Number of per-fingerprint lock stripes for disk I/O.
     """
@@ -175,22 +176,20 @@ class KeyRegistry:
     def __init__(
         self,
         root: Optional[PathLike] = None,
-        max_resident_keys: Optional[int] = None,
+        engine: Optional[WatermarkEngine] = None,
         stripes: int = 16,
     ) -> None:
-        if max_resident_keys is not None and max_resident_keys < 1:
-            raise ValueError("max_resident_keys must be >= 1 (or None)")
         self.root = Path(root) if root is not None else None
-        self.max_resident_keys = max_resident_keys
+        self.engine = engine
         # Lock tiers — see the module docstring for the nesting order.
         self._stripes = [threading.RLock() for _ in range(max(1, int(stripes)))]
         self._index_lock = threading.RLock()
-        self._resident_lock = threading.RLock()
         self._records: Dict[str, KeyRecord] = {}
         # model_fingerprint -> [key_id, ...] in registration order
         self._by_model: Dict[str, List[str]] = {}
-        # Lazily-loaded key material, LRU order (oldest first).
-        self._resident: "OrderedDict[str, WatermarkKey]" = OrderedDict()
+        self._tickets: Dict[str, VerificationTicket] = {}
+        # Key material of an in-memory registry (a persistent one reads disk).
+        self._memory_keys: Dict[str, WatermarkKey] = {}
         # Maintained counters (guarded by the index lock) keep stats() O(1).
         self._active_count = 0
         self._revoked_count = 0
@@ -199,7 +198,6 @@ class KeyRegistry:
         self._model_active: Dict[str, int] = {}
         self._quarantined = 0
         self._key_loads = 0
-        self._evictions = 0
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self._load_existing()
@@ -304,6 +302,7 @@ class KeyRegistry:
         else:
             self._revoked_count -= 1
         self._records.pop(record.key_id, None)
+        self._tickets.pop(record.key_id, None)
         siblings = self._by_model.get(record.model_fingerprint, [])
         if record.key_id in siblings:
             siblings.remove(record.key_id)
@@ -312,61 +311,55 @@ class KeyRegistry:
             self._model_active.pop(record.model_fingerprint, None)
 
     # ------------------------------------------------------------------
-    # Lazy key-material residency
+    # Key material and tickets
     # ------------------------------------------------------------------
     def _stripe(self, model_fingerprint: str) -> threading.RLock:
         digest = hashlib.sha256(model_fingerprint.encode("utf-8")).digest()
         return self._stripes[int.from_bytes(digest[:4], "big") % len(self._stripes)]
 
-    def _resident_get(self, key_id: str) -> Optional[WatermarkKey]:
-        with self._resident_lock:
-            key = self._resident.get(key_id)
-            if key is not None:
-                self._resident.move_to_end(key_id)
-            return key
-
-    def _resident_put(self, key_id: str, key: WatermarkKey) -> None:
-        evictable = self.root is not None and self.max_resident_keys is not None
-        with self._resident_lock:
-            self._resident[key_id] = key
-            self._resident.move_to_end(key_id)
-            if evictable:
-                while len(self._resident) > self.max_resident_keys:
-                    evicted, _ = self._resident.popitem(last=False)
-                    self._evictions += 1
-                    logger.debug("evicted resident key %s", evicted)
-
     def _load_key(self, record: KeyRecord) -> WatermarkKey:
-        """Load ``record``'s key material from disk (caller holds no locks).
+        """``record``'s full key: from memory, or loaded from disk (uncached).
 
-        Serialised per fingerprint stripe; a second caller racing on the same
-        key finds it resident after the first finishes.  A corrupt archive
-        quarantines the entry and surfaces as :class:`RegistryError`.
+        A corrupt archive quarantines the entry and surfaces as
+        :class:`RegistryError`.
         """
         if self.root is None:
-            raise RegistryError(
-                f"key material for {record.key_id!r} is not resident "
-                "(in-memory registry has no disk to load from)"
-            )
-        with self._stripe(record.model_fingerprint):
-            key = self._resident_get(record.key_id)
-            if key is not None:
-                return key
-            entry = self.root / record.key_id
-            try:
-                key = WatermarkKey.load(entry, mmap=True)
-            except (FileNotFoundError, ValueError) as exc:
-                self._quarantine(entry, reason=str(exc))
-                with self._index_lock:
-                    if record.key_id in self._records:
-                        self._uninstall(record)
-                raise RegistryError(
-                    f"corrupt registry entry {entry}: {exc}"
-                ) from exc
+            return self._memory_keys[record.key_id]
+        entry = self.root / record.key_id
+        try:
+            key = WatermarkKey.load(entry, mmap=True)
+        except (FileNotFoundError, ValueError) as exc:
+            self._quarantine(entry, reason=str(exc))
             with self._index_lock:
-                self._key_loads += 1
-            self._resident_put(record.key_id, key)
-            return key
+                if record.key_id in self._records:
+                    self._uninstall(record)
+            raise RegistryError(f"corrupt registry entry {entry}: {exc}") from exc
+        with self._index_lock:
+            self._key_loads += 1
+        return key
+
+    def _derive_ticket(self, key_id: str, key: WatermarkKey) -> VerificationTicket:
+        """The one derivation of a registry ticket, under the id already known."""
+        engine = self.engine if self.engine is not None else get_default_engine()
+        return engine.ticket_for(key, key_id=key_id)
+
+    def _ticket(self, record: KeyRecord) -> VerificationTicket:
+        """``record``'s resident ticket, derived from the key on disk on first use.
+
+        Serialised per fingerprint stripe, so racing first touches of one
+        key load it exactly once.
+        """
+        ticket = self._tickets.get(record.key_id)
+        if ticket is not None:
+            return ticket
+        with self._stripe(record.model_fingerprint):
+            ticket = self._tickets.get(record.key_id)
+            if ticket is None:
+                ticket = self._derive_ticket(record.key_id, self._load_key(record))
+                with self._index_lock:
+                    if not record.revoked:
+                        self._tickets[record.key_id] = ticket
+            return ticket
 
     # ------------------------------------------------------------------
     # Mutation
@@ -403,11 +396,16 @@ class KeyRegistry:
                 co_residents=list(key.metadata.get("co_residents", [])),
                 metadata=dict(metadata or {}),
             )
+            # Derived before anything is written: a key that cannot be
+            # planned leaves no trace in the registry.
+            ticket = self._derive_ticket(key_id, key)
             if self.root is not None:
                 self._persist(record, key)
+            else:
+                self._memory_keys[key_id] = key
             with self._index_lock:
                 self._install(record)
-            self._resident_put(key_id, key)
+                self._tickets[key_id] = ticket
             logger.info(
                 "registered key %s (owner=%r, model=%s)", key_id, owner, key.model_name
             )
@@ -419,6 +417,7 @@ class KeyRegistry:
             record = self._record_or_raise(key_id)
             if not record.revoked:
                 self._mark_revoked(record)
+                self._tickets.pop(key_id, None)
                 if self.root is not None:
                     self._persist_record(record)
                 logger.info("revoked key %s", key_id)
@@ -434,16 +433,13 @@ class KeyRegistry:
         return record
 
     def get_key(self, key_id: str) -> WatermarkKey:
-        """The key material for ``key_id`` (raises :class:`RegistryError`).
+        """The full key for ``key_id`` (raises :class:`RegistryError`).
 
-        Loads lazily from disk on first use and keeps the result resident
-        (subject to the ``max_resident_keys`` LRU bound).
+        Evidence, not serving state: a persistent registry loads it from disk
+        on every call (counted in ``key_loads``) and does not keep it.
         """
         with self._index_lock:
             record = self._record_or_raise(key_id)
-        key = self._resident_get(key_id)
-        if key is not None:
-            return key
         return self._load_key(record)
 
     def get_record(self, key_id: str) -> KeyRecord:
@@ -456,48 +452,35 @@ class KeyRegistry:
         with self._index_lock:
             return list(self._records.values())
 
-    def active_keys(self, key_ids: Optional[List[str]] = None) -> Dict[str, WatermarkKey]:
-        """``{key_id: key}`` for non-revoked keys.
+    def active_records(self, key_ids: Optional[List[str]] = None) -> List[KeyRecord]:
+        """Records of the non-revoked keys, optionally restricted to ``key_ids``.
 
-        With ``key_ids`` the selection is restricted to those ids; asking for
-        an unknown or revoked id raises, so a verification request can never
-        silently run against fewer keys than it named.
+        Asking for an unknown or revoked id raises, so a verification request
+        can never silently run against fewer keys than it named.
         """
         with self._index_lock:
             if key_ids is None:
-                wanted = [
-                    record
-                    for record in self._records.values()
-                    if not record.revoked
-                ]
-            else:
-                wanted = []
-                for kid in key_ids:
-                    record = self._record_or_raise(kid)
-                    if record.revoked:
-                        raise RegistryError(f"key {kid!r} is revoked")
-                    wanted.append(record)
-        selected: Dict[str, WatermarkKey] = {}
-        for record in wanted:
-            key = self._resident_get(record.key_id)
-            selected[record.key_id] = (
-                key if key is not None else self._load_key(record)
-            )
-        return selected
+                return [record for record in self._records.values() if not record.revoked]
+            wanted = []
+            for kid in key_ids:
+                record = self._record_or_raise(kid)
+                if record.revoked:
+                    raise RegistryError(f"key {kid!r} is revoked")
+                wanted.append(record)
+            return wanted
+
+    def active_keys(
+        self, key_ids: Optional[List[str]] = None
+    ) -> Dict[str, VerificationTicket]:
+        """``{key_id: ticket}`` of :meth:`active_records` — the verification lookup."""
+        return {record.key_id: self._ticket(record) for record in self.active_records(key_ids)}
 
     def keys_for_model(self, fingerprint: str) -> Dict[str, WatermarkKey]:
-        """Active keys registered against one model-identity fingerprint."""
-        with self._index_lock:
-            wanted = [
-                self._records[kid]
-                for kid in self._by_model.get(fingerprint, [])
-                if not self._records[kid].revoked
-            ]
-        out: Dict[str, WatermarkKey] = {}
-        for record in wanted:
-            key = self._resident_get(record.key_id)
-            out[record.key_id] = key if key is not None else self._load_key(record)
-        return out
+        """Full keys of the active keys on one model fingerprint (loaded on demand)."""
+        return {
+            record.key_id: self._load_key(record)
+            for record in self.records_for_model(fingerprint)
+        }
 
     def records_for_model(self, fingerprint: str) -> List[KeyRecord]:
         """Active records against one model fingerprint, registration order.
@@ -538,15 +521,10 @@ class KeyRegistry:
         with self._index_lock:
             return key_id in self._records
 
-    def resident_count(self) -> int:
-        """Number of keys whose bulk material is currently loaded."""
-        with self._resident_lock:
-            return len(self._resident)
-
     def stats(self) -> Dict[str, object]:
         """JSON-able summary for the ``/stats`` endpoint — O(1), counters only."""
         with self._index_lock:
-            summary = {
+            return {
                 "keys": len(self._records),
                 "active": self._active_count,
                 "revoked": self._revoked_count,
@@ -556,8 +534,5 @@ class KeyRegistry:
                 "persistent": self.root is not None,
                 "quarantined": self._quarantined,
                 "key_loads": self._key_loads,
-                "evictions": self._evictions,
-                "max_resident_keys": self.max_resident_keys,
+                "tickets": len(self._tickets),
             }
-        summary["resident"] = self.resident_count()
-        return summary

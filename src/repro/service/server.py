@@ -221,6 +221,35 @@ def _model_content_id(model: QuantizedModel) -> str:
     return hasher.hexdigest()[:12]
 
 
+def _thresholds(payload: Dict[str, object]) -> Dict[str, object]:
+    """The decision thresholds a verify or gauntlet request sets, validated.
+
+    ``wer_threshold`` must be a number in [0, 100], ``max_false_claim_probability``
+    ``null`` or a number in [0, 1]; anything else is a 400.  The range test
+    rejects JSON ``NaN`` and ``Infinity``; booleans are refused although Python
+    counts them as numbers (``true`` would read as 1.0).
+    """
+    thresholds: Dict[str, object] = {}
+    for name, upper, nullable in (
+        ("wer_threshold", 100.0, False),
+        ("max_false_claim_probability", 1.0, True),
+    ):
+        if name not in payload:
+            continue
+        raw = payload[name]
+        if raw is None and nullable:
+            thresholds[name] = None
+            continue
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0 <= raw <= upper:
+            raise _HttpError(
+                400,
+                f"'{name}' must be {'null or ' if nullable else ''}a finite number "
+                f"in [0, {upper:g}], got {json.dumps(raw)}",
+            )
+        thresholds[name] = float(raw)
+    return thresholds
+
+
 class _GauntletRequest:
     """A validated, admitted gauntlet request (shared by the synchronous
     ``/v1/robustness`` handler and the ``/v1/jobs/robustness`` submission —
@@ -351,7 +380,7 @@ class VerificationServer(AsyncHttpServer):
     ) -> None:
         self.config = config or ServiceConfig()
         self.engine = engine if engine is not None else WatermarkEngine(EngineConfig())
-        self.registry = registry if registry is not None else KeyRegistry()
+        self.registry = registry if registry is not None else KeyRegistry(engine=self.engine)
         self.audit = audit if audit is not None else AuditLog()
         self.bucket = TokenBucket(self.config.rate_limit_per_sec, self.config.rate_limit_burst)
         self.owner_limiter = OwnerRateLimiter(
@@ -480,21 +509,15 @@ class VerificationServer(AsyncHttpServer):
                 help="watermark keys currently active",
             ),
             Sample(
-                "repro_registry_resident_keys",
-                registry["resident"],
-                help="keys whose bulk material is currently loaded",
+                "repro_registry_tickets",
+                registry["tickets"],
+                help="verification tickets held in memory",
             ),
             Sample(
                 "repro_registry_key_loads_total",
                 registry["key_loads"],
                 kind="counter",
-                help="lazy key-material loads from disk",
-            ),
-            Sample(
-                "repro_registry_evictions_total",
-                registry["evictions"],
-                kind="counter",
-                help="resident keys evicted by the LRU bound",
+                help="full-key loads from disk (ticket derivation, audit, gauntlet)",
             ),
             Sample(
                 "repro_registry_quarantined_total",
@@ -789,20 +812,24 @@ class VerificationServer(AsyncHttpServer):
         }
         if rank and candidate_records:
             # Ranked claim shortlist: verify the upload against every
-            # co-resident candidate key in one fleet sweep (cached plans
-            # amortize across co-residents of the same base) and order by
-            # strength of evidence — verdict first, then WER, then the
-            # Equation 8 probability.
-            self._admit_owners([record.key_id for record in candidate_records])
-            keys = self.registry.keys_for_model(fingerprint)
+            # co-resident candidate key's ticket in one fleet sweep and
+            # order by strength of evidence — verdict first, then WER, then
+            # the Equation 8 probability.  Ticket lookup runs off the loop:
+            # after a restart it derives the cold ones from disk.
+            candidate_ids = [record.key_id for record in candidate_records]
+            self._admit_owners(candidate_ids)
             future = loop.run_in_executor(
                 None,
-                lambda: self.engine.verify_fleet({suspect_id: model}, keys),
+                lambda: self.engine.verify_fleet(
+                    {suspect_id: model}, self.registry.active_keys(candidate_ids)
+                ),
             )
             try:
                 report = await asyncio.wait_for(asyncio.shield(future), _VERIFY_TIMEOUT_S)
             except asyncio.TimeoutError:
                 raise _HttpError(503, "ranking timed out", counter="timeouts") from None
+            except RegistryError as exc:  # a candidate revoked or quarantined meanwhile
+                raise _HttpError(404, str(exc)) from exc
             owner_of = {record.key_id: record.owner for record in candidate_records}
             ranked = sorted(
                 report.pairs,
@@ -868,6 +895,7 @@ class VerificationServer(AsyncHttpServer):
         if not self.bucket.try_acquire():
             raise _HttpError(429, "rate limit exceeded, retry later", retry_after=1.0)
         payload = self._json_body(body)
+        thresholds = _thresholds(payload)
         suspect_id, suspect = await self._resolve_suspect(payload)
         key_ids = payload.get("key_ids")
         if key_ids is not None and (
@@ -875,7 +903,11 @@ class VerificationServer(AsyncHttpServer):
         ):
             raise _HttpError(400, "'key_ids' must be a list of key id strings")
         try:
-            keys = self.registry.active_keys(key_ids)
+            # Off the loop: a key untouched since a restart derives its
+            # ticket from disk here (resident tickets return at once).
+            keys = await asyncio.get_running_loop().run_in_executor(
+                None, self.registry.active_keys, key_ids
+            )
         except RegistryError as exc:
             raise _HttpError(404, str(exc)) from exc
         if not keys:
@@ -886,15 +918,8 @@ class VerificationServer(AsyncHttpServer):
             suspect_id=suspect_id,
             suspect=suspect,
             keys=keys,
+            **thresholds,
         )
-        try:
-            if "wer_threshold" in payload:
-                job.wer_threshold = float(payload["wer_threshold"])
-            if "max_false_claim_probability" in payload:
-                raw = payload["max_false_claim_probability"]
-                job.max_false_claim_probability = None if raw is None else float(raw)
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"invalid threshold value: {exc}") from exc
         try:
             future = self.dispatcher.submit(job)
         except QueueFullError as exc:
@@ -951,6 +976,7 @@ class VerificationServer(AsyncHttpServer):
         if not self.bucket.try_acquire():
             raise _HttpError(429, "rate limit exceeded, retry later", retry_after=1.0)
         payload = self._json_body(body)
+        config_kwargs: Dict[str, object] = _thresholds(payload)
         suspect_id, suspect = await self._resolve_suspect(payload)
         # One key per sweep: each (attack, strength) cell attacks the suspect
         # exactly once.  Sweeping K keys in one grid would re-run every attack
@@ -961,18 +987,18 @@ class VerificationServer(AsyncHttpServer):
         if key_id is not None and not isinstance(key_id, str):
             raise _HttpError(400, "'key_id' must be a string")
         try:
-            keys = self.registry.active_keys([key_id] if key_id else None)
+            records = self.registry.active_records([key_id] if key_id else None)
         except RegistryError as exc:
             raise _HttpError(404, str(exc)) from exc
-        if not keys:
+        if not records:
             raise _HttpError(400, "no active keys to run the gauntlet against")
-        if len(keys) > 1:
+        if len(records) > 1:
             raise _HttpError(
                 400,
-                f"registry holds {len(keys)} active keys; pick one with 'key_id' "
+                f"registry holds {len(records)} active keys; pick one with 'key_id' "
                 "(one gauntlet sweep targets one key)",
             )
-        key_id, key = next(iter(keys.items()))
+        key_id = records[0].key_id
         self._admit_owners([key_id])
 
         raw_attacks = payload.get("attacks")
@@ -1047,7 +1073,7 @@ class VerificationServer(AsyncHttpServer):
             seed = int(payload.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise _HttpError(400, f"invalid seed: {exc}") from exc
-        config_kwargs: Dict[str, object] = {"seed": seed, "evaluate_quality": False}
+        config_kwargs.update(seed=seed, evaluate_quality=False)
         executor = payload.get("executor")
         if executor is not None:
             if executor not in ("serial", "thread", "process", "auto"):
@@ -1062,16 +1088,14 @@ class VerificationServer(AsyncHttpServer):
                 config_kwargs["mode"] = "process"
             elif executor == "auto":
                 config_kwargs["mode"] = "auto"
+        # Gauntlet subjects carry the full key: loaded from disk only now,
+        # after every validation and admission gate has passed.
         try:
-            if "wer_threshold" in payload:
-                config_kwargs["wer_threshold"] = float(payload["wer_threshold"])
-            if "max_false_claim_probability" in payload:
-                raw = payload["max_false_claim_probability"]
-                config_kwargs["max_false_claim_probability"] = (
-                    None if raw is None else float(raw)
-                )
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"invalid threshold value: {exc}") from exc
+            key = await asyncio.get_running_loop().run_in_executor(
+                None, self.registry.get_key, key_id
+            )
+        except RegistryError as exc:
+            raise _HttpError(404, str(exc)) from exc
         return _GauntletRequest(
             suspect_id=suspect_id,
             suspect=suspect,

@@ -75,8 +75,8 @@ def save_npz(
 
     ``compressed=False`` writes ``ZIP_STORED`` members, which
     :func:`load_npz_mmap` can map directly into the page cache instead of
-    decompressing into anonymous memory — the format the lazy key registry
-    uses so resident key material stays evictable by the OS.
+    decompressing into anonymous memory — the format the key registry
+    persists so on-demand key loads stay in OS-evictable pages.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

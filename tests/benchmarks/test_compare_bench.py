@@ -114,7 +114,8 @@ def fleet_report(**overrides):
         "audit_digests_equal": True,
         "registry_scale": {"x1000": {"keys": 1000}},
         "registry_cold_start_key_loads_x1000": 0,
-        "registry_cold_start_resident_x1000": 0,
+        "registry_cold_start_tickets_x1000": 0,
+        "registry_first_touch_key_loads_x1000": 1,
     }
     report.update(overrides)
     return report
@@ -357,10 +358,19 @@ class TestServiceFleetGates:
         assert any("bulk NPZ loads" in p for p in problems)
 
     def test_cold_start_resident_keys_fail_even_in_smoke(self):
+        # What a registry keeps resident per key is its ticket; startup must
+        # derive none of them.
         problems = compare_bench.evaluate_report(
-            fleet_report(registry_cold_start_resident_x1000=7)
+            fleet_report(registry_cold_start_tickets_x1000=7)
         )
-        assert any("keys resident" in p for p in problems)
+        assert any("tickets resident" in p for p in problems)
+
+    @pytest.mark.parametrize("loads", [0, 2])
+    def test_first_touch_must_load_exactly_one_key(self, loads):
+        problems = compare_bench.evaluate_report(
+            fleet_report(registry_first_touch_key_loads_x1000=loads)
+        )
+        assert any("first touch" in p for p in problems)
 
     def test_speedup_bar_is_1_5x_at_4_shards(self):
         assert compare_bench.MIN_FLEET_SPEEDUP_MEASURED == 1.5

@@ -1,8 +1,8 @@
 """Shared-memory arena guarantees: zero-copy restore, write guards, unlink-once.
 
 The process-pool gauntlet's memory model rests on :mod:`repro.engine.shm`:
-models and keys published once, restored in workers as read-only views over
-the same pages, and the segment unlinked exactly once no matter how the run
+models published once, restored in workers as read-only views over the same
+pages, and the segment unlinked exactly once no matter how the run
 ends.  These tests pin each of those properties in-process (the cross-process
 behaviour is covered by ``tests/robustness/test_procpool.py``).
 """
@@ -20,7 +20,6 @@ from repro.engine import WatermarkEngine
 from repro.engine.shm import (
     SHM_NAME_PREFIX,
     SharedArena,
-    share_key,
     share_model,
 )
 
@@ -101,39 +100,6 @@ class TestModelRoundTrip:
             np.testing.assert_allclose(
                 materialized.forward(batch), reference.forward(batch)
             )
-            view.close()
-
-
-class TestKeyRoundTrip:
-    def test_restored_key_reproduces_identical_locations(self, watermarked_pair):
-        model, key, engine = watermarked_pair
-        with SharedArena() as arena:
-            handle = share_key(arena, key, "k")
-            view = arena.seal().attach()
-            restored = handle.restore(view)
-            assert restored.fingerprint() == key.fingerprint()
-            original_locations = engine.reproduce_locations(key)
-            restored_locations = WatermarkEngine().reproduce_locations(restored)
-            assert set(original_locations) == set(restored_locations)
-            for name in original_locations:
-                np.testing.assert_array_equal(
-                    restored_locations[name], original_locations[name]
-                )
-            # And the verdict machinery accepts the restored key wholesale.
-            assert WatermarkEngine().verify(model, restored)
-            view.close()
-
-    def test_restored_key_arrays_are_views(self, watermarked_pair):
-        _, key, _ = watermarked_pair
-        with SharedArena() as arena:
-            handle = share_key(arena, key, "k")
-            view = arena.seal().attach()
-            restored = handle.restore(view)
-            name = key.layer_names[0]
-            assert np.shares_memory(
-                restored.reference_weights[name], view.array(f"k/weights/{name}")
-            )
-            assert not restored.reference_weights[name].flags.writeable
             view.close()
 
 

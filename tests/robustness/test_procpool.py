@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import glob
 import os
+import pickle
 import signal
 
 import pytest
@@ -224,23 +225,25 @@ class TestSharedMemoryHygiene:
 
 class TestPreloadedLocations:
     def test_preloaded_session_matches_fresh_reproduction(self, awq_subject):
+        """A session handed a shipped (pickled) ticket — what a pool worker
+        receives — gives the verdict a locally derived one gives, and costs
+        zero plan-cache traffic."""
         engine = WatermarkEngine()
         fresh = engine.verification_session(keys={"k": awq_subject.key})
         expected = fresh.verify("s", awq_subject.model, "k")
-        locations = fresh.locations("k")
+        shipped = pickle.loads(pickle.dumps(fresh.ticket("k")))
 
-        other = WatermarkEngine()
-        preloaded = other.verification_session(keys={"k": awq_subject.key})
-        preloaded.preload_locations("k", locations)
+        preloaded = WatermarkEngine().verification_session(keys={"k": shipped})
         got = preloaded.verify("s", awq_subject.model, "k")
         assert got.wer_percent == expected.wer_percent
         assert got.matched_bits == expected.matched_bits
         assert got.owned == expected.owned
-        # The whole point: a preloaded key costs zero plan-cache traffic.
         traffic = preloaded.cache_traffic()
         assert traffic.hits == 0 and traffic.misses == 0
 
-    def test_preload_unknown_key_rejected(self, awq_subject):
-        session = WatermarkEngine().verification_session()
-        with pytest.raises(KeyError, match="register the key first"):
-            session.preload_locations("nobody", {})
+    def test_rebinding_id_to_other_ticket_rejected(self, awq_subject):
+        ticket = WatermarkEngine().ticket_for(awq_subject.key)
+        session = WatermarkEngine().verification_session(keys={"k": ticket})
+        session.add_key("k", ticket)  # same object: idempotent
+        with pytest.raises(ValueError, match="already bound"):
+            session.add_key("k", pickle.loads(pickle.dumps(ticket)))

@@ -260,6 +260,7 @@ class TestFleetRoundTrip:
         assert stats["fleet"]["shards"] == 2
         assert stats["fleet"]["reachable_shards"] == 2
         assert stats["fleet"]["registry_keys"] == 1
+        assert stats["fleet"]["registry_tickets"] == 1
         assert stats["fleet"]["suspects"] == 2
         assert stats["fleet"]["suspects_routed"] == 2
         assert stats["fleet"]["router"]["forwarded"] > 0
@@ -309,6 +310,7 @@ class TestFleetRoundTrip:
                 client.verify("never-uploaded")
             stats = client.stats()
             assert stats["fleet"]["registry_keys"] == 1
+            assert stats["fleet"]["registry_tickets"] == 1
             audit = client.audit()
             assert audit["ok"] is True
             assert audit["digest"] == handle.audit().digest()

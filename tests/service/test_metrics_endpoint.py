@@ -68,9 +68,12 @@ class TestExposition:
         assert samples[("repro_audit_dropped_writes_total", "")] == 0
         assert samples[("repro_audit_writer_alive", "")] == 1
         assert types["repro_audit_writer_alive"] == "gauge"
-        assert samples[("repro_plan_cache_hits_total", "")] >= 1
-        assert ("repro_plan_cache_misses_total", "") in samples
+        # Registration derived the key's ticket through the plan cache;
+        # verify traffic reads the resident ticket and never looks plans up.
+        assert samples[("repro_plan_cache_misses_total", "")] >= 1
+        assert ("repro_plan_cache_hits_total", "") in samples
         assert ("repro_registry_keys", "") in samples
+        assert samples[("repro_registry_tickets", "")] >= 1
 
     def test_stats_and_metrics_agree_on_request_count(self, client):
         client.verify("hit")

@@ -98,9 +98,8 @@ class TestInMemory:
             "persistent": False,
             "quarantined": 0,
             "key_loads": 0,
-            "evictions": 0,
-            "max_resident_keys": None,
-            "resident": 1,
+            # Revocation drops the ticket: revoked keys are never served.
+            "tickets": 0,
         }
         assert stats == expected
 
@@ -261,31 +260,52 @@ class TestPersistence:
         reloaded = KeyRegistry(tmp_path / "reg")
         stats = reloaded.stats()
         assert stats["key_loads"] == 0
-        assert stats["resident"] == 0
-        reloaded.get_key(key.fingerprint())
+        assert stats["tickets"] == 0
+        # First touch: one key load derives the ticket, which stays resident.
+        reloaded.active_keys([key.fingerprint()])
         stats = reloaded.stats()
         assert stats["key_loads"] == 1
-        assert stats["resident"] == 1
-        # A second access is served from residency, not disk.
-        reloaded.get_key(key.fingerprint())
+        assert stats["tickets"] == 1
+        reloaded.active_keys([key.fingerprint()])
         assert reloaded.stats()["key_loads"] == 1
 
-    def test_lru_bound_evicts_and_reloads(
+    def test_tickets_stay_resident_and_keys_load_on_demand(
         self, watermarked_and_key, second_key, tmp_path
     ):
+        """Registering leaves tickets, not keys, in memory: verification never
+        reads the disk, while every full-key access does (and keeps nothing)."""
         _, key = watermarked_and_key
-        seed = KeyRegistry(tmp_path / "reg")
-        first = seed.register(key, owner="acme")
-        second = seed.register(second_key, owner="globex")
+        registry = KeyRegistry(tmp_path / "reg")
+        first = registry.register(key, owner="acme")
+        registry.register(second_key, owner="globex")
+        assert registry.stats()["tickets"] == 2
 
-        registry = KeyRegistry(tmp_path / "reg", max_resident_keys=1)
-        registry.get_key(first.key_id)
-        assert registry.stats()["resident"] == 1
-        registry.get_key(second.key_id)  # evicts the first
-        stats = registry.stats()
-        assert stats["resident"] == 1
-        assert stats["evictions"] == 1
-        # Evicted material transparently reloads from disk.
-        reloaded_key = registry.get_key(first.key_id)
-        assert reloaded_key.fingerprint() == key.fingerprint()
-        assert registry.stats()["key_loads"] == 3
+        tickets = registry.active_keys()
+        assert set(tickets) == {first.key_id, second_key.fingerprint()}
+        assert tickets[first.key_id].key_id == first.key_id
+        assert registry.stats()["key_loads"] == 0
+
+        assert registry.get_key(first.key_id).fingerprint() == key.fingerprint()
+        assert registry.get_key(first.key_id).fingerprint() == key.fingerprint()
+        assert registry.stats()["key_loads"] == 2
+        assert registry.stats()["tickets"] == 2
+
+    def test_ticket_verdicts_match_a_parent_layout_registry(
+        self, watermarked_and_key, tmp_path
+    ):
+        """A registry read back from disk (the on-disk layout is unchanged)
+        derives tickets whose verdicts equal the key's own."""
+        from repro.engine import WatermarkEngine
+
+        watermarked, key = watermarked_and_key
+        KeyRegistry(tmp_path / "reg").register(key, owner="acme")
+        reloaded = KeyRegistry(tmp_path / "reg")
+        tickets = reloaded.active_keys()
+        engine = WatermarkEngine()
+        from_tickets = engine.verify_fleet({"s": watermarked}, tickets)
+        from_key = engine.verify_fleet({"s": watermarked}, {key.fingerprint(): key})
+        got, want = from_tickets.pairs[0].to_dict(), from_key.pairs[0].to_dict()
+        got.pop("seconds")
+        want.pop("seconds")
+        assert got == want
+        assert got["wer_percent"] == 100.0

@@ -150,13 +150,40 @@ class TestStatsAndAudit:
         assert {"hits", "misses", "evictions", "hit_rate"} <= set(stats["plan_cache"])
 
     def test_warm_cache_serving(self, client):
-        """Repeat verification of a known key performs zero rescoring."""
+        """Verification of a registered key reads its resident ticket: no
+        rescoring, no plan lookups at all, no key loads."""
         client.verify(suspect_id="hit")
-        before = client.stats()["plan_cache"]
+        before = client.stats()
         client.verify(suspect_id="hit")
-        after = client.stats()["plan_cache"]
-        assert after["misses"] == before["misses"]
-        assert after["hits"] > before["hits"]
+        after = client.stats()
+        assert after["plan_cache"]["misses"] == before["plan_cache"]["misses"]
+        assert after["plan_cache"]["hits"] == before["plan_cache"]["hits"]
+        assert after["registry"]["key_loads"] == before["registry"]["key_loads"]
+
+    def test_restarted_server_derives_each_ticket_once(self, watermarked_and_key, tmp_path):
+        """A server over a re-opened registry holds no tickets; the first
+        verify (or ranked upload) of a key derives its ticket from exactly one
+        disk load, and every later request reads the resident ticket."""
+        from repro.service.registry import KeyRegistry
+
+        watermarked, key = watermarked_and_key
+        KeyRegistry(tmp_path / "reg").register(key, owner="acme")
+        engine = WatermarkEngine(EngineConfig())
+        server = VerificationServer(
+            engine=engine,
+            registry=KeyRegistry(tmp_path / "reg", engine=engine),
+            config=ServiceConfig(port=0, max_wait_ms=1.0),
+        )
+        with run_in_background(server) as handle:
+            with VerificationClient(port=handle.port) as c:
+                assert c.stats()["registry"]["tickets"] == 0
+                ranked = c.upload_suspect(watermarked, suspect_id="hit", rank=True)
+                assert ranked["ranking"][0]["owned"] is True
+                for _ in range(2):
+                    assert c.verify("hit")["decisions"][0]["owned"] is True
+                registry = c.stats()["registry"]
+        assert registry["tickets"] == 1
+        assert registry["key_loads"] == 1
 
 
 class TestRevocationAndAdmission:
