@@ -101,7 +101,6 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
     "gauntlet": {
         "benchmark": str,
         "smoke": bool,
-        "mode": str,
         "cpu_count": int,
         "grid": dict,
         "repeats": int,
@@ -117,7 +116,6 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
         "telemetry_throughput_ratio": _Num,
         "telemetry_spans_recorded": int,
         "decision_digests_equal": bool,
-        "streaming_batched_digests_equal": bool,
         "streaming_process_digests_equal": bool,
         "telemetry_digests_equal": bool,
         "decision_digests": list,
@@ -218,8 +216,6 @@ def _gate_gauntlet(report: Dict[str, object]) -> List[str]:
     failures = []
     if report["decision_digests_equal"] is not True:
         failures.append("serial and parallel gauntlet decisions differ")
-    if report["streaming_batched_digests_equal"] is not True:
-        failures.append("streaming and batched gauntlet decisions differ")
     if report["streaming_process_digests_equal"] is not True:
         failures.append("streaming and process gauntlet decisions differ")
     if report["telemetry_digests_equal"] is not True:

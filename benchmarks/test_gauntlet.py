@@ -6,10 +6,10 @@ three executors:
 
 * **serial** (``max_workers=1``) — the shape of the per-figure loops the
   gauntlet replaced,
-* **thread** (``max_workers=4``, streaming) — cells fanned out on the
-  worker pool, each verified through the shared key-plan session and
-  released as its worker finishes (O(workers) peak memory),
-* **process** (``mode="process"``, 4 workers) — cells in worker processes
+* **thread** (``max_workers=4``) — cells fanned out on the worker pool,
+  each verified through the shared key-plan session and released as its
+  worker finishes (O(workers) peak memory),
+* **process** (``executor="process"``, 4 workers) — cells in worker processes
   over shared-memory model residents (GIL-free attack stages); peak RSS of
   the parent and the worker children is recorded alongside the timing.
 
@@ -19,8 +19,6 @@ Gates:
   reports must be bit-identical (same WER, matched bits, verdicts, quality
   metrics, Equation 8 probabilities) at every worker count; compared via
   the reports' decision digests.
-* **streaming ≡ batched (always)** — the streaming pipeline's digests must
-  match the batched reference pipeline's on the same grids.
 * **speedup (measured mode, ≥ 4 CPUs)** — the thread pass must complete the
   grid ≥ 1.5× faster than serial, and so must the process pass.  Like the
   engine and service benchmarks, the timing gates are skipped in smoke mode
@@ -148,7 +146,7 @@ def _build_substrate():
 
 def _run_figure_grids(
     engine, fig2_subject, capacity_subjects, gptq_subject, dataset,
-    max_workers: int, mode: str = "streaming", progress: bool = False,
+    max_workers: int, executor: str = "thread", progress: bool = False,
 ) -> Tuple[float, List[str], Dict[str, float]]:
     """One Figure 2a + 2b + 3 + GPTQ pass; returns (seconds, digests, min-WERs)."""
     start = time.perf_counter()
@@ -159,7 +157,7 @@ def _run_figure_grids(
         engine=engine,
         max_workers=max_workers,
         seed=0,
-        mode=mode,
+        executor=executor,
         progress=progress,
     )
     fig2b = run_gauntlet(
@@ -169,7 +167,7 @@ def _run_figure_grids(
         engine=engine,
         max_workers=max_workers,
         seed=0,
-        mode=mode,
+        executor=executor,
         progress=progress,
     )
     fig3 = run_gauntlet(
@@ -178,7 +176,7 @@ def _run_figure_grids(
         engine=engine,
         max_workers=max_workers,
         seed=0,
-        mode=mode,
+        executor=executor,
         progress=progress,
     )
     gptq_grid = run_gauntlet(
@@ -191,7 +189,7 @@ def _run_figure_grids(
         engine=engine,
         max_workers=max_workers,
         seed=0,
-        mode=mode,
+        executor=executor,
         progress=progress,
     )
     seconds = time.perf_counter() - start
@@ -255,16 +253,9 @@ def test_gauntlet_benchmark():
         parallel_best = min(parallel_best, seconds)
         seconds, process_digests, _ = _run_figure_grids(
             engine, fig2_subject, capacity_subjects, gptq_subject, dataset,
-            max_workers=PARALLEL_WORKERS, mode="process",
+            max_workers=PARALLEL_WORKERS, executor="process",
         )
         process_best = min(process_best, seconds)
-
-    # Untimed reference pass: the batched pipeline must reach the exact same
-    # decisions the streaming passes did.
-    _, batched_digests, _ = _run_figure_grids(
-        engine, fig2_subject, capacity_subjects, gptq_subject, dataset,
-        max_workers=PARALLEL_WORKERS, mode="batched",
-    )
 
     # -- decision-equivalence gates (always) -------------------------------
     assert serial_digests == warm_digests
@@ -272,10 +263,7 @@ def test_gauntlet_benchmark():
         "parallel gauntlet produced different decisions than serial"
     )
     assert process_digests == warm_digests, (
-        "process gauntlet produced different decisions than streaming"
-    )
-    assert batched_digests == warm_digests, (
-        "batched gauntlet produced different decisions than streaming"
+        "process gauntlet produced different decisions than serial"
     )
     assert instrumented_digests == warm_digests, (
         "tracing/progress changed gauntlet decisions — telemetry must only measure"
@@ -294,7 +282,6 @@ def test_gauntlet_benchmark():
     payload = {
         "benchmark": "gauntlet",
         "smoke": smoke,
-        "mode": "streaming",
         "platform": platform.platform(),
         "cpu_count": cpu_count,
         "grid": {
@@ -321,7 +308,6 @@ def test_gauntlet_benchmark():
         "telemetry_throughput_ratio": telemetry_ratio,
         "telemetry_spans_recorded": spans_recorded,
         "decision_digests_equal": True,
-        "streaming_batched_digests_equal": True,
         "streaming_process_digests_equal": True,
         "telemetry_digests_equal": True,
         "decision_digests": warm_digests,

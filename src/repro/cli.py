@@ -42,8 +42,8 @@ the robustness gauntlet and the repo's own static analysis from a shell:
     against it in parallel (Figures 2a/2b at arbitrary grid shapes, plus
     scale tampering, outlier rewrites, structured pruning, the adaptive
     attacker and model souping), printing the per-cell table, the
-    per-attack worst-case WER and the quality-vs-WER frontier.  Streaming
-    execution releases each attacked model as soon as it is verified, so
+    per-attack worst-case WER and the quality-vs-WER frontier.  Every
+    executor releases each attacked model as soon as it is verified, so
     grid size is not bounded by memory.
 
 Installed as a console script via ``pyproject.toml``; also runnable as
@@ -197,19 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "rtn", "smoothquant", "llm_int8", "awq", "gptq"],
                           help="quantization backend (default: auto — the paper's "
                                "pairing for the model family and precision)")
-    gauntlet.add_argument("--mode", default="streaming", choices=["streaming", "batched"],
-                          help="cell execution: streaming verifies and releases each "
-                               "attacked model as its worker finishes (O(workers) peak "
-                               "memory); batched retains the whole grid for one "
-                               "verify_fleet sweep (default: streaming)")
-    gauntlet.add_argument("--executor", default=None,
-                          choices=["auto", "serial", "thread", "process"],
+    gauntlet.add_argument("--executor", default="thread",
+                          choices=["serial", "thread", "process", "auto"],
                           help="who runs the cells: serial (one worker, in-process), "
-                               "thread (streaming thread pool), process (worker "
-                               "processes over shared-memory model residents — "
-                               "GIL-free attack stages), or auto (serial on "
-                               "single-core boxes / tiny grids, process otherwise). "
-                               "Overrides --mode; default: --mode's executor")
+                               "thread (thread pool), process (worker processes over "
+                               "shared-memory model residents — GIL-free attack "
+                               "stages), or auto (serial on single-core boxes / tiny "
+                               "grids, process otherwise) (default: thread)")
     gauntlet.add_argument("--start-method", default=None,
                           choices=["fork", "spawn", "forkserver"],
                           help="multiprocessing start method for the process "
@@ -614,17 +608,6 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
                   "(use --checkpoint to start a new one)", file=sys.stderr)
             return 2
         checkpoint = args.resume
-    # --executor maps onto (mode, max_workers); --mode keeps addressing the
-    # in-process pipelines directly (streaming vs the batched reference).
-    mode, workers = args.mode, args.workers
-    if args.executor == "serial":
-        mode, workers = "streaming", 1
-    elif args.executor == "thread":
-        mode = "streaming"
-    elif args.executor == "process":
-        mode = "process"
-    elif args.executor == "auto":
-        mode = "auto"
     quant_method = None if args.quant == "auto" else args.quant
     logger.info("preparing watermarked %s (INT%d, %s quantization, %s profile)...",
                 args.model, args.bits, args.quant, args.profile)
@@ -655,10 +638,10 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
                 strengths=strengths or None,
                 checkpoint=checkpoint,
                 engine=context.engine,
-                max_workers=workers,
+                max_workers=args.workers,
                 seed=args.seed,
                 evaluate_quality=not args.no_quality,
-                mode=mode,
+                executor=args.executor,
                 start_method=args.start_method,
                 progress=args.progress,
             )

@@ -1,6 +1,6 @@
 """Shared-memory model residency for multi-process execution.
 
-The process-pool gauntlet (``mode="process"``) needs every worker to see the
+The process-pool gauntlet (``executor="process"``) needs every worker to see the
 subject models without paying a per-worker copy: a grid over a fleet of
 subjects would otherwise multiply the resident weights by the worker count
 before a single attack runs.  (Owner keys need no such treatment: workers

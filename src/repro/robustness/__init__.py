@@ -1,11 +1,13 @@
 """The robustness gauntlet (Section 5.3 at scale).
 
 A declarative attack registry of 11+ removal/forging scenarios
-(:mod:`repro.robustness.attacks`), a parallel grid runner streaming its
-ownership checks through a shared engine verification session — each
-attacked model is verified and released as its worker finishes, so peak
-memory is O(workers), not O(grid) — (:mod:`repro.robustness.gauntlet`) and
-a report aggregation (:mod:`repro.robustness.report`).  The Figure 2a / 2b /
+(:mod:`repro.robustness.attacks`), a parallel grid runner that sends
+every cell through one cell function (:mod:`repro.robustness.cell`) — each
+attacked model is verified through a shared engine verification session
+and released as its worker finishes, so peak memory is O(workers), not
+O(grid) — on a serial, thread or process executor
+(:mod:`repro.robustness.gauntlet`), and a report aggregation
+(:mod:`repro.robustness.report`).  The Figure 2a / 2b /
 3 experiments, the ``repro gauntlet`` CLI sub-command and the verification
 server's ``/robustness`` endpoint all run on this subsystem.
 

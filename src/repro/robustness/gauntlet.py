@@ -8,33 +8,28 @@ into one reusable engine-backed pipeline:
 
 1. **Grid construction** — subjects (a watermarked model + its owner key +
    optionally an evaluation harness) crossed with registered attack specs
-   and their strength sweeps produce an ordered list of cells.
-2. **Streaming match-and-release execution** (the default) — cells run on a
-   configurable worker pool; each worker attacks, measures quality, verifies
-   its cell through a shared
-   :class:`~repro.engine.engine.FleetVerificationSession` and **drops the
-   attacked model immediately**.  Each owner key's location plans are
-   reproduced once per run (lazily, on the first cell that needs them), so
-   peak memory is O(``max_workers`` × model size) instead of the batched
-   stage's O(num_cells × model size) — which is what makes arbitrarily large
-   grids feasible.
-3. **Batched mode** (``mode="batched"``) — the original two-stage pipeline:
-   every cell's attacked model is retained and verified in one
-   :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` sweep.  Kept as
-   the reference implementation; its decision digest is bit-identical to the
-   streaming path at any worker count (the benchmark gates on it).
-4. **Process mode** (``mode="process"``) — cells run in worker *processes*
-   over shared-memory models
-   (:mod:`repro.robustness.procpool`): one publication of the subjects into
-   a :class:`~repro.engine.shm.SharedArena`, zero-copy read-only views per
-   worker, only cell coordinates and verdicts crossing the process
-   boundary.  This sidesteps the GIL where attack stages are Python-heavy;
-   ``mode="auto"`` picks between serial and process execution based on the
-   machine and the grid (see :meth:`Gauntlet._resolve_execution`).
+   and their strength sweeps produce an ordered list of
+   :class:`~repro.robustness.cell.GridCell`\\ s.
+2. **One cell function** — :func:`~repro.robustness.cell.run_cell` attacks,
+   measures quality, verifies the cell through a shared
+   :class:`~repro.engine.engine.FleetVerificationSession` (owner, co-owners,
+   then the attacker's one-shot key) and **drops the attacked model**.
+   Each key's ticket is derived once per run, so peak memory is
+   O(in-flight cells × model size), whatever the grid size.
+3. **One pool loop** — ``executor="thread"`` (the default) and
+   ``executor="process"`` submit every cell to a
+   :class:`concurrent.futures.Executor` and consume outcomes in completion
+   order (checkpoint append, ``on_cell`` hook, progress line); cancellation
+   drops unstarted cells and drains in-flight ones.  The process pool runs
+   over shared-memory models (:mod:`repro.robustness.procpool`), which
+   sidesteps the GIL where attack stages are Python-heavy.
+   ``executor="serial"`` runs the cells inline, in grid order, and
+   ``executor="auto"`` picks serial or process per run (see
+   :meth:`Gauntlet._resolve_executor`).
 
 Each cell derives its own RNG from the gauntlet seed and the cell
-coordinates, so results are bit-identical at any ``max_workers`` and in
-every mode.  The result is a
+coordinates, so results are bit-identical at any ``max_workers`` and under
+every executor.  The result is a
 :class:`~repro.robustness.report.RobustnessReport`.
 """
 
@@ -42,8 +37,9 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
@@ -59,13 +55,14 @@ from repro.obs.progress import ProgressRenderer
 from repro.obs.trace import get_collector, span
 from repro.quant.base import QuantizedModel
 from repro.robustness.attacks import AttackSpec
+from repro.robustness.cell import CellContext, CellOutcome, GridCell, run_cell
 from repro.robustness.checkpoint import CellCheckpoint, grid_fingerprint, merge_completed
-from repro.robustness.procpool import START_METHODS, CellTask, ProcessCellExecutor
+from repro.robustness.procpool import START_METHODS, ProcessCellExecutor, run_cell_in_worker
 from repro.robustness.report import GauntletCellResult, RobustnessReport
 from repro.utils.logging import get_logger
-from repro.utils.rng import new_rng
 
 __all__ = [
+    "EXECUTORS",
     "GauntletCancelled",
     "GauntletConfig",
     "GauntletSubject",
@@ -77,9 +74,9 @@ logger = get_logger("robustness.gauntlet")
 
 StrengthMap = Mapping[str, Sequence[float]]
 
-#: Execution modes of :meth:`Gauntlet.run`.  ``"auto"`` resolves to serial
-#: streaming or process execution per run (machine + grid heuristic).
-GAUNTLET_MODES = ("streaming", "batched", "process", "auto")
+#: Cell executors of :meth:`Gauntlet.run`.  ``"auto"`` resolves to serial or
+#: process execution per run (machine + grid heuristic).
+EXECUTORS = ("serial", "thread", "process", "auto")
 
 #: Per-cell completion hook: ``on_cell(result, replayed)`` fires once per
 #: grid cell — replayed cells (checkpoint hits) first, in grid order, then
@@ -110,12 +107,10 @@ class GauntletConfig:
     Attributes
     ----------
     max_workers:
-        Worker-pool width for cell execution.  ``None`` resolves to the
-        ``REPRO_GAUNTLET_WORKERS`` environment variable, falling back to
-        ``min(8, cpu_count)``; ``1`` forces serial execution.  Results are
-        identical at every setting — the knob only trades wall clock (and,
-        in streaming mode, peak memory: at most ``max_workers`` attacked
-        models are alive at once).
+        Worker-pool width for cell execution.  ``None`` resolves to
+        ``min(8, cpu_count)``.  Results are identical at every setting — the
+        knob only trades wall clock (and peak memory: at most
+        ``max_workers`` attacked models are alive at once).
     seed:
         Root seed of the per-cell attacker RNGs.
     wer_threshold, max_false_claim_probability:
@@ -124,24 +119,25 @@ class GauntletConfig:
         Measure perplexity / zero-shot accuracy per cell (needs subjects
         with a harness).  The verification server disables this — it holds
         keys and suspects, not evaluation corpora.
-    mode:
-        ``"streaming"`` (default) verifies and releases each cell as its
-        worker finishes; ``"batched"`` retains every attacked model and runs
-        one ``verify_fleet`` sweep; ``"process"`` runs cells in worker
-        processes over shared-memory models (GIL-free attack stages);
-        ``"auto"`` falls back to serial streaming on single-core boxes or
-        grids smaller than the worker pool, process execution otherwise.
-        Decisions are bit-identical in every mode — the resolved choice is
-        recorded on the report.
+    executor:
+        ``"serial"`` runs cells inline with one worker; ``"thread"``
+        (default) runs them on a thread pool, inline when it resolves to one
+        worker or fewer than two pending cells; ``"process"`` runs them in
+        worker processes over shared-memory models (GIL-free attack
+        stages); ``"auto"`` runs serially on single-core boxes or grids
+        smaller than the worker pool, in processes otherwise.  Decisions are
+        bit-identical under every executor — what actually ran is recorded
+        as ``RobustnessReport.executor``.
     start_method:
-        Multiprocessing start method for ``mode="process"``/``"auto"``
-        (``"fork"``, ``"spawn"`` or ``"forkserver"``); ``None`` defers to
-        the ``REPRO_GAUNTLET_START_METHOD`` environment variable, then the
-        platform default.  Ignored by the in-process modes.
+        Multiprocessing start method of the process executor (``"fork"``,
+        ``"spawn"`` or ``"forkserver"``); ``None`` defers to the
+        ``REPRO_GAUNTLET_START_METHOD`` environment variable, then the
+        platform default.  Ignored by the in-process executors.
     progress:
         Render a live stderr progress line (cells done/total, cells/sec,
-        ETA, per-attack min-WER so far) while the grid executes.  Works in
-        every mode; pure I/O — decisions are identical with it on or off.
+        ETA, per-attack min-WER so far) while the grid executes.  Works
+        under every executor; pure I/O — decisions are identical with it on
+        or off.
     """
 
     max_workers: Optional[int] = None
@@ -149,15 +145,15 @@ class GauntletConfig:
     wer_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD
     max_false_claim_probability: Optional[float] = DEFAULT_MAX_FALSE_CLAIM_PROBABILITY
     evaluate_quality: bool = True
-    mode: str = "streaming"
+    executor: str = "thread"
     start_method: Optional[str] = None
     progress: bool = False
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1 (or None for auto)")
-        if self.mode not in GAUNTLET_MODES:
-            raise ValueError(f"mode must be one of {GAUNTLET_MODES}, got {self.mode!r}")
+        if self.executor not in EXECUTORS:
+            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
         if self.start_method is not None and self.start_method not in START_METHODS:
             raise ValueError(
                 f"start_method must be one of {START_METHODS} (or None), "
@@ -165,15 +161,9 @@ class GauntletConfig:
             )
 
     def resolved_workers(self) -> int:
-        """The worker count after applying the environment override."""
+        """The worker count: ``max_workers``, else ``min(8, cpu_count)``."""
         if self.max_workers is not None:
             return self.max_workers
-        env = os.environ.get("REPRO_GAUNTLET_WORKERS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                logger.warning("ignoring non-integer REPRO_GAUNTLET_WORKERS=%r", env)
         return max(1, min(8, os.cpu_count() or 1))
 
 
@@ -205,29 +195,6 @@ class GauntletSubject:
     key: WatermarkKey
     harness: Optional[EvaluationHarness] = None
     co_keys: Optional[Mapping[str, WatermarkKey]] = None
-
-
-@dataclass
-class _Cell:
-    """Internal: one grid coordinate."""
-
-    index: int
-    model_id: str
-    spec: AttackSpec
-    strength: float
-
-    @property
-    def cell_id(self) -> str:
-        return f"{self.model_id}/{self.spec.name}@{self.strength:g}"
-
-    @property
-    def attacker_key_id(self) -> str:
-        return f"{self.cell_id}#attacker"
-
-
-def _co_key_id(model_id: str, owner_id: str) -> str:
-    """Verification-session id of one co-resident owner's key."""
-    return f"{model_id}::{owner_id}"
 
 
 class Gauntlet:
@@ -285,7 +252,7 @@ class Gauntlet:
         subjects: List[Tuple[str, GauntletSubject]],
         attacks: Sequence[AttackSpec],
         strengths: Optional[StrengthMap],
-    ) -> List[_Cell]:
+    ) -> List[GridCell]:
         if not attacks:
             raise ValueError("gauntlet needs at least one attack spec")
         names = [spec.name for spec in attacks]
@@ -297,7 +264,7 @@ class Gauntlet:
                 raise ValueError(
                     f"strengths given for attacks not in the grid: {sorted(unknown)}"
                 )
-        cells: List[_Cell] = []
+        cells: List[GridCell] = []
         for model_id, _subject in subjects:
             for spec in attacks:
                 sweep = (strengths or {}).get(spec.name, spec.default_strengths)
@@ -306,14 +273,7 @@ class Gauntlet:
                         f"attack {spec.name!r} has no strengths (and no defaults)"
                     )
                 for strength in sweep:
-                    cells.append(
-                        _Cell(
-                            index=len(cells),
-                            model_id=model_id,
-                            spec=spec,
-                            strength=float(strength),
-                        )
-                    )
+                    cells.append(GridCell(model_id, spec.name, float(strength)))
         # Cell ids are the suspect ids of the verification stage; a collision
         # (duplicate strengths, or strengths differing only past the %g
         # rendering) would silently hand one cell the other's verdict, so it
@@ -412,13 +372,11 @@ class Gauntlet:
         RobustnessReport
             Grid-major cell results plus sweep-level wall-clock and
             plan-cache figures.  Decision fields are identical for any
-            worker count and either execution mode.
+            worker count and executor.
         """
         wall_start = time.perf_counter()
         subject_items = self._named_subjects(subjects)
-        subject_for = dict(subject_items)
         cells = self._build_grid(subject_items, attacks, strengths)
-        workers = self.config.resolved_workers()
 
         if self.config.evaluate_quality:
             missing = [
@@ -453,20 +411,31 @@ class Gauntlet:
                 ckpt.path,
             )
 
-        def emit(result: GauntletCellResult) -> None:
-            # Fresh-cell completion: persist first (fsync-batched), then
-            # notify — a crash between the two re-runs the hook on resume
-            # rather than losing the cell.
-            if ckpt is not None:
-                ckpt.append(result)
-            if on_cell is not None:
-                on_cell(result, False)
-
-        mode, workers = self._resolve_execution(len(pending), workers)
+        executor, workers = self._resolve_executor(len(pending))
+        collector = get_collector()
+        context = self._context(subject_items, attacks)
         renderer: Optional[ProgressRenderer] = None
         if self.config.progress and cells:
             renderer = ProgressRenderer(len(cells), stream=self.progress_stream)
             renderer.start()
+        outcomes: List[CellOutcome] = []
+
+        def complete(outcome: CellOutcome) -> None:
+            # Fresh-cell completion, in completion order.  Persist first
+            # (fsync-batched), then notify — a crash between the two re-runs
+            # the hook on resume rather than losing the cell.
+            outcomes.append(outcome)
+            result = outcome.result
+            if outcome.spans and collector is not None:
+                collector.extend(outcome.spans)
+            if ckpt is not None:
+                ckpt.append(result)
+            if on_cell is not None:
+                on_cell(result, False)
+            if renderer is not None:
+                renderer.update(result.attack, result.wer_percent)
+
+        start_method: Optional[str] = None
         try:
             for result in replayed_results:
                 if on_cell is not None:
@@ -477,50 +446,66 @@ class Gauntlet:
                 "gauntlet.run",
                 cells=len(cells),
                 pending=len(pending),
-                mode=mode,
+                executor=executor,
                 workers=workers,
             ):
-                if not pending:
-                    report = RobustnessReport(
-                        cells=[],
-                        seed=self.config.seed,
-                        workers=workers,
-                        wall_clock_seconds=time.perf_counter() - wall_start,
-                        mode="streaming" if mode == "auto" else mode,
-                    )
-                elif mode == "batched":
-                    report = self._run_batched(
-                        subject_items, subject_for, pending, workers, wall_start,
-                        renderer, emit, should_stop,
-                    )
-                elif mode == "process":
-                    report = self._run_process(
-                        subject_items, subject_for, pending, workers, wall_start,
-                        renderer, emit, should_stop,
-                    )
+                if executor == "serial":
+                    for position, cell in enumerate(pending):
+                        if should_stop is not None and should_stop():
+                            raise GauntletCancelled(position, len(pending))
+                        complete(run_cell(context, cell))
+                elif executor == "thread":
+                    # A private pool: the engine's layer-level pool stays
+                    # free for location reproduction and for attacks that
+                    # insert through an engine (re-watermarking).
+                    with ThreadPoolExecutor(
+                        max_workers=workers, thread_name_prefix="gauntlet"
+                    ) as pool:
+                        _run_pool(
+                            pool, partial(run_cell, context), pending, complete, should_stop,
+                        )
                 else:
-                    report = self._run_streaming(
-                        subject_items, subject_for, pending, workers, wall_start,
-                        renderer, emit, should_stop,
-                    )
+                    with ProcessCellExecutor(
+                        context, workers, self.config.start_method,
+                        trace=collector is not None,
+                    ) as processes:
+                        start_method = processes.start_method
+                        _run_pool(
+                            processes.pool, run_cell_in_worker, pending,
+                            complete, should_stop,
+                        )
         finally:
             if renderer is not None:
                 renderer.finish()
             if ckpt is not None:
                 ckpt.close()
-        if mode != "process":
-            # The in-process modes execute cells serially below the
-            # parallelism threshold and on a thread pool above it; record
-            # which one actually happened (informational — never digested).
-            report.executor = (
-                "serial" if (workers <= 1 or len(pending) < 2) else "thread"
-            )
-        # Reassemble in grid order: replayed cells slot back into the
-        # positions they were originally computed in, so the resumed digest
-        # equals the uninterrupted one byte for byte.
-        fresh_by_id = {cell.cell_id: cell for cell in report.cells}
-        report.cells, _num_replayed = merge_completed(
-            [cell.cell_id for cell in cells], completed, fresh_by_id
+
+        wall_clock = time.perf_counter() - wall_start
+        # Reassemble in grid order: fresh cells and replayed cells slot back
+        # into their grid positions, so results never depend on completion
+        # order and a resumed digest equals the uninterrupted one.
+        fresh = {outcome.result.cell_id: outcome.result for outcome in outcomes}
+        grid_cells, _num_replayed = merge_completed(
+            [cell.cell_id for cell in cells], completed, fresh
+        )
+        traffic = context.session.cache_traffic()
+        report = RobustnessReport(
+            cells=grid_cells,
+            seed=self.config.seed,
+            workers=workers,
+            wall_clock_seconds=wall_clock,
+            # Summed per-cell verification time: verification interleaves
+            # with the attacks, so there is no contiguous stage to time.
+            verify_seconds=sum(outcome.verify_seconds for outcome in outcomes),
+            # Parent-side traffic; process workers' plan caches are private
+            # by design and not aggregated.
+            cache_hits=traffic.hits,
+            cache_misses=traffic.misses,
+            executor=executor,
+            start_method=start_method,
+            worker_utilization=(
+                _utilization(outcomes, wall_clock) if executor == "process" else {}
+            ),
         )
         self._record_metrics(report)
         logger.debug("%s", report.summary())
@@ -546,446 +531,120 @@ class Gauntlet:
                 labels={"pid": pid},
             ).set(utilization)
 
-    def _resolve_execution(self, num_cells: int, workers: int) -> Tuple[str, int]:
-        """Resolve ``mode="auto"`` into a concrete (mode, workers) choice.
+    def _resolve_executor(self, num_pending: int) -> Tuple[str, int]:
+        """The executor and worker count that actually run ``num_pending`` cells.
 
-        The heuristic attacks the measured thread-mode regression head-on:
-        parallelism costs real money up front (pool spin-up, and for the
-        process mode a model publication + per-worker attach), so it must
-        not be bought where it cannot pay off —
-
-        * a single-core box cannot run two cells at once in any executor, and
-        * a grid with fewer cells than workers leaves most of the pool idle
-          while still paying its startup,
-
-        so both cases run serially (streaming pipeline, one worker).  Every
-        other machine/grid combination takes the process executor — the only
-        one whose attack stages escape the GIL.  Explicit modes are returned
-        unchanged; the resolved choice lands in ``RobustnessReport.mode``.
+        Parallelism costs real money up front (pool spin-up, and for the
+        process executor a model publication + per-worker attach), so it is
+        not bought where it cannot pay off.  Nothing pending runs nothing
+        inline, and ``"thread"`` runs inline with a single worker or fewer
+        than two pending cells.  ``"auto"`` runs serially when a single-core
+        box cannot run two cells at once or the grid has fewer cells than
+        workers (most of the pool would idle while still paying its
+        startup); every other machine/grid combination takes the process
+        executor — the only one whose attack stages escape the GIL.
         """
-        if self.config.mode != "auto":
-            return self.config.mode, workers
-        if (os.cpu_count() or 1) <= 1 or num_cells < workers:
-            return "streaming", 1
-        return "process", workers
+        executor = self.config.executor
+        workers = self.config.resolved_workers()
+        if executor == "serial":
+            return "serial", 1
+        if executor == "auto":
+            if (os.cpu_count() or 1) <= 1 or num_pending < workers:
+                return "serial", 1
+            return "process", workers
+        if num_pending == 0 or (executor == "thread" and (workers <= 1 or num_pending < 2)):
+            return "serial", workers
+        return executor, workers
 
-    def _cell_rng(self, cell: _Cell):
-        # The RNG depends only on (seed, coordinates) — never on which worker
-        # picks the cell up or which mode runs it — so grids are reproducible
-        # at any pool width.
-        return new_rng(
-            self.config.seed,
-            "gauntlet",
-            cell.model_id,
-            cell.spec.name,
-            f"{cell.strength:g}",
-        )
-
-    @staticmethod
-    def _cell_result(cell, owner, attacker, quality, attack_seconds, info, co=None):
-        """One cell's report row.
-
-        Shared by both execution modes — being identical by construction is
-        part of the streaming ≡ batched decision guarantee.  ``co`` carries
-        the co-resident owners' :class:`PairVerification`\\ s for multi-owner
-        subjects.
-        """
-        return GauntletCellResult(
-            model_id=cell.model_id,
-            attack=cell.spec.name,
-            strength=cell.strength,
-            strength_unit=cell.spec.strength_unit,
-            wer_percent=owner.wer_percent,
-            matched_bits=owner.matched_bits,
-            total_bits=owner.total_bits,
-            false_claim_probability=owner.false_claim_probability,
-            owned=owner.owned,
-            attacker_wer_percent=None if attacker is None else attacker.wer_percent,
-            perplexity=None if quality is None else quality.perplexity,
-            zero_shot_accuracy=None if quality is None else quality.zero_shot_accuracy,
-            attack_seconds=attack_seconds,
-            info=dict(info),
-            co_owner_wer_percent={oid: pair.wer_percent for oid, pair in (co or {}).items()},
-            co_owner_owned={oid: pair.owned for oid, pair in (co or {}).items()},
-        )
-
-    # ------------------------------------------------------------------
-    # Streaming mode (default): verify-and-release per cell
-    # ------------------------------------------------------------------
-    def _run_streaming(
+    def _context(
         self,
         subject_items: List[Tuple[str, GauntletSubject]],
-        subject_for: Dict[str, GauntletSubject],
-        cells: List[_Cell],
-        workers: int,
-        wall_start: float,
-        renderer: Optional[ProgressRenderer] = None,
-        emit: Optional[Callable[[GauntletCellResult], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> RobustnessReport:
-        session_keys = {model_id: subject.key for model_id, subject in subject_items}
-        for model_id, subject in subject_items:
-            for owner_id, co_key in (subject.co_keys or {}).items():
-                session_keys[_co_key_id(model_id, owner_id)] = co_key
-        session = self.engine.verification_session(
-            keys=session_keys,
-            wer_threshold=self.config.wer_threshold,
-            max_false_claim_probability=self.config.max_false_claim_probability,
-        )
+        attacks: Sequence[AttackSpec],
+    ) -> CellContext:
+        """The in-process cell context: subjects plus a session over their keys.
 
-        def run_cell(cell: _Cell) -> Tuple[GauntletCellResult, float]:
-            subject = subject_for[cell.model_id]
-            rng = self._cell_rng(cell)
-            with span(
-                "gauntlet.cell",
-                cell=cell.cell_id,
-                attack=cell.spec.name,
-                strength=cell.strength,
-            ):
-                start = time.perf_counter()
-                outcome = cell.spec.apply(subject.model, cell.strength, rng)
-                quality = (
-                    subject.harness.evaluate(outcome.model)
-                    if self.config.evaluate_quality
-                    else None
-                )
-                attack_seconds = time.perf_counter() - start
-                verify_start = time.perf_counter()
-                owner = session.verify(cell.cell_id, outcome.model, cell.model_id)
-                co = {
-                    owner_id: session.verify(
-                        cell.cell_id, outcome.model, _co_key_id(cell.model_id, owner_id)
-                    )
-                    for owner_id in (subject.co_keys or {})
-                }
-                attacker = None
-                if outcome.attacker_key is not None:
-                    # One-shot: the adversary key belongs to this cell alone, so
-                    # it is verified without session registration — retaining it
-                    # (a full model-size reference snapshot per cell) would quietly
-                    # re-grow the O(grid) memory the streaming mode removes.
-                    attacker = session.verify_once(
-                        cell.cell_id, outcome.model, outcome.attacker_key,
-                        cell.attacker_key_id,
-                    )
-                verify_seconds = time.perf_counter() - verify_start
-            result = self._cell_result(
-                cell, owner, attacker, quality, attack_seconds, outcome.info, co=co
-            )
-            # ``outcome`` — and with it the attacked model — dies with this
-            # frame: nothing past this point references it, which is the
-            # O(workers × model size) peak-memory guarantee.
-            return result, verify_seconds
-
-        if workers <= 1 or len(cells) < 2:
-            outputs = []
-            for position, cell in enumerate(cells):
-                if should_stop is not None and should_stop():
-                    raise GauntletCancelled(position, len(cells))
-                output = run_cell(cell)
-                outputs.append(output)
-                if emit is not None:
-                    emit(output[0])
-                if renderer is not None:
-                    renderer.update(cell.spec.name, output[0].wer_percent)
-        else:
-            # A private pool: the engine's layer-level pool stays free for
-            # location reproduction (and for attacks that insert watermarks
-            # through an engine, e.g. re-watermarking).  Completion-order
-            # consumption feeds the progress line; outputs are reassembled
-            # in grid order, so results never depend on finish order.
-            def run_cell_cooperative(cell: _Cell) -> Tuple[GauntletCellResult, float]:
-                # Cancellation is between-cells: a worker picking up its next
-                # cell after the stop flag rose raises instead of attacking.
-                if should_stop is not None and should_stop():
-                    raise GauntletCancelled(0, len(cells))
-                return run_cell(cell)
-
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="gauntlet"
-            ) as pool:
-                future_for = {
-                    pool.submit(run_cell_cooperative, cell): cell for cell in cells
-                }
-                slots: List[Optional[Tuple[GauntletCellResult, float]]] = (
-                    [None] * len(cells)
-                )
-                position = {cell.index: i for i, cell in enumerate(cells)}
-                cancelled = False
-                for future in as_completed(future_for):
-                    cell = future_for[future]
-                    try:
-                        output = future.result()
-                    except GauntletCancelled:
-                        # Keep draining: cells that did complete are still
-                        # emitted (and checkpointed) below, so nothing
-                        # finished is lost to the cancellation.
-                        cancelled = True
-                        continue
-                    slots[position[cell.index]] = output
-                    if emit is not None:
-                        emit(output[0])
-                    if renderer is not None:
-                        renderer.update(cell.spec.name, output[0].wer_percent)
-                outputs = [output for output in slots if output is not None]
-                if cancelled:
-                    raise GauntletCancelled(len(outputs), len(cells))
-
-        traffic = session.cache_traffic()
-        return RobustnessReport(
-            cells=[result for result, _ in outputs],
-            seed=self.config.seed,
-            workers=workers,
-            wall_clock_seconds=time.perf_counter() - wall_start,
-            # Summed per-cell verification time: the verification work is
-            # interleaved with the attacks, so there is no contiguous
-            # "verification stage" wall-clock span to report.
-            verify_seconds=sum(seconds for _, seconds in outputs),
-            cache_hits=traffic.hits,
-            cache_misses=traffic.misses,
-            mode="streaming",
-        )
-
-    # ------------------------------------------------------------------
-    # Process mode: worker processes over shared-memory models
-    # ------------------------------------------------------------------
-    def _run_process(
-        self,
-        subject_items: List[Tuple[str, GauntletSubject]],
-        subject_for: Dict[str, GauntletSubject],
-        cells: List[_Cell],
-        workers: int,
-        wall_start: float,
-        renderer: Optional[ProgressRenderer] = None,
-        emit: Optional[Callable[[GauntletCellResult], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> RobustnessReport:
-        stats_before = self.engine.cache.stats()
-        models = {model_id: subject.model for model_id, subject in subject_items}
-        keys = {model_id: subject.key for model_id, subject in subject_items}
+        Subject keys are registered under the subject ids, co-resident
+        owners' keys under ``"<subject id>::<owner id>"``.
+        """
+        keys: Dict[str, WatermarkKey] = {}
         co_key_ids: Dict[str, Tuple[Tuple[str, str], ...]] = {}
         for model_id, subject in subject_items:
+            keys[model_id] = subject.key
             wired = []
             for owner_id, co_key in (subject.co_keys or {}).items():
-                key_id = _co_key_id(model_id, owner_id)
+                key_id = f"{model_id}::{owner_id}"
                 keys[key_id] = co_key
                 wired.append((owner_id, key_id))
             if wired:
                 co_key_ids[model_id] = tuple(wired)
-        # The parent derives every registered key's ticket exactly once
-        # (locations served from the plan cache when warm); workers match
-        # the pickled tickets verbatim instead of re-running the scoring
-        # pass — bit-identical by purity of ticket derivation.
-        tickets = {key_id: self.engine.ticket_for(key) for key_id, key in keys.items()}
-        attacks = {cell.spec.name: cell.spec for cell in cells}
-        harnesses = {
-            model_id: subject.harness
-            for model_id, subject in subject_items
-            if subject.harness is not None
-        }
-        tasks = [
-            CellTask(
-                index=cell.index,
-                model_id=cell.model_id,
-                attack_name=cell.spec.name,
-                strength=cell.strength,
-            )
-            for cell in cells
-        ]
-        collector = get_collector()
-        executor = ProcessCellExecutor(
-            models=models,
-            tickets=tickets,
+        return CellContext(
+            models={model_id: subject.model for model_id, subject in subject_items},
+            harnesses={
+                model_id: subject.harness
+                for model_id, subject in subject_items
+                if subject.harness is not None
+            },
+            attacks={spec.name: spec for spec in attacks},
             co_key_ids=co_key_ids,
-            attacks=attacks,
-            harnesses=harnesses,
             evaluate_quality=self.config.evaluate_quality,
             seed=self.config.seed,
-            wer_threshold=self.config.wer_threshold,
-            max_false_claim_probability=self.config.max_false_claim_probability,
-            workers=workers,
-            start_method=self.config.start_method,
-            trace=collector is not None,
-        )
-        cell_for = {cell.index: cell for cell in cells}
-        on_complete = None
-        if renderer is not None or collector is not None or emit is not None:
-            def on_complete(outcome):
-                # Parent-side completion hook: merge worker spans into the
-                # collector, feed the progress line, and emit the cell result
-                # (checkpoint append + job events).  Outcome ordering is the
-                # executor's job; nothing here touches the returned results.
-                if collector is not None and outcome.spans:
-                    collector.extend(outcome.spans)
-                if emit is not None:
-                    emit(
-                        self._cell_result(
-                            cell_for[outcome.index],
-                            outcome.owner,
-                            outcome.attacker,
-                            outcome.quality,
-                            outcome.attack_seconds,
-                            outcome.info,
-                            co=outcome.co,
-                        )
-                    )
-                if renderer is not None:
-                    renderer.update(
-                        cell_for[outcome.index].spec.name, outcome.owner.wer_percent
-                    )
-        with executor:
-            outcomes = executor.run(tasks, on_complete=on_complete, should_stop=should_stop)
-        if should_stop is not None and should_stop():
-            raise GauntletCancelled(len(outcomes), len(cells))
-        results = [
-            self._cell_result(
-                cell,
-                outcome.owner,
-                outcome.attacker,
-                outcome.quality,
-                outcome.attack_seconds,
-                outcome.info,
-                co=outcome.co,
-            )
-            for cell, outcome in zip(cells, outcomes)
-        ]
-        traffic = self.engine.cache.stats().delta(stats_before)
-        wall_clock = time.perf_counter() - wall_start
-        # Worker utilization: busy (attack + verify) seconds per worker pid
-        # over the sweep's wall clock — the "were my cores actually fed?"
-        # number for a 10k-cell run.
-        busy: Dict[str, float] = {}
-        for outcome in outcomes:
-            pid = str(outcome.worker_pid or "unknown")
-            busy[pid] = busy.get(pid, 0.0) + outcome.attack_seconds + outcome.verify_seconds
-        utilization = (
-            {pid: seconds / wall_clock for pid, seconds in sorted(busy.items())}
-            if wall_clock > 0
-            else {}
-        )
-        return RobustnessReport(
-            cells=results,
-            seed=self.config.seed,
-            workers=workers,
-            wall_clock_seconds=wall_clock,
-            verify_seconds=sum(outcome.verify_seconds for outcome in outcomes),
-            # Parent-side traffic only (the location reproduction above);
-            # per-worker plan caches are private by design and not aggregated.
-            cache_hits=traffic.hits,
-            cache_misses=traffic.misses,
-            mode="process",
-            executor="process",
-            start_method=executor.start_method,
-            worker_utilization=utilization,
+            session=self.engine.verification_session(
+                keys=keys,
+                wer_threshold=self.config.wer_threshold,
+                max_false_claim_probability=self.config.max_false_claim_probability,
+            ),
         )
 
-    # ------------------------------------------------------------------
-    # Batched mode: the original two-stage reference pipeline
-    # ------------------------------------------------------------------
-    def _run_batched(
-        self,
-        subject_items: List[Tuple[str, GauntletSubject]],
-        subject_for: Dict[str, GauntletSubject],
-        cells: List[_Cell],
-        workers: int,
-        wall_start: float,
-        renderer: Optional[ProgressRenderer] = None,
-        emit: Optional[Callable[[GauntletCellResult], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> RobustnessReport:
-        # -- stage 1: attack + quality, cell-parallel ----------------------
-        def run_cell(cell: _Cell):
-            # Batched cells only become results after the fleet sweep, so
-            # cancellation aborts the whole stage (nothing checkpointable
-            # exists yet) — the streaming/process modes are the
-            # checkpoint-friendly executors.
+
+def _run_pool(
+    pool: Executor,
+    fn: Callable[[GridCell], CellOutcome],
+    cells: Sequence[GridCell],
+    complete: Callable[[CellOutcome], None],
+    should_stop: Optional[Callable[[], bool]],
+) -> None:
+    """The pool loop shared by the thread and process executors.
+
+    Submits every cell and hands each outcome to ``complete`` in completion
+    order.  ``should_stop`` is checked between completions: once it returns
+    True, unstarted cells are cancelled, in-flight cells are drained and
+    completed (so they are checkpointed, not lost) and
+    :class:`GauntletCancelled` is raised — unless no cell was left unstarted,
+    in which case the grid is complete.
+    """
+    pending = {pool.submit(fn, cell) for cell in cells}
+    finished = 0
+    try:
+        while pending:
             if should_stop is not None and should_stop():
-                raise GauntletCancelled(0, len(cells))
-            subject = subject_for[cell.model_id]
-            rng = self._cell_rng(cell)
-            with span(
-                "gauntlet.cell",
-                cell=cell.cell_id,
-                attack=cell.spec.name,
-                strength=cell.strength,
-            ):
-                start = time.perf_counter()
-                outcome = cell.spec.apply(subject.model, cell.strength, rng)
-                quality = (
-                    subject.harness.evaluate(outcome.model)
-                    if self.config.evaluate_quality
-                    else None
-                )
-            elapsed = time.perf_counter() - start
-            # Progress counts attacked cells; WERs only exist after the
-            # batched verify_fleet sweep, so the line shows counts/ETA only.
-            if renderer is not None:
-                renderer.update()
-            return outcome, quality, elapsed
+                running = [future for future in pending if not future.cancel()]
+                skipped = len(pending) - len(running)
+                pending = set()
+                for future in running:
+                    complete(future.result())
+                    finished += 1
+                if skipped:
+                    raise GauntletCancelled(finished, len(cells))
+                return
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                complete(future.result())
+                finished += 1
+    finally:
+        # A failing cell (or hook) must not leave the rest of the grid queued.
+        for future in pending:
+            future.cancel()
 
-        if workers <= 1 or len(cells) < 2:
-            staged = [run_cell(cell) for cell in cells]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="gauntlet"
-            ) as pool:
-                staged = list(pool.map(run_cell, cells))
 
-        # -- stage 2: one batched verify_fleet sweep -----------------------
-        # Every attacked model is alive simultaneously here — the
-        # O(num_cells × model size) peak the streaming mode removes.
-        verify_start = time.perf_counter()
-        suspects: Dict[str, QuantizedModel] = {}
-        keys: Dict[str, WatermarkKey] = {
-            model_id: subject.key for model_id, subject in subject_items
-        }
-        for model_id, subject in subject_items:
-            for owner_id, co_key in (subject.co_keys or {}).items():
-                keys[_co_key_id(model_id, owner_id)] = co_key
-        pairs: List[Tuple[str, str]] = []
-        for cell, (outcome, _quality, _seconds) in zip(cells, staged):
-            suspects[cell.cell_id] = outcome.model
-            pairs.append((cell.cell_id, cell.model_id))
-            for owner_id in (subject_for[cell.model_id].co_keys or {}):
-                pairs.append((cell.cell_id, _co_key_id(cell.model_id, owner_id)))
-            if outcome.attacker_key is not None:
-                keys[cell.attacker_key_id] = outcome.attacker_key
-                pairs.append((cell.cell_id, cell.attacker_key_id))
-        fleet = self.engine.verify_fleet(
-            suspects,
-            keys,
-            wer_threshold=self.config.wer_threshold,
-            max_false_claim_probability=self.config.max_false_claim_probability,
-            pairs=pairs,
-        )
-        verify_seconds = time.perf_counter() - verify_start
-        by_pair = {(pair.suspect_id, pair.key_id): pair for pair in fleet.pairs}
-
-        # -- stage 3: assemble the report ----------------------------------
-        results: List[GauntletCellResult] = []
-        for cell, (outcome, quality, attack_seconds) in zip(cells, staged):
-            owner = by_pair[(cell.cell_id, cell.model_id)]
-            attacker = by_pair.get((cell.cell_id, cell.attacker_key_id))
-            co = {
-                owner_id: by_pair[(cell.cell_id, _co_key_id(cell.model_id, owner_id))]
-                for owner_id in (subject_for[cell.model_id].co_keys or {})
-            }
-            result = self._cell_result(
-                cell, owner, attacker, quality, attack_seconds, outcome.info, co=co
-            )
-            if emit is not None:
-                emit(result)
-            results.append(result)
-        return RobustnessReport(
-            cells=results,
-            seed=self.config.seed,
-            workers=workers,
-            wall_clock_seconds=time.perf_counter() - wall_start,
-            verify_seconds=verify_seconds,
-            cache_hits=fleet.cache_hits,
-            cache_misses=fleet.cache_misses,
-            mode="batched",
-        )
+def _utilization(outcomes: Sequence[CellOutcome], wall_clock: float) -> Dict[str, float]:
+    """Busy fraction per worker pid over the sweep: were the cores fed?"""
+    if wall_clock <= 0:
+        return {}
+    busy: Dict[str, float] = {}
+    for outcome in outcomes:
+        pid = str(outcome.worker_pid or "unknown")
+        busy[pid] = busy.get(pid, 0.0) + outcome.result.attack_seconds + outcome.verify_seconds
+    return {pid: seconds / wall_clock for pid, seconds in sorted(busy.items())}
 
 
 def run_gauntlet(

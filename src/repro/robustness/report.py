@@ -29,7 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.utils.tables import Table, format_float
 
-__all__ = ["GauntletCellResult", "RobustnessReport"]
+__all__ = ["GauntletCellResult", "RobustnessReport", "format_cell_id"]
+
+
+def format_cell_id(model_id: str, attack: str, strength: float) -> str:
+    """Stable identifier of a grid cell: its suspect id and checkpoint key."""
+    return f"{model_id}/{attack}@{strength:g}"
 
 
 @dataclass
@@ -74,7 +79,7 @@ class GauntletCellResult:
     @property
     def cell_id(self) -> str:
         """Stable identifier of the cell inside its grid."""
-        return f"{self.model_id}/{self.attack}@{self.strength:g}"
+        return format_cell_id(self.model_id, self.attack, self.strength)
 
     def decision_fields(self) -> Tuple:
         """The worker-count-invariant fields (used for equivalence gates)."""
@@ -182,20 +187,16 @@ class RobustnessReport:
     verify_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Execution mode that produced the report ("streaming", "batched" or
-    #: "process"; an "auto" request records what it resolved to).
-    #: Informational only — decision fields and the digest are mode-invariant.
-    mode: str = "streaming"
-    #: How cells were actually executed: "serial", "thread" or "process".
-    #: Distinguishes the two faces of the streaming pipeline (one worker vs
-    #: a thread pool).  Informational only, like ``mode``.
+    #: How cells were actually executed: "serial", "thread" or "process"
+    #: (an "auto" request records what it resolved to).  Informational only
+    #: — decision fields and the digest are executor-invariant.
     executor: str = "serial"
-    #: Multiprocessing start method of a process-mode run ("fork"/"spawn"/
-    #: "forkserver"); ``None`` for the in-process executors.
+    #: Multiprocessing start method of a process-executor run ("fork"/
+    #: "spawn"/"forkserver"); ``None`` for the in-process executors.
     start_method: Optional[str] = None
     #: Busy fraction per worker process (``{pid: busy_seconds / wall}``) of a
-    #: process-mode run; empty for the in-process executors.  Informational
-    #: telemetry, like ``mode`` — never part of :meth:`decision_digest`.
+    #: process-executor run; empty for the in-process executors.
+    #: Informational telemetry — never part of :meth:`decision_digest`.
     worker_utilization: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -343,7 +344,7 @@ class RobustnessReport:
             lines.append(f"  min WER under {attack}: {wer:.2f}%")
         lines.append(
             f"  {self.num_cells} cells, {self.workers} workers "
-            f"({self.mode}/{self.executor}), "
+            f"({self.executor}), "
             f"{self.wall_clock_seconds:.3f}s wall clock "
             f"({self.verify_seconds:.3f}s verification)"
         )
@@ -358,7 +359,6 @@ class RobustnessReport:
             "decision_digest": self.decision_digest(),
             "seed": self.seed,
             "workers": self.workers,
-            "mode": self.mode,
             "executor": self.executor,
             "start_method": self.start_method,
             "num_cells": self.num_cells,

@@ -59,6 +59,7 @@ import asyncio
 import hashlib
 import itertools
 import json
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -101,7 +102,7 @@ logger = get_logger("service.server")
 _VERIFY_TIMEOUT_S = 120.0
 _GAUNTLET_TIMEOUT_S = 300.0
 #: Report-size sanity ceiling for one /robustness request.  Since sweeps
-#: run in constant memory (streaming match-and-release), the real admission
+#: run in constant memory (match-and-release per cell), the real admission
 #: bound is the per-request CPU-time budget below, not this number — it
 #: only caps the JSON report a single response can grow to.
 _MAX_GAUNTLET_CELLS = 4096
@@ -159,7 +160,7 @@ class _CellCostEstimator:
     """EWMA of the observed per-cell gauntlet CPU cost.
 
     ``/robustness`` admission is a CPU-time-fairness question, not a
-    cell-count one: the streaming pipeline made sweeps constant-memory, so
+    cell-count one: match-and-release per cell makes sweeps constant-memory, so
     the server gates each request on its *projected CPU seconds* instead of
     a fixed cell cap.  The projection is the exponentially weighted mean of
     the per-cell cost actually observed on this server (attack + verify
@@ -219,6 +220,22 @@ def _model_content_id(model: QuantizedModel) -> str:
         hasher.update(name.encode("utf-8"))
         hasher.update(np.ascontiguousarray(model.get_layer(name).weight_int).tobytes())
     return hasher.hexdigest()[:12]
+
+
+def _finite_number(raw: object, what: str) -> float:
+    """``raw`` as a float if it is a finite JSON number, else a 400.
+
+    Booleans are refused although Python counts them as numbers, and so are
+    ``NaN``, ``Infinity`` and integers too large for a float.
+    """
+    if not isinstance(raw, bool) and isinstance(raw, (int, float)):
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise _HttpError(400, f"{what} must be a finite number, got {json.dumps(raw)}")
 
 
 def _thresholds(payload: Dict[str, object]) -> Dict[str, object]:
@@ -972,6 +989,7 @@ class VerificationServer(AsyncHttpServer):
         """
         from repro.robustness import build_attack, corpus_free_attacks
         from repro.robustness.attacks import ATTACK_REGISTRY
+        from repro.robustness.gauntlet import EXECUTORS
 
         if not self.bucket.try_acquire():
             raise _HttpError(429, "rate limit exceeded, retry later", retry_after=1.0)
@@ -1030,11 +1048,13 @@ class VerificationServer(AsyncHttpServer):
                 raw_strengths = entry["strengths"]
                 if not isinstance(raw_strengths, list) or not raw_strengths:
                     raise _HttpError(400, f"'strengths' for {name!r} must be a non-empty list")
-                try:
-                    strengths[name] = tuple(float(v) for v in raw_strengths)
-                except (TypeError, ValueError) as exc:
-                    raise _HttpError(400, f"non-numeric strength for {name!r}: {exc}") from exc
+                strengths[name] = tuple(
+                    _finite_number(v, f"'strengths' entry for {name!r}") for v in raw_strengths
+                )
             attacks.append(build_attack(name))
+        seed = payload.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise _HttpError(400, f"'seed' must be an integer, got {json.dumps(seed)}")
         num_cells = sum(
             len(strengths.get(spec.name, spec.default_strengths)) for spec in attacks
         )
@@ -1044,7 +1064,7 @@ class VerificationServer(AsyncHttpServer):
                 f"grid of {num_cells} cells exceeds the "
                 f"{_MAX_GAUNTLET_CELLS}-cell report-size limit",
             )
-        # CPU-time fairness gate: streaming sweeps are constant-memory, so
+        # CPU-time fairness gate: gauntlet sweeps are constant-memory, so
         # admission projects the grid's CPU seconds from the per-cell cost
         # observed on this server and rejects what would hog the executor.
         budget = self.config.gauntlet_cpu_budget_s
@@ -1069,25 +1089,16 @@ class VerificationServer(AsyncHttpServer):
                     f"exceeds the {budget:.0f}s per-request budget",
                     counter="rejected_cpu_budget",
                 )
-        try:
-            seed = int(payload.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"invalid seed: {exc}") from exc
         config_kwargs.update(seed=seed, evaluate_quality=False)
         executor = payload.get("executor")
         if executor is not None:
-            if executor not in ("serial", "thread", "process", "auto"):
+            if executor not in EXECUTORS:
                 raise _HttpError(
                     400,
                     f"unknown executor {executor!r}; "
                     "pick serial, thread, process or auto",
                 )
-            if executor == "serial":
-                config_kwargs["max_workers"] = 1
-            elif executor == "process":
-                config_kwargs["mode"] = "process"
-            elif executor == "auto":
-                config_kwargs["mode"] = "auto"
+            config_kwargs["executor"] = executor
         # Gauntlet subjects carry the full key: loaded from disk only now,
         # after every validation and admission gate has passed.
         try:
@@ -1165,15 +1176,16 @@ class VerificationServer(AsyncHttpServer):
         fine-tuning, GPTQ re-quantization, the adaptive attacker, souping)
         stay client-side.  Quality evaluation is disabled — the server holds
         keys and suspects, not evaluation corpora — so every cell reports
-        ownership evidence only.  By default the sweep runs in streaming
-        mode on the shared engine (each attacked model is verified and
-        released as its worker finishes, so a grid never holds more than the
-        worker count in memory), reusing any location plans the verification
+        ownership evidence only.  By default the sweep runs on a thread pool
+        over the shared engine (each attacked model is verified and released
+        as its worker finishes, so a grid never holds more than the worker
+        count in memory), reusing any location plans the verification
         traffic has already cached; an ``executor`` payload key of
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"`` selects the
-        cell executor explicitly (``"process"`` publishes the suspect into
-        shared memory and runs cells in worker processes).  Every cell
-        verdict is written to the audit log.
+        ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"`` is passed
+        to :class:`~repro.robustness.gauntlet.GauntletConfig` as given
+        (``"process"`` publishes the suspect into shared memory and runs
+        cells in worker processes).  Every cell verdict is written to the
+        audit log.
 
         The connection is held open for the whole sweep — for long grids
         prefer ``POST /v1/jobs/robustness``, which answers 202 immediately

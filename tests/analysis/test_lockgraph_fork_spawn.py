@@ -157,7 +157,7 @@ class TestProcessGauntletUnderWitness:
                 max_workers=2,
                 seed=7,
                 evaluate_quality=False,
-                mode="process",
+                executor="process",
                 start_method=start_method,
             )
 

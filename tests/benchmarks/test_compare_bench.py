@@ -27,7 +27,6 @@ def gauntlet_report(**overrides):
     report = {
         "benchmark": "gauntlet",
         "smoke": True,
-        "mode": "streaming",
         "cpu_count": 8,
         "grid": {"total_cells": 19},
         "repeats": 1,
@@ -43,7 +42,6 @@ def gauntlet_report(**overrides):
         "telemetry_throughput_ratio": 0.98,
         "telemetry_spans_recorded": 120,
         "decision_digests_equal": True,
-        "streaming_batched_digests_equal": True,
         "streaming_process_digests_equal": True,
         "telemetry_digests_equal": True,
         "decision_digests": ["a", "b", "c", "d"],
@@ -188,12 +186,6 @@ class TestGauntletGates:
             gauntlet_report(decision_digests_equal=False)
         )
         assert any("serial and parallel" in p for p in problems)
-
-    def test_streaming_batched_flag_gates(self):
-        problems = compare_bench.evaluate_report(
-            gauntlet_report(streaming_batched_digests_equal=False)
-        )
-        assert any("streaming and batched" in p for p in problems)
 
     def test_overwrite_wer_threshold_is_versioned_here(self):
         assert compare_bench.GAUNTLET_MIN_WER["overwrite"] == 90.0

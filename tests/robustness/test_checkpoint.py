@@ -9,6 +9,7 @@ grid-order reassembly, regardless of worker count on either side.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.robustness import (
     grid_fingerprint,
     run_gauntlet,
 )
+from repro.robustness.attacks import AttackSpec
 from repro.robustness.checkpoint import merge_completed
 from repro.robustness.gauntlet import GauntletConfig
 
@@ -234,3 +236,64 @@ class TestResume:
         with pytest.raises(GauntletCancelled) as info:
             _run(awq_subject, gauntlet_engine, should_stop=lambda: True)
         assert info.value.completed == 0
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_pool_cancel_checkpoints_in_flight_cells_then_resumes(
+        self, tmp_path, awq_subject, gauntlet_engine, executor
+    ):
+        """The shared pool loop: a stop drops unstarted cells, but every cell
+        that finished — including ones in flight at the stop — is emitted and
+        checkpointed, so the resume recomputes only the rest."""
+        subjects = {"m": _bare(awq_subject)}
+        # More cells than the process pool's call queue holds (workers + 1),
+        # so some are still unstarted when the first one completes.
+        strengths = {"slow-overwrite": (0, 10, 20, 30, 40, 50, 60, 70)}
+
+        def run(**kwargs):
+            return run_gauntlet(
+                subjects, [_SlowOverwrite()], strengths, engine=gauntlet_engine,
+                evaluate_quality=False, seed=3, max_workers=2, executor=executor,
+                start_method="fork", **kwargs,
+            )
+
+        full = run()
+        path = tmp_path / "ck.jsonl"
+        emitted = []
+        with pytest.raises(GauntletCancelled) as info:
+            run(
+                checkpoint=path,
+                on_cell=lambda result, _replayed: emitted.append(result.cell_id),
+                should_stop=lambda: len(emitted) >= 1,
+            )
+        # The other worker's cell was in flight at the stop: drained, not lost.
+        assert 2 <= info.value.completed == len(emitted) < info.value.total == 8
+        ckpt = CellCheckpoint(path, fingerprint=Gauntlet(
+            engine=gauntlet_engine,
+            config=GauntletConfig(seed=3, evaluate_quality=False, max_workers=2),
+        ).grid_fingerprint_for(subjects, [_SlowOverwrite()], strengths))
+        assert sorted(ckpt.load()) == sorted(emitted)
+
+        fresh = []
+        resumed = run(
+            checkpoint=path,
+            on_cell=lambda result, replayed: None if replayed else fresh.append(result.cell_id),
+        )
+        assert resumed.decision_digest() == full.decision_digest()
+        assert sorted(fresh + emitted) == sorted(c.cell_id for c in full.cells)
+
+
+class _SlowOverwrite(AttackSpec):
+    """Overwrite that takes long enough for a stop to find unstarted cells.
+
+    Defined at test-module scope, so the process executor can use it only
+    under ``fork``.
+    """
+
+    name = "slow-overwrite"
+    strength_unit = "weights/layer"
+    default_strengths = (0,)
+
+    def apply(self, model, strength, rng):
+        # Staggered, so the first completion arrives alone.
+        time.sleep(0.05 + strength / 200)
+        return build_attack("overwrite").apply(model, strength, rng)

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from repro.engine import WatermarkEngine
+from repro.engine.reports import (
+    DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
+    DEFAULT_OWNERSHIP_THRESHOLD,
+)
 from repro.robustness import (
     GauntletConfig,
     GauntletSubject,
     build_attack,
     run_gauntlet,
 )
+from repro.utils.rng import new_rng
 
 GRID_STRENGTHS = {"overwrite": (0, 20, 40), "pruning": (0.0, 0.4)}
 
@@ -121,6 +126,64 @@ class TestGauntletDeterminism:
         assert warm.cache_hits >= awq_subject.model.num_quantization_layers
 
 
+class TestCellWiring:
+    """Every cell against a direct attack + extraction outside the gauntlet.
+
+    All executors share one cell function, so cross-executor digest equality
+    cannot catch a wiring mistake inside it; this recomputes each cell from
+    its coordinates with the attack spec and ``engine.extract`` alone.
+    """
+
+    SEED = 8
+    STRENGTHS = {"overwrite": (0, 30), "pruning": (0.4,), "rewatermark": (6,)}
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_cells_match_direct_attack_and_extract(
+        self, multi_owner_subject, small_dataset, executor
+    ):
+        attacks = _grid_attacks() + [
+            build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        ]
+        report = run_gauntlet(
+            {"multi": multi_owner_subject}, attacks, self.STRENGTHS,
+            engine=WatermarkEngine(), max_workers=2, seed=self.SEED,
+            evaluate_quality=False, executor=executor,
+        )
+        assert report.executor == executor
+        assert report.num_cells == 4
+
+        engine = WatermarkEngine()
+        specs = {spec.name: spec for spec in attacks}
+
+        def owned(result):
+            return (
+                result.wer_percent >= DEFAULT_OWNERSHIP_THRESHOLD
+                and result.false_claim_probability <= DEFAULT_MAX_FALSE_CLAIM_PROBABILITY
+            )
+
+        for cell in report.cells:
+            rng = new_rng(self.SEED, "gauntlet", "multi", cell.attack, f"{cell.strength:g}")
+            outcome = specs[cell.attack].apply(multi_owner_subject.model, cell.strength, rng)
+            owner = engine.extract(outcome.model, multi_owner_subject.key)
+            assert cell.wer_percent == owner.wer_percent
+            assert cell.matched_bits == owner.matched_bits
+            assert cell.owned == owned(owner)
+            assert cell.false_claim_probability == owner.false_claim_probability
+            co = {
+                owner_id: engine.extract(outcome.model, key)
+                for owner_id, key in multi_owner_subject.co_keys.items()
+            }
+            assert cell.co_owner_wer_percent == {o: r.wer_percent for o, r in co.items()}
+            assert cell.co_owner_owned == {o: owned(r) for o, r in co.items()}
+            expected_attacker = (
+                None
+                if outcome.attacker_key is None
+                else engine.extract(outcome.model, outcome.attacker_key).wer_percent
+            )
+            assert cell.attacker_wer_percent == expected_attacker
+        assert report.cells_for(attack="rewatermark")[0].attacker_wer_percent is not None
+
+
 class TestGauntletValidation:
     def test_empty_attacks_rejected(self, awq_subject, gauntlet_engine):
         with pytest.raises(ValueError, match="at least one attack"):
@@ -189,12 +252,13 @@ class TestMultiOwnerGauntlet:
         self, multi_owner_subject, gauntlet_engine
     ):
         kwargs = dict(engine=gauntlet_engine, seed=5)
-        streaming = run_gauntlet({"m": multi_owner_subject}, _grid_attacks(),
-                                 GRID_STRENGTHS, max_workers=4, mode="streaming", **kwargs)
-        batched = run_gauntlet({"m": multi_owner_subject}, _grid_attacks(),
-                               GRID_STRENGTHS, max_workers=1, mode="batched", **kwargs)
-        assert streaming.decision_digest() == batched.decision_digest()
-        for a, b in zip(streaming.cells, batched.cells):
+        threaded = run_gauntlet({"m": multi_owner_subject}, _grid_attacks(),
+                                GRID_STRENGTHS, max_workers=4, executor="thread", **kwargs)
+        serial = run_gauntlet({"m": multi_owner_subject}, _grid_attacks(),
+                              GRID_STRENGTHS, executor="serial", **kwargs)
+        assert (threaded.executor, serial.executor) == ("thread", "serial")
+        assert threaded.decision_digest() == serial.decision_digest()
+        for a, b in zip(threaded.cells, serial.cells):
             assert a.co_owner_wer_percent == b.co_owner_wer_percent
             assert a.co_owner_owned == b.co_owner_owned
 

@@ -1,10 +1,11 @@
-"""Streaming-gauntlet guarantees: digest equality and O(workers) memory.
+"""Gauntlet memory and verification-session guarantees.
 
-The streaming pipeline's two promises are (1) its decisions are bit-identical
-to the batched reference pipeline at any worker count, and (2) it never holds
-more than ``max_workers`` attacked models alive at once.  The first is a
-digest comparison; the second is proven with a weakref-instrumented attack
-spec that counts the attacked models currently alive.
+Every executor verifies and releases each attacked model as its cell
+finishes, so a run never holds more than ``max_workers`` attacked models
+alive at once.  That is proven with a weakref-instrumented attack spec that
+counts the attacked models currently alive.  The engine-level
+:class:`~repro.engine.engine.FleetVerificationSession` underneath is tested
+against ``verify_fleet`` directly.
 """
 
 from __future__ import annotations
@@ -24,53 +25,32 @@ from repro.robustness import (
 )
 from repro.robustness.attacks import AttackSpec
 
-GRID_STRENGTHS = {"overwrite": (0, 20, 40), "pruning": (0.0, 0.4)}
-
-
-def _grid_attacks():
-    return [build_attack("overwrite"), build_attack("pruning")]
-
 
 class TestStreamingVsBatchedEquivalence:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_digests_identical_across_modes(
-        self, awq_subject, int8_subject, gauntlet_engine, small_dataset, workers
-    ):
-        def attacks():
-            return _grid_attacks() + [
-                build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
-            ]
-        strengths = {**GRID_STRENGTHS, "rewatermark": (0, 6)}
-        subjects = {"awq": awq_subject, "int8": int8_subject}
-        streaming = run_gauntlet(subjects, attacks(), strengths,
-                                 engine=gauntlet_engine, max_workers=workers,
-                                 seed=9, mode="streaming")
-        batched = run_gauntlet(subjects, attacks(), strengths,
-                               engine=gauntlet_engine, max_workers=workers,
-                               seed=9, mode="batched")
-        assert streaming.mode == "streaming" and batched.mode == "batched"
-        assert streaming.decision_digest() == batched.decision_digest()
-        for a, b in zip(streaming.cells, batched.cells):
-            assert a.decision_fields() == b.decision_fields()
-            assert a.false_claim_probability == b.false_claim_probability
+    """Executor default, executor validation and warm plan-cache reuse."""
 
     def test_streaming_is_the_default_mode(self, awq_subject, gauntlet_engine):
-        report = run_gauntlet({"m": awq_subject}, [build_attack("none")],
-                              engine=gauntlet_engine)
-        assert report.mode == "streaming"
-        assert report.to_dict()["mode"] == "streaming"
+        assert GauntletConfig().executor == "thread"
+        report = run_gauntlet({"m": awq_subject}, [build_attack("overwrite")],
+                              {"overwrite": (0, 20)}, engine=gauntlet_engine,
+                              max_workers=2)
+        assert report.executor == "thread"
+        assert report.to_dict()["executor"] == "thread"
+        assert "mode" not in report.to_dict()
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            GauntletConfig(mode="clairvoyant")
+        with pytest.raises(ValueError, match="executor"):
+            GauntletConfig(executor="clairvoyant")
+        with pytest.raises(TypeError):
+            GauntletConfig(mode="streaming")
 
     def test_streaming_warm_rerun_hits_plan_cache(self, awq_subject):
         engine = WatermarkEngine()
         strengths = {"overwrite": (0, 20)}
         run_gauntlet({"m": awq_subject}, [build_attack("overwrite")], strengths,
-                     engine=engine, mode="streaming")
+                     engine=engine)
         warm = run_gauntlet({"m": awq_subject}, [build_attack("overwrite")], strengths,
-                            engine=engine, mode="streaming")
+                            engine=engine)
         assert warm.cache_misses == 0
         assert warm.cache_hits >= awq_subject.model.num_quantization_layers
 
@@ -114,38 +94,26 @@ class TestPeakAliveModels:
     STRENGTHS = {"tracked-overwrite": (5, 10, 15, 20, 25, 30, 35, 40)}
     WORKERS = 2
 
-    def _run(self, subject, engine, mode):
+    def _run(self, subject, engine, executor):
         spec = _TrackedOverwrite()
         bare = GauntletSubject(model=subject.model, key=subject.key)
         report = run_gauntlet({"m": bare}, [spec], self.STRENGTHS,
                               engine=engine, max_workers=self.WORKERS,
-                              evaluate_quality=False, mode=mode)
+                              evaluate_quality=False, executor=executor)
         return spec, report
 
     def test_streaming_peak_is_bounded_by_workers(self, awq_subject, gauntlet_engine):
-        spec, report = self._run(awq_subject, gauntlet_engine, "streaming")
+        spec, report = self._run(awq_subject, gauntlet_engine, "thread")
         assert report.num_cells == 8
+        assert report.executor == "thread"
         # At most one attacked model per in-flight worker (+1 slack for a
         # result the pool is momentarily handing over).
         assert spec.peak <= self.WORKERS + 1
         assert spec.alive == 0
 
-    def test_batched_peak_is_the_whole_grid(self, awq_subject, gauntlet_engine):
-        """The contrast proving the instrument detects batching: the batched
-        reference pipeline really does hold every attacked model at once."""
-        spec, report = self._run(awq_subject, gauntlet_engine, "batched")
-        assert spec.peak == report.num_cells == 8
-
-    def test_streaming_and_batched_digests_agree_under_tracking(
-        self, awq_subject, gauntlet_engine
-    ):
-        _, streaming = self._run(awq_subject, gauntlet_engine, "streaming")
-        _, batched = self._run(awq_subject, gauntlet_engine, "batched")
-        assert streaming.decision_digest() == batched.decision_digest()
-
 
 class TestVerificationSession:
-    """The engine-level incremental API underneath the streaming gauntlet."""
+    """The engine-level incremental API underneath the gauntlet."""
 
     def test_verify_matches_verify_fleet_evidence(self, awq_subject, int8_subject):
         engine = WatermarkEngine()
@@ -176,7 +144,7 @@ class TestVerificationSession:
         self, awq_subject, int8_subject
     ):
         """One-shot keys (per-cell attacker keys) must neither register nor
-        cache — that is what keeps attacker-heavy streaming grids O(workers)
+        cache — that is what keeps attacker-heavy grids O(workers)
         — while producing the exact evidence a registered verify would."""
         engine = WatermarkEngine()
         session = engine.verification_session(keys={"owner": awq_subject.key})
@@ -239,7 +207,7 @@ class TestVerificationSession:
 
 
 def test_structured_prune_streams_through_full_grid(awq_subject, gauntlet_engine):
-    """End-to-end: a reshaping attack flows through the streaming pipeline
+    """End-to-end: a reshaping attack flows through the gauntlet
     (quality via materialize-scatter, verification via strict_layout=False)."""
     report = run_gauntlet(
         {"m": awq_subject},

@@ -62,7 +62,7 @@ class TestTracingDigestInvariance:
             traced = run_gauntlet(
                 {"awq": awq_subject}, _attacks(), GRID,
                 max_workers=workers, seed=13, evaluate_quality=False,
-                mode="process", start_method=start_method,
+                executor="process", start_method=start_method,
             )
         assert traced.executor == "process"
         assert traced.decision_digest() == untraced_reference.decision_digest()
@@ -79,7 +79,7 @@ class TestTracingDigestInvariance:
         report = run_gauntlet(
             {"awq": awq_subject}, _attacks(), GRID,
             max_workers=2, seed=13, evaluate_quality=False,
-            mode="process", start_method="fork",
+            executor="process", start_method="fork",
         )
         assert report.worker_utilization
         assert all(value >= 0.0 for value in report.worker_utilization.values())
@@ -127,7 +127,7 @@ class TestProgressDigestInvariance:
         self, awq_subject, untraced_reference
     ):
         report, output = self._run_with_progress(
-            awq_subject, max_workers=2, mode="process", start_method="fork"
+            awq_subject, max_workers=2, executor="process", start_method="fork"
         )
         assert report.executor == "process"
         assert report.decision_digest() == untraced_reference.decision_digest()

@@ -69,7 +69,7 @@ class TestHelp:
             ["gauntlet", "--executor", "process", "--start-method", "spawn"]
         )
         assert args.executor == "process" and args.start_method == "spawn"
-        assert parser.parse_args(["gauntlet"]).executor is None
+        assert parser.parse_args(["gauntlet"]).executor == "thread"
         with pytest.raises(SystemExit):
             parser.parse_args(["gauntlet", "--executor", "quantum"])
         with pytest.raises(SystemExit):

@@ -1,5 +1,8 @@
 """Tests for the server-side robustness gauntlet (``POST /robustness``)."""
 
+import http.client
+import json
+
 import pytest
 
 from repro.engine import WatermarkEngine
@@ -143,6 +146,66 @@ class TestRobustnessEndpoint:
         assert gauntlet_stats["observed_cells"] >= 2
         assert gauntlet_stats["mean_cell_seconds"] > 0.0
         assert gauntlet_stats["cpu_budget_s"] is not None
+
+
+#: Raw JSON bodies the grid validator must refuse, as sent on the wire
+#: (``Infinity``/``NaN`` are the non-standard literals Python's json emits
+#: and parses; ``1e400`` parses to an infinite float, a 401-digit integer
+#: overflows ``float``), with the field the error must name.
+_OVERWRITE = '"attacks": [{"name": "overwrite", "strengths": [%s]}]'
+_BAD_GRIDS = [
+    pytest.param(_OVERWRITE % "Infinity", "strengths", id="strength-inf"),
+    pytest.param(_OVERWRITE % "-Infinity", "strengths", id="strength-neg-inf"),
+    pytest.param(_OVERWRITE % "NaN", "strengths", id="strength-nan"),
+    pytest.param(_OVERWRITE % "1e400", "strengths", id="strength-float-overflow"),
+    pytest.param(_OVERWRITE % ("1" + "0" * 400), "strengths", id="strength-int-overflow"),
+    pytest.param(_OVERWRITE % "true", "strengths", id="strength-bool"),
+    pytest.param(_OVERWRITE % '"10"', "strengths", id="strength-string"),
+    pytest.param(_OVERWRITE % "0, 20" + ', "seed": 3.7', "seed", id="seed-fraction"),
+    pytest.param(_OVERWRITE % "0, 20" + ', "seed": true', "seed", id="seed-bool"),
+    pytest.param(_OVERWRITE % "0, 20" + ', "seed": "3"', "seed", id="seed-string"),
+]
+
+
+class TestGridValueValidation:
+    """Non-finite, boolean and fractional grid values are 400s up front."""
+
+    @staticmethod
+    def _post_raw(port, path, fields):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        try:
+            body = ('{"suspect_id": "hit", ' + fields + "}").encode("utf-8")
+            conn.request("POST", path, body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("path", ["/v1/robustness", "/v1/jobs/robustness"])
+    @pytest.mark.parametrize("fields,field", _BAD_GRIDS)
+    def test_bad_value_rejected_before_any_work(
+        self, client, server_handle, path, fields, field
+    ):
+        jobs_before = client.jobs()
+        stats_before = client.stats()
+        status, payload = self._post_raw(server_handle.port, path, fields)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert f"'{field}'" in payload["error"]["message"]
+        assert client.jobs() == jobs_before
+        stats_after = client.stats()
+        assert stats_after["audit"]["entries"] == stats_before["audit"]["entries"]
+        assert stats_after["server"]["gauntlets"] == stats_before["server"]["gauntlets"]
+
+    def test_integer_seed_and_finite_strengths_accepted(self, server_handle):
+        status, payload = self._post_raw(
+            server_handle.port, "/v1/robustness",
+            '"attacks": [{"name": "overwrite", "strengths": [0, 2.5e1]}], "seed": 3',
+        )
+        assert status == 200
+        assert [c["strength"] for c in payload["report"]["cells"]] == [0.0, 25.0]
+        assert payload["report"]["seed"] == 3
 
 
 class TestCpuBudgetGate:
