@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -212,7 +212,7 @@ def _derived_seed(rng: np.random.Generator) -> int:
 
 
 class _PerSubjectMemo:
-    """Memoizes one expensive per-subject computation (adaptive attackers).
+    """Memoizes one expensive per-subject computation (corpus-backed attackers).
 
     A lock guards the memo maps only; the computation itself runs under a
     per-model lock (same protocol as ``FleetVerificationSession``), so
@@ -303,8 +303,12 @@ class RewatermarkAttack(AttackSpec):
     """Re-watermarking (Figure 2b); strength = attacker bits per layer.
 
     The adversary's hyper-parameters default to the paper's (α=1, β=1.5,
-    seed 22); activations are measured on the quantized model via the
-    attacker-side calibration corpus.
+    seed 22); ``config_overrides`` may set any other
+    :class:`RewatermarkAttackConfig` field, but not ``bits_per_layer`` — the
+    strength axis owns it.  Activations are measured on the quantized model
+    via the attacker-side calibration corpus, once per subject per spec
+    instance: they depend on neither the strength nor the cell RNG, so a
+    sweep re-uses one estimate across all its strengths.
     """
 
     name = "rewatermark"
@@ -313,19 +317,44 @@ class RewatermarkAttack(AttackSpec):
     requires_corpus = True
 
     def __init__(self, calibration_corpus, **config_overrides) -> None:
+        if "bits_per_layer" in config_overrides:
+            raise ValueError(
+                "rewatermark: bits_per_layer is the strength axis, not an override"
+            )
         self.calibration_corpus = calibration_corpus
-        self.config_overrides = config_overrides
+        # Built once so a bad override fails here, not in the first cell.
+        self.config = RewatermarkAttackConfig(**config_overrides)
+        self._memo = _PerSubjectMemo()
+
+    def _attacker_activations(self, model: QuantizedModel):
+        """The adversary's activation estimate for ``model`` (memoized per subject)."""
+        # Looked up at call time, as the adaptive specs do, not through the
+        # name repro.attacks.rewatermark bound at import.
+        from repro.models.activations import collect_activation_stats
+
+        return self._memo.get(
+            model,
+            lambda: collect_activation_stats(model.materialize(), self.calibration_corpus),
+        )
 
     def apply(self, model, strength, rng):
         if int(strength) == 0:
             return AttackOutcome(model=model.clone())
-        config = RewatermarkAttackConfig(
-            bits_per_layer=int(strength), **self.config_overrides
-        )
         attacked, attacker_key = rewatermark_attack(
-            model, config, calibration_corpus=self.calibration_corpus
+            model,
+            replace(self.config, bits_per_layer=int(strength)),
+            attacker_activations=self._attacker_activations(model),
         )
         return AttackOutcome(model=attacked, attacker_key=attacker_key)
+
+    def describe(self):
+        return {
+            **super().describe(),
+            "alpha": self.config.alpha,
+            "beta": self.config.beta,
+            "seed": self.config.seed,
+            "signature_seed": self.config.signature_seed,
+        }
 
 
 @register_attack

@@ -7,10 +7,13 @@ model — and the watermark, which never lives there — would see a weaker
 attack than reported.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.attacks.overwrite import OverwriteAttackConfig, parameter_overwrite_attack
+from repro.attacks.rewatermark import RewatermarkAttackConfig, rewatermark_attack
 from repro.robustness import (
     ATTACK_REGISTRY,
     AttackOutcome,
@@ -114,6 +117,26 @@ class TestSpecBehaviour:
         assert outcome.model.layer_names() == quantized_awq4.layer_names()
         assert outcome.model.bits == 8
         assert outcome.info["requantized_bits"] == 8
+
+    def test_rewatermark_overrides_rejected_at_build_time(self, small_dataset):
+        corpus = small_dataset.calibration
+        with pytest.raises(ValueError, match="strength axis"):
+            build_attack("rewatermark", calibration_corpus=corpus, bits_per_layer=5)
+        with pytest.raises(TypeError, match="bogus"):
+            build_attack("rewatermark", calibration_corpus=corpus, bogus=1)
+        spec = build_attack("rewatermark", calibration_corpus=corpus, alpha=0.5)
+        assert spec.config.alpha == 0.5
+
+    def test_rewatermark_describe_reports_the_adversary(self, small_dataset):
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        described = spec.describe()
+        assert (described["alpha"], described["beta"], described["seed"]) == (1.0, 1.5, 22)
+        assert described["signature_seed"] == 999
+        overridden = build_attack(
+            "rewatermark", calibration_corpus=small_dataset.calibration,
+            seed=7, signature_seed=8,
+        ).describe()
+        assert (overridden["seed"], overridden["signature_seed"]) == (7, 8)
 
     def test_rewatermark_spec_zero_strength_is_identity(self, quantized_awq4, small_dataset):
         spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
@@ -350,12 +373,27 @@ class TestAdaptiveOverwriteAttack:
         assert described["pool_fraction"] == 0.25
         assert [1.0, 1.5] in described["guesses"]
 
-    def test_union_pools_memoized_per_subject(self, quantized_awq4, small_dataset, monkeypatch):
+
+class TestCorpusBackedMemo:
+    """Corpus-backed specs estimate the adversary's activations once per subject."""
+
+    @pytest.mark.parametrize(
+        "name, strengths",
+        [
+            ("adaptive-overwrite", (20, 40, 60)),
+            ("adaptive-oracle", (0.25, 0.5, 1.0)),
+            ("rewatermark", (6, 12, 18)),
+        ],
+        ids=["adaptive-overwrite", "adaptive-oracle", "rewatermark"],
+    )
+    def test_activations_estimated_once_per_subject(
+        self, name, strengths, quantized_awq4, small_dataset, monkeypatch
+    ):
         """A sweep over one subject estimates activations exactly once —
-        the pools are strength- and RNG-independent."""
+        the estimate is strength- and RNG-independent."""
         import repro.models.activations as activations_module
 
-        spec = build_attack("adaptive-overwrite", calibration_corpus=small_dataset.calibration)
+        spec = build_attack(name, calibration_corpus=small_dataset.calibration)
         calls = []
         real = activations_module.collect_activation_stats
 
@@ -364,16 +402,52 @@ class TestAdaptiveOverwriteAttack:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(activations_module, "collect_activation_stats", counting)
-        spec.apply(quantized_awq4, 20, new_rng(1))
-        spec.apply(quantized_awq4, 40, new_rng(2))
+        first, second, third = strengths
+        spec.apply(quantized_awq4, first, new_rng(1))
+        spec.apply(quantized_awq4, second, new_rng(2))
         assert len(calls) == 1
         # A second subject gets its own entry without evicting the first:
         # interleaved multi-subject sweeps stay once-per-subject.
         other = quantized_awq4.clone()
-        spec.apply(other, 20, new_rng(3))
-        spec.apply(quantized_awq4, 60, new_rng(4))
-        spec.apply(other, 40, new_rng(5))
+        spec.apply(other, first, new_rng(3))
+        spec.apply(quantized_awq4, third, new_rng(4))
+        spec.apply(other, second, new_rng(5))
         assert len(calls) == 2
+
+    def test_rewatermark_memo_matches_the_reference_path(
+        self, awq_subject, gauntlet_engine, small_dataset
+    ):
+        """The memoized spec inserts exactly what an uncached functional call does."""
+        model = awq_subject.model
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        for strength in (6, 12):
+            outcome = spec.apply(model, strength, new_rng(strength))
+            attacked, attacker_key = rewatermark_attack(
+                model,
+                RewatermarkAttackConfig(bits_per_layer=strength),
+                calibration_corpus=small_dataset.calibration,
+            )
+            for name in model.layer_names():
+                np.testing.assert_array_equal(
+                    outcome.model.get_layer(name).weight_int,
+                    attacked.get_layer(name).weight_int,
+                )
+            np.testing.assert_array_equal(
+                outcome.attacker_key.signature, attacker_key.signature
+            )
+            ours = gauntlet_engine.reproduce_locations(outcome.attacker_key)
+            theirs = gauntlet_engine.reproduce_locations(attacker_key)
+            assert ours.keys() == theirs.keys()
+            for name in theirs:
+                np.testing.assert_array_equal(ours[name], theirs[name])
+
+    def test_pickled_spec_carries_an_empty_memo(self, quantized_awq4, small_dataset):
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        spec.apply(quantized_awq4, 6, new_rng(0))
+        assert spec._memo._by_model
+        shipped = pickle.loads(pickle.dumps(spec))
+        assert shipped._memo._by_model == {}
+        assert shipped.config == spec.config
 
 
 class TestOracleAdaptiveAttack:

@@ -25,7 +25,7 @@ from repro.robustness import GauntletConfig, GauntletSubject, build_attack, run_
 from repro.robustness.attacks import AttackSpec
 from repro.robustness.procpool import resolve_start_method
 
-GRID_STRENGTHS = {"overwrite": (0, 20), "pruning": (0.4,), "rewatermark": (6,)}
+GRID_STRENGTHS = {"overwrite": (0, 20), "pruning": (0.4,), "rewatermark": (6, 12)}
 
 
 def _stale_segments():
