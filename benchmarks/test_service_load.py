@@ -332,23 +332,33 @@ def test_job_resume_digest():
     seed = 17
 
     owner_key_id = next(iter(keys))  # insertion order: owner 0's key first
-    server = VerificationServer(
-        engine=WatermarkEngine(EngineConfig()),
-        config=ServiceConfig(port=0, max_wait_ms=1.0, checkpoint_dir=checkpoint_dir),
-    )
-    with run_in_background(server) as handle:
-        with VerificationClient(port=handle.port) as client:
-            for key_id, key in keys.items():
-                client.register_key(key, owner=f"owner-{key_id[-6:]}")
-            client.upload_suspect(watermarked, suspect_id="hit")
 
-            # Uninterrupted reference via the synchronous endpoint (no
-            # checkpoint involvement on this path).
+    def boot(checkpoints):
+        return run_in_background(VerificationServer(
+            engine=WatermarkEngine(EngineConfig()),
+            config=ServiceConfig(port=0, max_wait_ms=1.0, checkpoint_dir=checkpoints),
+        ))
+
+    def load(client):
+        for key_id, key in keys.items():
+            client.register_key(key, owner=f"owner-{key_id[-6:]}")
+        client.upload_suspect(watermarked, suspect_id="hit")
+
+    # Uninterrupted reference from a server without checkpoints: a
+    # checkpointing reference run would leave every cell on disk and the
+    # victim below would replay them all instead of being cancelled.
+    with boot(None) as handle:
+        with VerificationClient(port=handle.port) as client:
+            load(client)
             uninterrupted = client.robustness(
                 "hit", key_id=owner_key_id, attacks=attacks, seed=seed,
                 executor="serial",
             )["report"]["decision_digest"]
 
+    with boot(checkpoint_dir) as handle:
+        with VerificationClient(port=handle.port) as client:
+            load(client)
+            assert not list(checkpoint_dir.glob("*.jsonl")), "victim must start from no checkpoint"
             victim = client.submit_robustness_job(
                 "hit", key_id=owner_key_id, attacks=attacks, seed=seed,
                 executor="serial",

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import json
 import sys
 from pathlib import Path
@@ -69,17 +70,25 @@ logger = get_logger("cli")
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser with all sub-commands."""
+    from repro.models.registry import list_model_names
+
+    # No prefix matching anywhere: `--mode` must not silently read as `--model`.
     parser = argparse.ArgumentParser(
         prog="repro",
+        allow_abbrev=False,
         description="EmMark reproduction: watermark ownership-verification service tools.",
     )
     parser.add_argument("--log-level", default=None, metavar="LEVEL",
                         help="console log level (DEBUG, INFO, ...; default: "
                              "REPRO_LOG_LEVEL environment variable, then INFO)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     insert = sub.add_parser("insert", help="watermark a model (multi-owner capable)")
-    insert.add_argument("--model", default="opt-2.7b-sim",
+    insert.add_argument("--model", default="opt-2.7b-sim", choices=list_model_names(),
                         help="simulated model name (default: opt-2.7b-sim)")
     insert.add_argument("--bits", type=int, default=4, choices=(8, 4),
                         help="quantization precision (default: 4)")
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable JSON")
 
     gauntlet = sub.add_parser("gauntlet", help="parallel attack-robustness sweep")
-    gauntlet.add_argument("--model", default="opt-2.7b-sim",
+    gauntlet.add_argument("--model", default="opt-2.7b-sim", choices=list_model_names(),
                           help="simulated model name (default: opt-2.7b-sim)")
     gauntlet.add_argument("--bits", type=int, default=4, choices=(8, 4),
                           help="quantization precision (default: 4)")

@@ -9,7 +9,7 @@ O(grid) — on a serial, thread or process executor
 (:mod:`repro.robustness.gauntlet`), and a report aggregation
 (:mod:`repro.robustness.report`).  The Figure 2a / 2b /
 3 experiments, the ``repro gauntlet`` CLI sub-command and the verification
-server's ``/robustness`` endpoint all run on this subsystem.
+server's ``/v1/jobs/robustness`` route all run on this subsystem.
 
 >>> from repro.robustness import Gauntlet, GauntletSubject, build_attack
 >>> subject = GauntletSubject(model=watermarked, key=key, harness=harness)

@@ -12,7 +12,7 @@ questions Figures 2a/2b/3 ask of them:
 * :meth:`RobustnessReport.frontier` — the quality-vs-WER frontier: how much
   model quality an adversary must burn to push the WER down,
 * :meth:`RobustnessReport.to_table` / :meth:`to_dict` — rendering for humans
-  and machines (CLI, benchmarks, the ``/robustness`` endpoint).
+  and machines (CLI, benchmarks, the ``/v1/jobs/robustness`` report).
 
 Decision fields are deterministic for a fixed (subjects, attacks,
 strengths, seed) grid regardless of the gauntlet's worker count;
@@ -351,7 +351,7 @@ class RobustnessReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """JSON-able form (CLI ``--json``, benchmarks, ``/robustness``)."""
+        """JSON-able form (CLI ``--json``, benchmarks, job reports)."""
         return {
             "cells": [cell.to_dict() for cell in self.cells],
             "min_wer_by_attack": self.min_wer_by_attack(),

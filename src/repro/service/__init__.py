@@ -11,9 +11,10 @@ the ROADMAP's "serve heavy traffic from millions of users" direction:
   :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` sweeps) and
   :class:`TokenBucket` admission control.
 * :mod:`repro.service.server` — :class:`VerificationServer`, an asyncio
-  JSON-over-HTTP server (stdlib only) with ``/verify``, ``/register``,
-  ``/suspects``, ``/keys``, ``/revoke``, ``/healthz`` and ``/stats``
-  endpoints plus a structured audit log of every ownership decision.
+  JSON-over-HTTP server (stdlib only) with a ``/v1`` surface —
+  register, upload, verify, revoke, background robustness jobs, health,
+  stats and metrics — plus a structured audit log of every ownership
+  decision.
 * :mod:`repro.service.client` — :class:`VerificationClient`, the synchronous
   client used by the examples, tests and load generator.
 * :mod:`repro.service.loadgen` — an llm-load-test-style closed-loop load

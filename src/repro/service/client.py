@@ -25,6 +25,10 @@ __all__ = [
     "VerificationClient",
 ]
 
+#: How long :meth:`VerificationClient.robustness` waits for its job before
+#: cancelling it.
+_ROBUSTNESS_WAIT_S = 300.0
+
 
 class ServiceError(RuntimeError):
     """Non-2xx response from the service.
@@ -244,42 +248,27 @@ class VerificationClient:
         wer_threshold: Optional[float] = None,
         executor: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Run the server-side robustness gauntlet on a stored suspect.
+        """Run the server-side robustness gauntlet and wait for its report.
 
-        One sweep targets one registered key (``key_id``; may be omitted
-        when the registry holds exactly one active key).  ``attacks``
-        entries are attack names or ``{"name": ..., "strengths": [...]}``
-        objects; omitted, the server sweeps every corpus-free attack at its
-        default strengths.  ``executor`` picks the cell executor
-        (``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``; omitted,
-        the gauntlet's ``"thread"`` default).  Returns the suspect id, the key id
-        swept, and the gauntlet report (per-cell ownership evidence, min-WER
-        per attack, decision digest).
+        Submit-and-wait over the job routes: :meth:`submit_robustness_job`,
+        then :meth:`JobHandle.wait` for up to ``_ROBUSTNESS_WAIT_S``, then
+        :meth:`JobHandle.report`.  When the wait times out the job is
+        cancelled and :class:`TimeoutError` propagates, so an abandoned
+        sweep stops burning server CPU.  A job that failed or was cancelled
+        raises a 409 :class:`ServiceError` from the report fetch.  Returns
+        the job id, the suspect id, the key id swept, and the gauntlet
+        report (per-cell ownership evidence, min-WER per attack, decision
+        digest).
         """
-        body = self._gauntlet_body(
+        handle = self.submit_robustness_job(
             suspect_id, key_id, attacks, seed, wer_threshold, executor
         )
-        return self._request("POST", "/v1/robustness", body)
-
-    @staticmethod
-    def _gauntlet_body(
-        suspect_id: str,
-        key_id: Optional[str],
-        attacks: Optional[List[object]],
-        seed: int,
-        wer_threshold: Optional[float],
-        executor: Optional[str],
-    ) -> Dict[str, object]:
-        body: Dict[str, object] = {"suspect_id": suspect_id, "seed": seed}
-        if key_id is not None:
-            body["key_id"] = key_id
-        if attacks is not None:
-            body["attacks"] = list(attacks)
-        if wer_threshold is not None:
-            body["wer_threshold"] = wer_threshold
-        if executor is not None:
-            body["executor"] = executor
-        return body
+        try:
+            handle.wait(timeout=_ROBUSTNESS_WAIT_S)
+        except TimeoutError:
+            handle.cancel()
+            raise
+        return handle.report()
 
     # ------------------------------------------------------------------
     # Background jobs (/v1/jobs)
@@ -293,18 +282,30 @@ class VerificationClient:
         wer_threshold: Optional[float] = None,
         executor: Optional[str] = None,
     ) -> "JobHandle":
-        """Submit a background gauntlet sweep; returns immediately.
+        """Submit a server-side robustness gauntlet sweep; returns at once.
 
-        Same request shape as :meth:`robustness`, but the server answers
-        202 with a job id instead of holding the connection open.  The
-        returned :class:`JobHandle` polls status, streams per-cell events,
-        blocks on completion and fetches the final report.  When the server
-        runs with a checkpoint directory, resubmitting the identical request
-        after a cancel/crash/restart resumes from the on-disk checkpoint.
+        One sweep targets one registered key (``key_id``; may be omitted
+        when the registry holds exactly one active key).  ``attacks``
+        entries are attack names or ``{"name": ..., "strengths": [...]}``
+        objects; omitted, the server sweeps every corpus-free attack at its
+        default strengths.  ``executor`` picks the cell executor
+        (``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``; omitted,
+        the gauntlet's ``"thread"`` default).  The server answers 202 with
+        a job id; the returned :class:`JobHandle` polls status, streams
+        per-cell events, blocks on completion and fetches the final report.
+        When the server runs with a checkpoint directory, resubmitting the
+        identical request after a cancel/crash/restart resumes from the
+        on-disk checkpoint.
         """
-        body = self._gauntlet_body(
-            suspect_id, key_id, attacks, seed, wer_threshold, executor
-        )
+        body: Dict[str, object] = {"suspect_id": suspect_id, "seed": seed}
+        if key_id is not None:
+            body["key_id"] = key_id
+        if attacks is not None:
+            body["attacks"] = list(attacks)
+        if wer_threshold is not None:
+            body["wer_threshold"] = wer_threshold
+        if executor is not None:
+            body["executor"] = executor
         job = self._request("POST", "/v1/jobs/robustness", body)["job"]
         return JobHandle(self, str(job["job_id"]), job)
 

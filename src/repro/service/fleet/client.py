@@ -13,9 +13,11 @@ Placement rules mirror the router's:
   remembers ``suspect_id → shard`` so later ``verify(suspect_id=...)``
   calls route without re-deriving anything),
 * ``verify`` → the remembered suspect placement, or an inline model's
-  fingerprint,
-* ``stats`` / ``healthz`` / ``audit`` → fan-out with per-shard breakdown;
-  ``audit`` merges the shard reports into one fleet digest.
+  fingerprint.
+
+Fleet-wide views (health, stats, the merged occupancy audit) are the
+router's ``/v1/fleet/{healthz,stats,audit}`` fan-out; this client only
+places requests.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.keys import WatermarkKey, model_fingerprint
 from repro.quant.base import QuantizedModel
 from repro.service.client import VerificationClient
-from repro.service.fleet.audit import OccupancyAuditReport
 from repro.service.fleet.hashring import HashRing
-from repro.service.fleet.router import rollup_stats, shard_labels
+from repro.service.fleet.router import shard_labels
 
 __all__ = ["FleetClient"]
 
@@ -63,14 +64,6 @@ class FleetClient:
     def shard_for(self, fingerprint: str) -> int:
         """Index of the shard owning one model fingerprint."""
         return self.ring.index_for(fingerprint)
-
-    def client_for(self, fingerprint: str) -> VerificationClient:
-        """The shard client owning one model fingerprint."""
-        return self._clients[self.shard_for(fingerprint)]
-
-    @property
-    def clients(self) -> List[VerificationClient]:
-        return list(self._clients)
 
     # ------------------------------------------------------------------
     # Routed endpoints
@@ -129,54 +122,6 @@ class FleetClient:
         )
         response["shard"] = self.labels[index]
         return response
-
-    # ------------------------------------------------------------------
-    # Fan-out endpoints
-    # ------------------------------------------------------------------
-    def healthz(self) -> Dict[str, object]:
-        shards = []
-        for label, client in zip(self.labels, self._clients):
-            entry: Dict[str, object] = {"shard": label}
-            try:
-                entry["health"] = client.healthz()
-                entry["ok"] = True
-            except Exception as exc:
-                entry["ok"] = False
-                entry["error"] = str(exc)
-            shards.append(entry)
-        return {
-            "status": "ok" if all(s["ok"] for s in shards) else "degraded",
-            "shards": shards,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Per-shard ``/v1/stats`` plus fleet totals (same roll-up keys as
-        the router's ``/v1/fleet/stats``)."""
-        all_stats = [client.stats() for client in self._clients]
-        return {
-            "fleet": {"shards": len(self.labels), **rollup_stats(all_stats)},
-            "shards": [
-                {"shard": label, "stats": stats, "ok": True}
-                for label, stats in zip(self.labels, all_stats)
-            ],
-        }
-
-    def audit(self) -> Dict[str, object]:
-        """Fan out ``GET /v1/audit`` and merge into one fleet report dict."""
-        reports = []
-        per_shard = []
-        for label, client in zip(self.labels, self._clients):
-            payload = client._request("GET", "/v1/audit")["audit"]
-            per_shard.append({
-                "shard": label,
-                "digest": payload.get("digest"),
-                "models": payload.get("models"),
-                "collisions": payload.get("collisions"),
-            })
-            reports.append(OccupancyAuditReport.from_dict(payload))
-        merged = OccupancyAuditReport.merge(reports).to_dict()
-        merged["shards"] = per_shard
-        return merged
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -64,9 +64,8 @@ _ROLLUP = {
 }
 
 
-def rollup_stats(shard_stats: Sequence[Dict[str, object]]) -> Dict[str, int]:
-    """Fleet totals of reachable shards' ``/v1/stats`` payloads — the one
-    roll-up behind both ``/v1/fleet/stats`` and :meth:`FleetClient.stats`."""
+def _rollup_stats(shard_stats: Sequence[Dict[str, object]]) -> Dict[str, int]:
+    """Fleet totals of reachable shards' ``/v1/stats`` payloads."""
     return {
         total: sum(int(stats.get(section, {}).get(name, 0)) for stats in shard_stats)
         for total, (section, name) in _ROLLUP.items()
@@ -340,7 +339,7 @@ class ShardRouter(AsyncHttpServer):
                 "reachable_shards": len(reachable_stats),
                 "router": dict(self._stats),
                 "suspects_routed": routed,
-                **rollup_stats(reachable_stats),
+                **_rollup_stats(reachable_stats),
             },
             "shards": per_shard,
         }

@@ -120,12 +120,10 @@ class StreamingResponse:
         status: int,
         body: AsyncIterator[bytes],
         content_type: str = "application/x-ndjson",
-        headers: Optional[Dict[str, str]] = None,
     ) -> None:
         self.status = status
         self.body = body
         self.content_type = content_type
-        self.headers = dict(headers or {})
 
 
 class Route:
@@ -133,16 +131,13 @@ class Route:
 
     Patterns are literal segments with ``{param}`` placeholders
     (``/v1/jobs/{job_id}/events``); matching is segment-exact, captured
-    parameters are handed to the handler.  ``legacy`` marks the deprecated
-    unversioned aliases — they answer with a ``Deprecation`` header and
-    count into ``repro_server_legacy_requests_total``.
+    parameters are handed to the handler.
     """
 
-    def __init__(self, method: str, pattern: str, handler, legacy: bool = False) -> None:
+    def __init__(self, method: str, pattern: str, handler) -> None:
         self.method = method
         self.pattern = pattern
         self.handler = handler
-        self.legacy = legacy
         self._segments = [seg for seg in pattern.split("/") if seg]
 
     def match(self, segments: Sequence[str]) -> Optional[Dict[str, str]]:
@@ -371,8 +366,6 @@ class AsyncHttpServer:
             "Transfer-Encoding: chunked",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
-        for name, value in response.headers.items():
-            lines.append(f"{name}: {value}")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
         await writer.drain()
         body = response.body
@@ -418,20 +411,13 @@ class AsyncHttpServer:
             path_matched = True
             if route.method != method:
                 continue
-            if route.legacy:
-                self._count("legacy_requests")
             result = route.handler(body, params, query)
             if asyncio.iscoroutine(result):
                 result = await result
             if isinstance(result, StreamingResponse):
-                if route.legacy:
-                    result.headers.setdefault("Deprecation", "true")
                 return result
             status, payload = result[0], result[1]
-            headers: Dict[str, str] = dict(result[2]) if len(result) > 2 else {}
-            if route.legacy:
-                headers.setdefault("Deprecation", "true")
-            return status, payload, headers
+            return status, payload, (result[2] if len(result) > 2 else {})
         if path_matched:
             raise HttpError(405, f"method {method} not allowed on {path}")
         raise HttpError(404, f"unknown endpoint {path}")

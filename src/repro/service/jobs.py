@@ -1,11 +1,10 @@
 """Background job manager for long-running robustness sweeps.
 
-A ``/robustness`` request holds its HTTP connection open for the whole
-sweep — workable for small grids, hopeless for the paper-scale ones.  The
-job API decouples the two: ``POST /v1/jobs/robustness`` answers *202* with
-a server-assigned job id immediately, the sweep runs on a bounded worker
-pool, and the client polls status, streams per-cell verdicts, or blocks on
-the final report at its leisure.
+Every server-side robustness sweep is a job: ``POST /v1/jobs/robustness``
+answers *202* with a server-assigned job id immediately, the sweep runs on
+a bounded worker pool, and the client polls status, streams per-cell
+verdicts, or blocks on the final report at its leisure (the client's
+``robustness()`` is exactly that submit-and-wait).
 
 :class:`JobManager` owns the pool and the job table; :class:`Job` is one
 sweep's lifecycle:

@@ -23,9 +23,7 @@ DELETE  /v1/keys/{key_id}           revoke a key
 POST    /v1/register                register a watermark key
 POST    /v1/suspects                upload a suspect snapshot, returns its id
 POST    /v1/verify                  ownership check of one suspect
-POST    /v1/robustness              synchronous robustness gauntlet (small
-                                    grids; the connection is held open)
-POST    /v1/jobs/robustness         submit a background gauntlet job → 202 +
+POST    /v1/jobs/robustness         submit a robustness gauntlet job → 202 +
                                     server-assigned job id
 GET     /v1/jobs                    list retained jobs
 GET     /v1/jobs/{job_id}           job status + progress
@@ -35,11 +33,9 @@ GET     /v1/jobs/{job_id}/report    final report once the job succeeded
 DELETE  /v1/jobs/{job_id}           cooperative cancel
 ======  ==========================  =========================================
 
-The historical unversioned paths (``/healthz``, ``/stats``, ``/metrics``,
-``/keys``, ``/register``, ``/revoke``, ``/suspects``, ``/verify``,
-``/robustness``) remain as deprecated aliases: they behave identically,
-answer with a ``Deprecation: true`` header, and count into
-``repro_server_legacy_requests_total``.
+Every route lives under ``/v1``; any other path is a 404.  A robustness
+sweep runs only as a background job — ``VerificationClient.robustness()``
+is submit-and-wait over the job routes.
 
 Errors share one envelope across every endpoint::
 
@@ -100,8 +96,7 @@ __all__ = ["ServiceConfig", "VerificationServer", "ServerHandle", "run_in_backgr
 logger = get_logger("service.server")
 
 _VERIFY_TIMEOUT_S = 120.0
-_GAUNTLET_TIMEOUT_S = 300.0
-#: Report-size sanity ceiling for one /robustness request.  Since sweeps
+#: Report-size sanity ceiling for one gauntlet job.  Since sweeps
 #: run in constant memory (match-and-release per cell), the real admission
 #: bound is the per-request CPU-time budget below, not this number — it
 #: only caps the JSON report a single response can grow to.
@@ -110,10 +105,6 @@ _MAX_GAUNTLET_CELLS = 4096
 #: to this (the historical per-request cap): an admission decision based on
 #: an unvalidated seed estimate cannot be undone once the sweep is running.
 _COLD_START_GAUNTLET_CELLS = 64
-#: Concurrent /robustness sweeps; a timed-out sweep cannot be cancelled
-#: (it runs CPU-bound on the executor), so admission is bounded instead —
-#: abandoned work keeps its slot until it actually finishes.
-_MAX_INFLIGHT_GAUNTLETS = 2
 
 #: Server request counters: ``/stats`` key → (metric name, help text).  The
 #: backing store is the shared :class:`MetricsRegistry` — ``/stats`` and
@@ -144,14 +135,10 @@ _SERVER_COUNTERS = {
     ),
     "timeouts": ("repro_server_timeouts_total", "requests that timed out server-side"),
     "errors": ("repro_server_errors_total", "requests answered with an error"),
-    "gauntlets": ("repro_server_gauntlets_total", "completed /robustness sweeps"),
+    "gauntlets": ("repro_server_gauntlets_total", "robustness jobs whose sweep completed"),
     "jobs_submitted": (
         "repro_server_jobs_submitted_total",
         "background robustness jobs accepted",
-    ),
-    "legacy_requests": (
-        "repro_server_legacy_requests_total",
-        "requests served via deprecated unversioned paths",
     ),
 }
 
@@ -159,7 +146,7 @@ _SERVER_COUNTERS = {
 class _CellCostEstimator:
     """EWMA of the observed per-cell gauntlet CPU cost.
 
-    ``/robustness`` admission is a CPU-time-fairness question, not a
+    Gauntlet job admission is a CPU-time-fairness question, not a
     cell-count one: match-and-release per cell makes sweeps constant-memory, so
     the server gates each request on its *projected CPU seconds* instead of
     a fixed cell cap.  The projection is the exponentially weighted mean of
@@ -268,9 +255,8 @@ def _thresholds(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 class _GauntletRequest:
-    """A validated, admitted gauntlet request (shared by the synchronous
-    ``/v1/robustness`` handler and the ``/v1/jobs/robustness`` submission —
-    both surfaces apply identical validation and CPU-budget admission)."""
+    """A validated, admitted ``POST /v1/jobs/robustness`` request: grid,
+    suspect, key and gauntlet settings, ready to run as a job."""
 
     __slots__ = (
         "suspect_id",
@@ -311,12 +297,11 @@ class ServiceConfig:
     ``owner_rate_limit_per_sec`` keys admission by the registry owner the
     request's keys belong to — the multi-tenant replacement, giving each
     owner a private bucket so one aggressive owner cannot starve the rest.
-    ``gauntlet_cpu_budget_s`` bounds one ``/robustness`` request — and each
-    background job — by its *projected CPU seconds* (observed per-cell cost
-    × cells) instead of the old fixed 64-cell cap — sweeps are
-    constant-memory, so CPU-time fairness is the real resource; ``None``
-    disables the budget gate.  ``checkpoint_dir`` makes background jobs
-    durable: each job appends completed cells to a JSONL file
+    ``gauntlet_cpu_budget_s`` bounds each robustness job by its *projected
+    CPU seconds* (observed per-cell cost × cells) instead of the old fixed
+    64-cell cap — sweeps are constant-memory, so CPU-time fairness is the
+    real resource; ``None`` disables the budget gate.  ``checkpoint_dir``
+    makes jobs durable: each job appends completed cells to a JSONL file
     content-addressed by its grid fingerprint, so resubmitting a killed
     job's request (even after a server restart) replays the finished cells
     and recomputes only the remainder.  ``job_workers`` /``job_max_active``
@@ -432,8 +417,6 @@ class VerificationServer(AsyncHttpServer):
         self._suspect_evictions = 0
         self._request_ids = itertools.count(1)
         self._inline_ids = itertools.count(1)
-        # Touched only from the event-loop thread (handler + done callback).
-        self._gauntlets_inflight = 0
         # Server counters live on the metrics registry; /stats reads the same
         # instruments /metrics exposes (keyed here by their legacy stat name).
         self._counters = {
@@ -554,11 +537,6 @@ class VerificationServer(AsyncHttpServer):
                 help="suspect snapshots evicted by the LRU bound",
             ),
             Sample(
-                "repro_gauntlets_inflight",
-                self._gauntlets_inflight,
-                help="/robustness sweeps currently running",
-            ),
-            Sample(
                 "repro_gauntlet_mean_cell_seconds",
                 cost["mean_cell_seconds"],
                 help="EWMA per-cell CPU cost used for admission",
@@ -602,13 +580,13 @@ class VerificationServer(AsyncHttpServer):
     # Routing
     # ------------------------------------------------------------------
     def _build_routes(self) -> List[_Route]:
-        """The versioned routing table plus its deprecated legacy aliases.
+        """The ``/v1`` routing table.
 
         Registration order is match order, so literal segments
         (``/v1/jobs/robustness``) must precede patterns that would also
         match them (``/v1/jobs/{job_id}``) for the same method.
         """
-        v1 = [
+        routes = [
             ("GET", "/v1/healthz", self._handle_healthz),
             ("GET", "/v1/stats", self._handle_stats),
             ("GET", "/v1/metrics", self._handle_metrics),
@@ -618,7 +596,6 @@ class VerificationServer(AsyncHttpServer):
             ("POST", "/v1/register", self._handle_register),
             ("POST", "/v1/suspects", self._handle_suspects),
             ("POST", "/v1/verify", self._handle_verify),
-            ("POST", "/v1/robustness", self._handle_robustness),
             ("POST", "/v1/jobs/robustness", self._handle_job_submit),
             ("GET", "/v1/jobs", self._handle_jobs_list),
             ("GET", "/v1/jobs/{job_id}", self._handle_job_status),
@@ -626,20 +603,7 @@ class VerificationServer(AsyncHttpServer):
             ("GET", "/v1/jobs/{job_id}/report", self._handle_job_report),
             ("DELETE", "/v1/jobs/{job_id}", self._handle_job_cancel),
         ]
-        legacy = [
-            ("GET", "/healthz", self._handle_healthz),
-            ("GET", "/stats", self._handle_stats),
-            ("GET", "/metrics", self._handle_metrics),
-            ("GET", "/keys", self._handle_keys),
-            ("POST", "/register", self._handle_register),
-            ("POST", "/revoke", self._handle_revoke),
-            ("POST", "/suspects", self._handle_suspects),
-            ("POST", "/verify", self._handle_verify),
-            ("POST", "/robustness", self._handle_robustness),
-        ]
-        return [_Route(m, p, h) for m, p, h in v1] + [
-            _Route(m, p, h, legacy=True) for m, p, h in legacy
-        ]
+        return [_Route(m, p, h) for m, p, h in routes]
 
     # ------------------------------------------------------------------
     # Handlers
@@ -694,7 +658,6 @@ class VerificationServer(AsyncHttpServer):
             "gauntlet": {
                 "cpu_budget_s": self.config.gauntlet_cpu_budget_s,
                 "max_cells": _MAX_GAUNTLET_CELLS,
-                "inflight": self._gauntlets_inflight,
                 **self._gauntlet_cost.stats(),
             },
             "jobs": self.jobs.stats(),
@@ -755,21 +718,10 @@ class VerificationServer(AsyncHttpServer):
         )
         return 200, {"registered": record.to_dict()}
 
-    def _handle_revoke(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
-        """Legacy body-addressed revocation (``POST /revoke``)."""
-        payload = self._json_body(body)
-        key_id = payload.get("key_id")
-        if not key_id:
-            raise _HttpError(400, "missing 'key_id'")
-        return self._revoke(str(key_id))
-
     def _handle_delete_key(self, _body: bytes, params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
-        """Resource-addressed revocation (``DELETE /v1/keys/{key_id}``)."""
-        return self._revoke(params["key_id"])
-
-    def _revoke(self, key_id: str) -> Tuple[int, Dict[str, object]]:
+        """Revoke a key (``DELETE /v1/keys/{key_id}``)."""
         try:
-            record = self.registry.revoke(key_id)
+            record = self.registry.revoke(params["key_id"])
         except RegistryError as exc:
             raise _HttpError(404, str(exc)) from exc
         return 200, {"revoked": record.to_dict()}
@@ -978,16 +930,17 @@ class VerificationServer(AsyncHttpServer):
         }
 
     async def _parse_gauntlet_request(self, body: bytes) -> _GauntletRequest:
-        """Validate + admit one gauntlet request (sync route or job submit).
+        """Validate + admit one ``POST /v1/jobs/robustness`` request.
 
-        Performs the whole admission pipeline shared by both surfaces:
-        whole-server token bucket, suspect resolution, single-key
-        resolution, per-owner charge, attack-grid validation, the cell cap
-        and the projected-CPU-seconds budget gate.  Raises
-        :class:`_HttpError` on any failure; on success returns the
-        validated request, ready to hand to a :class:`Gauntlet`.
+        Performs the whole admission pipeline: whole-server token bucket,
+        suspect resolution, single-key resolution, per-owner charge,
+        attack-grid validation (through the gauntlet's own grid
+        construction), the cell cap and the projected-CPU-seconds budget
+        gate.  Raises :class:`_HttpError` on any failure, before a job or an
+        audit row exists; on success returns the validated request, ready
+        to hand to a :class:`Gauntlet`.
         """
-        from repro.robustness import build_attack, corpus_free_attacks
+        from repro.robustness import Gauntlet, build_attack, corpus_free_attacks
         from repro.robustness.attacks import ATTACK_REGISTRY
         from repro.robustness.gauntlet import EXECUTORS
 
@@ -1026,16 +979,12 @@ class VerificationServer(AsyncHttpServer):
             raise _HttpError(400, "'attacks' must be a non-empty list")
         attacks = []
         strengths: Dict[str, tuple] = {}
-        seen_names = set()
         for entry in raw_attacks:
             if isinstance(entry, str):
                 entry = {"name": entry}
             if not isinstance(entry, dict) or "name" not in entry:
                 raise _HttpError(400, "each attack must be a name or {'name': ..., 'strengths': [...]}")
             name = str(entry["name"])
-            if name in seen_names:
-                raise _HttpError(400, f"duplicate attack {name!r} in the grid")
-            seen_names.add(name)
             spec_cls = ATTACK_REGISTRY.get(name)
             if spec_cls is None:
                 raise _HttpError(400, f"unknown attack {name!r}; available: {corpus_free_attacks()}")
@@ -1064,6 +1013,13 @@ class VerificationServer(AsyncHttpServer):
                 f"grid of {num_cells} cells exceeds the "
                 f"{_MAX_GAUNTLET_CELLS}-cell report-size limit",
             )
+        try:
+            # The sweep's own grid construction: duplicate attacks and
+            # colliding cell ids are client input, refused before a job
+            # exists rather than failing it.
+            Gauntlet()._build_grid([(key_id, None)], attacks, strengths)
+        except ValueError as exc:
+            raise _HttpError(400, f"invalid gauntlet grid: {exc}") from exc
         # CPU-time fairness gate: gauntlet sweeps are constant-memory, so
         # admission projects the grid's CPU seconds from the per-cell cost
         # observed on this server and rejects what would hog the executor.
@@ -1072,8 +1028,8 @@ class VerificationServer(AsyncHttpServer):
             if self._gauntlet_cost.is_cold and num_cells > _COLD_START_GAUNTLET_CELLS:
                 # The seed estimate hasn't been validated against a single
                 # real sweep yet — a large grid admitted on a wrong guess
-                # cannot be cancelled once running, so the first sweeps are
-                # clamped to the historical 64-cell bound.
+                # would hold a job slot for far longer than projected, so the
+                # first sweeps are clamped to the historical 64-cell bound.
                 raise _HttpError(
                     429,
                     f"grid of {num_cells} cells exceeds the "
@@ -1118,56 +1074,12 @@ class VerificationServer(AsyncHttpServer):
             config_kwargs=config_kwargs,
         )
 
-    def _build_gauntlet(self, request: _GauntletRequest):
-        """The (gauntlet, subjects) pair both gauntlet surfaces run with."""
-        from repro.robustness import Gauntlet, GauntletConfig, GauntletSubject
-
-        subjects = {
-            request.key_id: GauntletSubject(model=request.suspect, key=request.key)
-        }
-        gauntlet = Gauntlet(
-            engine=self.engine,
-            config=GauntletConfig(**request.config_kwargs),
-            metrics=self.metrics,
-        )
-        return gauntlet, subjects
-
-    def _record_cell_decision(
-        self, request_id: str, suspect_id: str, key_id: str, cell, kind: str
-    ) -> None:
-        """Every gauntlet cell is an ownership decision against a registered
-        key, so it enters the audit log (and the decision counters) exactly
-        like a /verify verdict — the "every ownership decision is recorded"
-        invariant does not stop at the gauntlet."""
-        if cell.owned:
-            self._counters["decisions_owned"].inc()
-        else:
-            self._counters["decisions_not_owned"].inc()
-        self.audit.record(
-            request_id=request_id,
-            kind=kind,
-            suspect_id=suspect_id,
-            key_id=key_id,
-            attack=cell.attack,
-            strength=cell.strength,
-            owned=cell.owned,
-            wer_percent=cell.wer_percent,
-            matched_bits=cell.matched_bits,
-            total_bits=cell.total_bits,
-            false_claim_probability=cell.false_claim_probability,
-        )
-
-    def _observe_gauntlet_cost(self, report) -> None:
-        """Feed the admission estimator with the measured cost: per-cell
-        attack seconds plus the summed verification time (both CPU-bound,
-        summed across workers — the fair-share quantity, not wall clock)."""
-        self._gauntlet_cost.observe(
-            report.num_cells,
-            sum(cell.attack_seconds for cell in report.cells) + report.verify_seconds,
-        )
-
-    async def _handle_robustness(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
-        """Run the robustness gauntlet on a stored suspect against one key.
+    # ------------------------------------------------------------------
+    # Robustness jobs (POST /v1/jobs/robustness and friends)
+    # ------------------------------------------------------------------
+    async def _handle_job_submit(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+        """Run the robustness gauntlet on a stored suspect against one key
+        as a background job; answers 202 + job id.
 
         The grid crosses the requested (corpus-free) attacks with their
         strength sweeps — overwriting, pruning, re-quantization and the
@@ -1177,84 +1089,33 @@ class VerificationServer(AsyncHttpServer):
         stay client-side.  Quality evaluation is disabled — the server holds
         keys and suspects, not evaluation corpora — so every cell reports
         ownership evidence only.  By default the sweep runs on a thread pool
-        over the shared engine (each attacked model is verified and released
-        as its worker finishes, so a grid never holds more than the worker
-        count in memory), reusing any location plans the verification
+        over the shared engine, reusing any location plans the verification
         traffic has already cached; an ``executor`` payload key of
         ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"`` is passed
-        to :class:`~repro.robustness.gauntlet.GauntletConfig` as given
-        (``"process"`` publishes the suspect into shared memory and runs
-        cells in worker processes).  Every cell verdict is written to the
-        audit log.
+        to :class:`~repro.robustness.gauntlet.GauntletConfig` as given.
+        Every cell verdict is written to the audit log.
 
-        The connection is held open for the whole sweep — for long grids
-        prefer ``POST /v1/jobs/robustness``, which answers 202 immediately
-        and streams per-cell verdicts instead.
+        The sweep runs on the job manager's worker pool and is cancelled
+        cooperatively at a cell boundary.  With a configured
+        ``checkpoint_dir`` every completed cell is appended to a JSONL file
+        content-addressed by the grid fingerprint (grid + seed + thresholds
+        + the suspect's *content* digest), so resubmitting the identical
+        request — after a cancel, a crash or a full server restart — replays
+        the finished cells from disk and the resumed report's decision
+        digest is bit-identical to an uninterrupted run.
         """
-        request = await self._parse_gauntlet_request(body)
-        gauntlet, subjects = self._build_gauntlet(request)
-        loop = asyncio.get_running_loop()
-        # Bounded admission: a timed-out sweep keeps burning CPU on the
-        # executor until it finishes (threads cannot be cancelled), so its
-        # slot is released by the done callback, not by the timeout — retry
-        # storms get 503s instead of stacking unbounded sweeps.
-        if self._gauntlets_inflight >= _MAX_INFLIGHT_GAUNTLETS:
-            raise _HttpError(
-                503,
-                f"{self._gauntlets_inflight} robustness sweeps already in flight, retry later",
-                retry_after=1.0,
-            )
-        self._gauntlets_inflight += 1
-        future = loop.run_in_executor(
-            None, gauntlet.run, subjects, request.attacks, request.strengths
-        )
-
-        def _release(_future) -> None:
-            self._gauntlets_inflight -= 1
-
-        future.add_done_callback(_release)
-        try:
-            report = await asyncio.wait_for(asyncio.shield(future), timeout=_GAUNTLET_TIMEOUT_S)
-        except asyncio.TimeoutError:
-            raise _HttpError(503, "gauntlet timed out", counter="timeouts") from None
-        except ValueError as exc:
-            # Grid-level validation the gauntlet performs itself (duplicate
-            # strengths, colliding cell ids, …) is still client input.
-            raise _HttpError(400, f"invalid gauntlet grid: {exc}") from exc
-        self._counters["gauntlets"].inc()
-        self._observe_gauntlet_cost(report)
-        request_id = f"req-{next(self._request_ids)}"
-        for cell in report.cells:
-            self._record_cell_decision(
-                request_id, request.suspect_id, request.key_id, cell, kind="robustness"
-            )
-        return 200, {
-            "request_id": request_id,
-            "suspect_id": request.suspect_id,
-            "key_id": request.key_id,
-            "report": report.to_dict(),
-        }
-
-    # ------------------------------------------------------------------
-    # Background jobs (POST /v1/jobs/robustness and friends)
-    # ------------------------------------------------------------------
-    async def _handle_job_submit(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        """Submit a background gauntlet sweep; answers 202 + job id.
-
-        The request passes the same validation and CPU-budget admission as
-        the synchronous route, then runs on the job manager's worker pool.
-        With a configured ``checkpoint_dir`` every completed cell is
-        appended to a JSONL file content-addressed by the grid fingerprint
-        (grid + seed + thresholds + the suspect's *content* digest), so
-        resubmitting the identical request — after a cancel, a crash or a
-        full server restart — replays the finished cells from disk and the
-        resumed report's decision digest is bit-identical to an
-        uninterrupted run.
-        """
+        from repro.robustness import Gauntlet, GauntletConfig, GauntletSubject
         from repro.robustness.checkpoint import CellCheckpoint
 
         request = await self._parse_gauntlet_request(body)
-        gauntlet, subjects = self._build_gauntlet(request)
+        subjects = {
+            request.key_id: GauntletSubject(model=request.suspect, key=request.key)
+        }
+        gauntlet = Gauntlet(
+            engine=self.engine,
+            config=GauntletConfig(**request.config_kwargs),
+            metrics=self.metrics,
+        )
         checkpoint_dir = self.config.checkpoint_dir
         meta: Dict[str, object] = {
             "suspect_id": request.suspect_id,
@@ -1287,9 +1148,25 @@ class VerificationServer(AsyncHttpServer):
                 ckpt = CellCheckpoint(ckpt_path, fingerprint=fingerprint)
 
             def on_cell(cell, replayed: bool) -> None:
-                self._record_cell_decision(
-                    job.job_id, request.suspect_id, request.key_id, cell,
+                # Every gauntlet cell is an ownership decision against a
+                # registered key, so it enters the audit log (and the
+                # decision counters) exactly like a /v1/verify verdict.
+                if cell.owned:
+                    self._counters["decisions_owned"].inc()
+                else:
+                    self._counters["decisions_not_owned"].inc()
+                self.audit.record(
+                    request_id=job.job_id,
                     kind="robustness-job",
+                    suspect_id=request.suspect_id,
+                    key_id=request.key_id,
+                    attack=cell.attack,
+                    strength=cell.strength,
+                    owned=cell.owned,
+                    wer_percent=cell.wer_percent,
+                    matched_bits=cell.matched_bits,
+                    total_bits=cell.total_bits,
+                    false_claim_probability=cell.false_claim_probability,
                 )
                 job.record_cell(
                     {"cell_id": cell.cell_id, "cell": cell.to_dict()}, replayed
@@ -1311,7 +1188,13 @@ class VerificationServer(AsyncHttpServer):
                     should_stop=job.cancel_requested,
                 )
             self._counters["gauntlets"].inc()
-            self._observe_gauntlet_cost(report)
+            # Feed the admission estimator the measured cost: per-cell attack
+            # seconds plus the summed verification time (both CPU-bound,
+            # summed across workers — the fair-share quantity, not wall clock).
+            self._gauntlet_cost.observe(
+                report.num_cells,
+                sum(cell.attack_seconds for cell in report.cells) + report.verify_seconds,
+            )
             return report
 
         try:

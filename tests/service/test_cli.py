@@ -76,6 +76,33 @@ class TestHelp:
             parser.parse_args(["gauntlet", "--start-method", "psychic"])
 
 
+class TestFlagSpelling:
+    """Flags match exactly: no prefix abbreviations, no free-form model names."""
+
+    def test_mode_is_not_read_as_model(self):
+        result = _run_cli("gauntlet", "--mode", "batched")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "unrecognized arguments: --mode batched" in result.stderr
+
+    @pytest.mark.parametrize("command", ["insert", "gauntlet"])
+    def test_unknown_model_is_a_usage_error(self, command):
+        result = _run_cli(command, "--model", "batched")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "invalid choice: 'batched'" in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--log", "DEBUG", "check", "--list-rules"],
+        ["serve", "--po", "0"],
+        ["gauntlet", "--work", "2"],
+    ])
+    def test_abbreviations_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+
 class TestInsertCommand:
     def test_multi_owner_insert_registers_and_saves_keys(self, tmp_path, capsys):
         registry_dir = tmp_path / "registry"

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.engine import EngineConfig, WatermarkEngine
+from repro.robustness import GauntletSubject, build_attack, run_gauntlet
 from repro.service import (
     RateLimitedError,
     ServiceConfig,
@@ -82,15 +83,24 @@ class TestJobLifecycle:
         finally:
             conn.close()
 
-    def test_digest_matches_synchronous_endpoint(self, job_client):
-        sync = job_client.robustness("hit", attacks=ATTACKS, seed=3)
+    def test_digest_matches_direct_gauntlet(self, job_client, watermarked_and_key):
+        """A job's evidence is bit-identical to the library path."""
+        watermarked, key = watermarked_and_key
         handle = job_client.submit_robustness_job("hit", attacks=ATTACKS, seed=3)
         status = handle.wait(timeout=120)
         assert status["state"] == "succeeded"
         assert status["completed_cells"] == status["total_cells"] == 3
         out = handle.report()
         assert out["suspect_id"] == "hit"
-        assert out["report"]["decision_digest"] == sync["report"]["decision_digest"]
+        direct = run_gauntlet(
+            {out["key_id"]: GauntletSubject(model=watermarked, key=key)},
+            [build_attack("overwrite"), build_attack("pruning")],
+            strengths={"overwrite": (0, 20), "pruning": (0.5,)},
+            engine=WatermarkEngine(),
+            evaluate_quality=False,
+            seed=3,
+        )
+        assert out["report"]["decision_digest"] == direct.decision_digest()
 
     def test_event_stream_yields_cells_then_end(self, job_client):
         handle = job_client.submit_robustness_job("hit", attacks=ATTACKS, seed=3)
@@ -211,14 +221,22 @@ class TestCheckpointResume:
         completed cells and lands on a bit-identical decision digest."""
         watermarked, key = watermarked_and_key
 
+        # Uninterrupted reference digest from a server without checkpoints:
+        # a checkpointing reference run would leave every cell on disk for
+        # the victim to replay, and the kill would test nothing.
+        with _start_server(None) as handle:
+            with VerificationClient(port=handle.port) as client:
+                client.register_key(key, owner="acme")
+                client.upload_suspect(watermarked, suspect_id="prod")
+                reference = client.robustness(
+                    "prod", attacks=SLOW_ATTACKS, seed=5, executor="serial"
+                )["report"]["decision_digest"]
+
         with _start_server(tmp_path) as handle:
             with VerificationClient(port=handle.port) as client:
                 client.register_key(key, owner="acme")
                 client.upload_suspect(watermarked, suspect_id="prod")
-                # Uninterrupted reference digest via the synchronous endpoint.
-                reference = client.robustness(
-                    "prod", attacks=SLOW_ATTACKS, seed=5, executor="serial"
-                )["report"]["decision_digest"]
+                assert not list(tmp_path.iterdir()), "victim must start from no checkpoint"
                 victim = client.submit_robustness_job(
                     "prod", attacks=SLOW_ATTACKS, seed=5, executor="serial"
                 )
@@ -242,6 +260,9 @@ class TestCheckpointResume:
                     if event["kind"] == "cell" and event["replayed"]
                 ]
                 assert replayed, "completed cells must replay, not recompute"
+                assert len(replayed) < len(SLOW_ATTACKS[0]["strengths"]), (
+                    "the kill must land mid-sweep"
+                )
                 assert events[-1]["state"] == "succeeded"
                 assert resumed.report()["report"]["decision_digest"] == reference
 

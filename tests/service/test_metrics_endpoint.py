@@ -88,5 +88,5 @@ class TestExposition:
 
     def test_metrics_is_get_only(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/metrics", {})
+            client._request("POST", "/v1/metrics", {})
         assert excinfo.value.status == 405

@@ -1,4 +1,8 @@
-"""Tests for the server-side robustness gauntlet (``POST /robustness``)."""
+"""Tests for the server-side robustness gauntlet.
+
+A sweep runs as a background job (``POST /v1/jobs/robustness``);
+``VerificationClient.robustness()`` submits one and waits for its report.
+"""
 
 import http.client
 import json
@@ -7,7 +11,8 @@ import pytest
 
 from repro.engine import WatermarkEngine
 from repro.robustness import GauntletSubject, build_attack, run_gauntlet
-from repro.service.client import ServiceError
+from repro.service import client as client_mod
+from repro.service.client import JobHandle, ServiceError
 
 ATTACKS = [
     {"name": "overwrite", "strengths": [0, 20]},
@@ -109,11 +114,38 @@ class TestRobustnessEndpoint:
         assert excinfo.value.status == 400
 
     def test_duplicate_strengths_rejected_as_400(self, client):
+        # Colliding cell ids are refused at submission: no job is created.
+        jobs_before = client.jobs()
         with pytest.raises(ServiceError, match="invalid gauntlet grid") as excinfo:
-            client.robustness(
+            client.submit_robustness_job(
                 "hit", attacks=[{"name": "overwrite", "strengths": [10, 10]}]
             )
         assert excinfo.value.status == 400
+        assert excinfo.value.code == "invalid_request"
+        assert client.jobs() == jobs_before
+
+    def test_attack_range_error_fails_the_job(self, client):
+        # A strength the attack itself rejects is only found when the cell
+        # runs: the job fails and the report fetch is a 409.
+        with pytest.raises(ServiceError, match="scale-tamper") as excinfo:
+            client.robustness(
+                "hit", attacks=[{"name": "scale-tamper", "strengths": [-1]}]
+            )
+        assert excinfo.value.status == 409
+        assert excinfo.value.code == "job_failed"
+
+    def test_timeout_cancels_the_job(self, client, monkeypatch):
+        monkeypatch.setattr(client_mod, "_ROBUSTNESS_WAIT_S", 0.3)
+        with pytest.raises(TimeoutError):
+            client.robustness(
+                "hit",
+                attacks=[{"name": "slowmo", "strengths": [0, 1, 2, 3, 4, 5]}],
+                executor="serial",
+            )
+        job_id = client.jobs()[-1]["job_id"]
+        final = JobHandle(client, job_id).wait(timeout=120)
+        assert final["state"] == "cancelled"
+        assert final["completed_cells"] < final["total_cells"]
 
     def test_unknown_key_id_rejected(self, client):
         with pytest.raises(ServiceError, match="key"):
@@ -129,7 +161,7 @@ class TestRobustnessEndpoint:
         )
         assert decided == 2
         assert after["audit"]["entries"] == before["audit"]["entries"] + 2
-        assert out["request_id"].startswith("req-")
+        assert out["job_id"].startswith("job-")
 
     def test_non_watermarked_suspect_never_owned(self, client):
         out = client.robustness("miss", attacks=[{"name": "none", "strengths": [0]}])
@@ -182,14 +214,28 @@ class TestGridValueValidation:
         finally:
             conn.close()
 
-    @pytest.mark.parametrize("path", ["/v1/robustness", "/v1/jobs/robustness"])
+    @staticmethod
+    def _call_robustness(client, fields):
+        # The same body through the client's submit-and-wait call: the 400
+        # must surface at submission, not after a wait on a job.
+        body = json.loads('{"suspect_id": "hit", ' + fields + "}")
+        try:
+            client.robustness(**body)
+        except ServiceError as error:
+            return error.status, {"error": {"code": error.code, "message": str(error)}}
+        raise AssertionError("robustness() accepted a bad grid")
+
+    @pytest.mark.parametrize("via", ["/v1/jobs/robustness", "client.robustness"])
     @pytest.mark.parametrize("fields,field", _BAD_GRIDS)
     def test_bad_value_rejected_before_any_work(
-        self, client, server_handle, path, fields, field
+        self, client, server_handle, via, fields, field
     ):
         jobs_before = client.jobs()
         stats_before = client.stats()
-        status, payload = self._post_raw(server_handle.port, path, fields)
+        if via == "client.robustness":
+            status, payload = self._call_robustness(client, fields)
+        else:
+            status, payload = self._post_raw(server_handle.port, via, fields)
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
         assert f"'{field}'" in payload["error"]["message"]
@@ -198,14 +244,17 @@ class TestGridValueValidation:
         assert stats_after["audit"]["entries"] == stats_before["audit"]["entries"]
         assert stats_after["server"]["gauntlets"] == stats_before["server"]["gauntlets"]
 
-    def test_integer_seed_and_finite_strengths_accepted(self, server_handle):
+    def test_integer_seed_and_finite_strengths_accepted(self, client, server_handle):
         status, payload = self._post_raw(
-            server_handle.port, "/v1/robustness",
+            server_handle.port, "/v1/jobs/robustness",
             '"attacks": [{"name": "overwrite", "strengths": [0, 2.5e1]}], "seed": 3',
         )
-        assert status == 200
-        assert [c["strength"] for c in payload["report"]["cells"]] == [0.0, 25.0]
-        assert payload["report"]["seed"] == 3
+        assert status == 202
+        handle = JobHandle(client, payload["job"]["job_id"])
+        assert handle.wait(timeout=120)["state"] == "succeeded"
+        report = handle.report()["report"]
+        assert [c["strength"] for c in report["cells"]] == [0.0, 25.0]
+        assert report["seed"] == 3
 
 
 class TestCpuBudgetGate:

@@ -46,12 +46,12 @@ class TestBasicEndpoints:
 
     def test_wrong_method_is_405(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", "/verify")
+            client._request("GET", "/v1/verify")
         assert excinfo.value.status == 405
 
     def test_invalid_json_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/register", {"owner": "x"})
+            client._request("POST", "/v1/register", {"owner": "x"})
         assert excinfo.value.status == 400
 
 
@@ -97,7 +97,7 @@ class TestVerification:
 
     def test_non_string_suspect_id_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/verify", {"suspect_id": ["hit"]})
+            client._request("POST", "/v1/verify", {"suspect_id": ["hit"]})
         assert excinfo.value.status == 400
 
     def test_unknown_suspect_is_404(self, client):
@@ -246,7 +246,7 @@ class TestRevocationAndAdmission:
 
         conn = http.client.HTTPConnection("127.0.0.1", server_handle.port, timeout=5)
         try:
-            conn.putrequest("GET", "/healthz", skip_host=False)
+            conn.putrequest("GET", "/v1/healthz", skip_host=False)
             conn.putheader("X-Padding", "x" * (80 * 1024))
             conn.endheaders()
             response = conn.getresponse()
@@ -389,7 +389,7 @@ class TestMultiOwnerService:
 
                 with pytest.raises(ServiceError, match="'rank' must be a boolean") as excinfo:
                     c._request(
-                        "POST", "/suspects",
+                        "POST", "/v1/suspects",
                         {"model": model_to_wire(watermarked), "rank": "yes"},
                     )
                 assert excinfo.value.status == 400
@@ -417,38 +417,26 @@ class TestMultiOwnerService:
 
 
 class TestVersionedSurface:
-    """The /v1 resource surface, legacy aliases and the error envelope."""
+    """The /v1 resource surface and the error envelope."""
 
-    def test_v1_and_legacy_paths_serve_the_same_payload(self, client):
-        v1 = client._request("GET", "/v1/healthz")
-        legacy = client._request("GET", "/healthz")
-        assert v1["status"] == legacy["status"] == "ok"
-
-    def test_legacy_path_carries_deprecation_header(self, server_handle):
-        import http.client
-
-        conn = http.client.HTTPConnection("127.0.0.1", server_handle.port, timeout=5)
-        try:
-            conn.request("GET", "/healthz")
-            response = conn.getresponse()
-            response.read()
-            assert response.status == 200
-            assert response.getheader("Deprecation") == "true"
-            conn.request("GET", "/v1/healthz")
-            response = conn.getresponse()
-            response.read()
-            assert response.status == 200
-            assert response.getheader("Deprecation") is None
-        finally:
-            conn.close()
-
-    def test_legacy_requests_are_counted(self, client):
-        before = client.stats()["server"]["legacy_requests"]
-        client._request("GET", "/healthz")
-        client._request("GET", "/stats")
-        after = client.stats()["server"]["legacy_requests"]
-        assert after == before + 2
-        assert "repro_server_legacy_requests_total" in client.metrics()
+    @pytest.mark.parametrize("method,path", [
+        ("GET", "/healthz"),
+        ("GET", "/stats"),
+        ("GET", "/metrics"),
+        ("GET", "/keys"),
+        ("POST", "/register"),
+        ("POST", "/revoke"),
+        ("POST", "/suspects"),
+        ("POST", "/verify"),
+        ("POST", "/robustness"),
+    ])
+    def test_unversioned_paths_are_gone(self, client, method, path):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(method, path, {} if method == "POST" else None)
+        assert excinfo.value.status == 404
+        assert excinfo.value.code == "not_found"
+        assert excinfo.value.payload["error"]["message"] == f"unknown endpoint {path}"
+        assert "repro_server_legacy_requests_total" not in client.metrics()
 
     def test_error_envelope_shape(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -509,9 +497,6 @@ class TestVersionedSurface:
                 record = c.register_key(key, owner="acme")
                 revoked = c._request("DELETE", f"/v1/keys/{record['key_id']}")
                 assert revoked["revoked"]["revoked"] is True
-                # Legacy POST /revoke still answers for old clients.
-                again = c._request("POST", "/revoke", {"key_id": record["key_id"]})
-                assert again["revoked"]["revoked"] is True
                 with pytest.raises(ServiceError) as excinfo:
                     c._request("DELETE", "/v1/keys/wmk-ghost")
                 assert excinfo.value.status == 404

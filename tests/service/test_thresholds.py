@@ -1,4 +1,4 @@
-"""Decision-threshold validation on ``/v1/verify`` and the gauntlet routes.
+"""Decision-threshold validation on ``/v1/verify`` and the gauntlet job route.
 
 JSON lets a client send ``NaN``, ``Infinity``, booleans and out-of-range
 numbers where a threshold belongs.  Read with a bare ``float(...)`` they
@@ -22,7 +22,6 @@ BAD_PROBABILITY = [NAN, INF, True, -1e-9, 1.5, "1e-6", {"p": 0}]
 
 ROUTES = [
     ("/v1/verify", {"suspect_id": "hit"}),
-    ("/v1/robustness", {"suspect_id": "hit", "attacks": [{"name": "overwrite", "strengths": [0]}]}),
     (
         "/v1/jobs/robustness",
         {"suspect_id": "hit", "attacks": [{"name": "overwrite", "strengths": [0]}]},
@@ -51,6 +50,23 @@ def test_bad_wer_threshold_is_a_400(client, path, base, value):
 def test_bad_false_claim_bound_is_a_400(client, path, base, value):
     error = _rejected(client, path, {**base, "max_false_claim_probability": value})
     assert "max_false_claim_probability" in str(error)
+
+
+@pytest.mark.parametrize("value", [v for v in BAD_WER if v is not None], ids=repr)
+def test_bad_wer_threshold_fails_robustness_call_at_submission(client, value):
+    # ``robustness()`` submits a job and waits; a bad threshold must be the
+    # submission's 400, with no job created (``None`` means "omitted" here).
+    jobs_before = client.jobs()
+    entries_before = client.stats()["audit"]["entries"]
+    with pytest.raises(ServiceError, match="wer_threshold") as excinfo:
+        client.robustness(
+            "hit",
+            attacks=[{"name": "overwrite", "strengths": [0]}],
+            wer_threshold=value,
+        )
+    assert excinfo.value.status == 400
+    assert client.jobs() == jobs_before
+    assert client.stats()["audit"]["entries"] == entries_before
 
 
 @pytest.mark.parametrize(
