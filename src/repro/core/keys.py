@@ -30,6 +30,7 @@ from repro.utils.serialization import (
     load_npz_mmap,
     save_json,
     save_npz,
+    widen_int64,
 )
 
 __all__ = ["WatermarkKey", "model_fingerprint", "layer_shapes_fingerprint"]
@@ -293,20 +294,19 @@ class WatermarkKey:
             reference_weights: Dict[str, np.ndarray] = {}
             outlier_columns: Dict[str, np.ndarray] = {}
             activation_arrays: Dict[str, np.ndarray] = {}
-            # ``asarray`` instead of ``astype``: already-int64 inputs pass
-            # through untouched, so a key loaded from a memory-mapped archive
-            # stays zero-copy and read-only; mistyped inputs are still
-            # converted exactly as before.
+            # ``widen_int64`` passes int64 inputs through uncopied, so a key
+            # loaded from a memory-mapped archive stays zero-copy and
+            # read-only; narrowed wire integers widen, non-integers are refused.
             for key, value in arrays.items():
                 if key.startswith("weights/"):
-                    reference_weights[key[len("weights/") :]] = np.asarray(value, dtype=np.int64)
+                    reference_weights[key[len("weights/") :]] = widen_int64(value, key)
                 elif key.startswith("outliers/"):
-                    outlier_columns[key[len("outliers/") :]] = np.asarray(value, dtype=np.int64)
+                    outlier_columns[key[len("outliers/") :]] = widen_int64(value, key)
                 elif key.startswith("activations/"):
                     activation_arrays[key[len("activations/") :]] = value
             config = EmMarkConfig(**meta["config"])
             return cls(
-                signature=np.asarray(arrays["signature"], dtype=np.int64),
+                signature=widen_int64(arrays["signature"], "signature"),
                 config=config,
                 reference_weights=reference_weights,
                 activations=ActivationStats.from_arrays(activation_arrays),

@@ -4,12 +4,22 @@ The verification service speaks JSON, but watermark keys and suspect models
 are mostly bulk numeric state.  The codec therefore uses a two-part envelope:
 
 * ``meta`` — plain JSON scalars (config, layer order, grid bits, …),
-* ``arrays`` — every NumPy array packed into a single compressed ``.npz``
-  archive and transported as base64 text.
+* ``arrays`` — every NumPy array packed into one ``.npz`` archive with
+  uncompressed (``ZIP_STORED``) members, transported as base64 text.
+
+Integer fields (quantized weights, reference weights, outlier columns, the
+signature) are written in the smallest signed dtype that holds their values
+and widened back to int64 on decode, so decoded models and keys — and every
+content id hashed from them — are identical to the originals.  Decoding
+refuses an integer field that arrives with a non-integer dtype instead of
+truncating it.  Archives written before narrowing (int64, deflated) decode
+the same way.
 
 The same ``(meta, arrays)`` payload backs the on-disk directory form used by
 the ``repro verify`` CLI (``model.json`` + ``model.npz``), mirroring the
-layout :meth:`repro.core.keys.WatermarkKey.save` uses for keys.
+layout :meth:`repro.core.keys.WatermarkKey.save` uses for keys.  Keys saved
+by :meth:`~repro.core.keys.WatermarkKey.save` (and so the registry) stay
+int64: the registry memory-maps them.
 
 Nothing here is pickled: NPZ archives are loaded with ``allow_pickle=False``,
 so a malicious payload can at worst fail to parse.
@@ -28,7 +38,14 @@ import numpy as np
 from repro.core.keys import WatermarkKey
 from repro.models.config import ModelConfig
 from repro.quant.base import QuantizationGrid, QuantizedLinear, QuantizedModel
-from repro.utils.serialization import load_json, load_npz, save_json, save_npz, to_jsonable
+from repro.utils.serialization import (
+    load_json,
+    load_npz,
+    save_json,
+    save_npz,
+    to_jsonable,
+    widen_int64,
+)
 
 __all__ = [
     "arrays_to_b64",
@@ -45,14 +62,18 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
+#: Array-name prefixes of integer fields: narrowed on encode, widened to int64
+#: (and refused unless integer-typed) on decode.
+_INTEGER_FIELDS = ("weight_int/", "outlier_columns/", "weights/", "outliers/", "signature")
+
 
 # ----------------------------------------------------------------------
 # Array transport
 # ----------------------------------------------------------------------
 def arrays_to_b64(arrays: Dict[str, np.ndarray]) -> str:
-    """Pack named arrays into one compressed NPZ archive, base64-encoded."""
+    """Pack named arrays into one stored (uncompressed) NPZ archive, base64-encoded."""
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
+    np.savez(buffer, **arrays)
     return base64.b64encode(buffer.getvalue()).decode("ascii")
 
 
@@ -75,13 +96,30 @@ def b64_to_arrays(encoded: str) -> Dict[str, np.ndarray]:
         raise ValueError(f"payload is not a valid npz archive: {exc}") from exc
 
 
+def _narrow_integers(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """``arrays`` with each int64 integer field in the smallest signed dtype
+    that holds its values (int8, int16, int32, else int64).  Lossless; the
+    decoders widen back to int64.  Float arrays pass through untouched."""
+    narrowed: Dict[str, np.ndarray] = {}
+    for name, value in arrays.items():
+        if name.startswith(_INTEGER_FIELDS) and value.dtype == np.int64:
+            low, high = (int(value.min()), int(value.max())) if value.size else (0, 0)
+            for dtype in (np.int8, np.int16, np.int32):
+                info = np.iinfo(dtype)
+                if info.min <= low and high <= info.max:
+                    value = value.astype(dtype)
+                    break
+        narrowed[name] = value
+    return narrowed
+
+
 # ----------------------------------------------------------------------
 # Watermark keys
 # ----------------------------------------------------------------------
 def key_to_wire(key: WatermarkKey) -> Dict[str, object]:
     """JSON-able wire form of a watermark key."""
     meta, arrays = key.to_payload()
-    return {"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)}
+    return {"meta": to_jsonable(meta), "arrays": arrays_to_b64(_narrow_integers(arrays))}
 
 
 def key_from_wire(wire: Dict[str, object]) -> WatermarkKey:
@@ -140,6 +178,8 @@ def model_from_payload(
             if kind == "state":
                 full_precision_state[name] = value
             else:
+                if key.startswith(_INTEGER_FIELDS):
+                    value = widen_int64(value, key)
                 grouped.setdefault(name, {})[kind] = value
         layers: Dict[str, QuantizedLinear] = {}
         for name in meta["layer_order"]:
@@ -147,7 +187,7 @@ def model_from_payload(
             grid = QuantizationGrid(int(meta["layers"][name]["grid_bits"]))
             layers[name] = QuantizedLinear(
                 name=name,
-                weight_int=parts["weight_int"].astype(np.int64),
+                weight_int=parts["weight_int"],
                 scale=parts["scale"],
                 grid=grid,
                 bias=parts.get("bias"),
@@ -171,7 +211,7 @@ def model_from_payload(
 def model_to_wire(model: QuantizedModel) -> Dict[str, object]:
     """JSON-able wire form of a quantized model."""
     meta, arrays = model_to_payload(model)
-    return {"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)}
+    return {"meta": to_jsonable(meta), "arrays": arrays_to_b64(_narrow_integers(arrays))}
 
 
 def model_from_wire(wire: Dict[str, object]) -> QuantizedModel:
@@ -187,7 +227,7 @@ def save_model(model: QuantizedModel, directory: PathLike) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     meta, arrays = model_to_payload(model)
     save_json(directory / "model.json", meta)
-    save_npz(directory / "model.npz", arrays)
+    save_npz(directory / "model.npz", _narrow_integers(arrays), compressed=False)
     return directory
 
 

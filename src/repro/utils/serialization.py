@@ -24,6 +24,7 @@ __all__ = [
     "load_npz",
     "load_npz_mmap",
     "to_jsonable",
+    "widen_int64",
 ]
 
 PathLike = Union[str, Path]
@@ -53,6 +54,28 @@ def to_jsonable(value: Any) -> Any:
     if hasattr(value, "to_dict"):
         return to_jsonable(value.to_dict())
     raise TypeError(f"cannot convert {type(value)!r} to a JSON-serialisable value")
+
+
+def widen_int64(value: Any, field: str) -> np.ndarray:
+    """``value`` as an int64 array, refusing anything that would not widen losslessly.
+
+    Integer fields may arrive in any integer dtype (the service wire narrows
+    them), and every one widens exactly, except uint64 values above the
+    int64 range.  Float, bool, complex, string or object arrays are refused
+    rather than truncated.  An int64 input passes through uncopied, so
+    memory-mapped arrays stay zero-copy and read-only.
+
+    Raises
+    ------
+    ValueError
+        Naming ``field`` when the array is not integer-typed or does not fit.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{field} must hold integers, got dtype {array.dtype}")
+    if array.dtype == np.uint64 and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{field} holds values above the int64 range")
+    return array.astype(np.int64, copy=False)
 
 
 def save_json(path: PathLike, data: Any, indent: int = 2) -> Path:

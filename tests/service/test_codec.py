@@ -1,9 +1,19 @@
 """Wire / disk codec round trips for keys and quantized models."""
 
+import base64
+import dataclasses
+import io
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.config import EmMarkConfig
+from repro.core.keys import WatermarkKey, model_fingerprint
 from repro.engine import WatermarkEngine
+from repro.quant.api import quantize_model
+from repro.quant.base import QuantizedLinear
 from repro.service.codec import (
     arrays_to_b64,
     b64_to_arrays,
@@ -11,9 +21,41 @@ from repro.service.codec import (
     key_to_wire,
     load_model,
     model_from_wire,
+    model_to_payload,
     model_to_wire,
     save_model,
 )
+from repro.service.registry import KeyRegistry
+from repro.service.server import _model_content_id
+from repro.utils.serialization import save_json, save_npz, to_jsonable
+
+#: Values at and just past each narrow dtype's range, and ±2**40 past int32.
+_BOUNDARIES = (
+    0, 127, 128, -128, -129, 32767, 32768, -32768, -32769,
+    2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**40, -(2**40),
+)
+
+
+@pytest.fixture(scope="module")
+def subjects(trained_model, quantized_awq4, activation_stats):
+    """``{name: (watermarked model, key)}`` for an RTN-8 and an AWQ-4 deployment."""
+    engine = WatermarkEngine()
+    out = {}
+    for name, model in (
+        ("rtn8", quantize_model(trained_model, "rtn", bits=8)),
+        ("awq4", quantized_awq4),
+    ):
+        config = EmMarkConfig.scaled_for_model(model, bits_per_layer=8)
+        watermarked, key, _ = engine.insert(model, activation_stats, config=config)
+        out[name] = (watermarked, key)
+    return out
+
+
+def _compressed_int64_wire(meta, arrays):
+    """A wire payload as written before integer narrowing: int64, deflated."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return {"meta": to_jsonable(meta), "arrays": base64.b64encode(buffer.getvalue()).decode("ascii")}
 
 
 class TestArrayTransport:
@@ -104,3 +146,204 @@ class TestModelCodec:
     def test_rejects_malformed_envelope(self):
         with pytest.raises(ValueError):
             model_from_wire({"arrays": ""})
+
+
+class TestIntegerNarrowing:
+    """Integer fields travel narrowed and decode to the same int64 values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from(_BOUNDARIES),
+                st.integers(min_value=-(2**40), max_value=2**40),
+            ),
+            max_size=24,
+        ),
+        columns=st.lists(
+            st.one_of(st.sampled_from((127, 128, 32768)), st.integers(min_value=0, max_value=4095)),
+            max_size=8,
+        ),
+    )
+    def test_key_integers_round_trip_as_int64(self, watermarked_and_key, values, columns):
+        _, key = watermarked_and_key
+        layer = key.layer_names[0]
+        weights = np.asarray(values, dtype=np.int64)
+        outliers = np.asarray(columns, dtype=np.int64)
+        probe = dataclasses.replace(
+            key,
+            reference_weights={**key.reference_weights, layer: weights},
+            outlier_columns={layer: outliers},
+        )
+        restored = key_from_wire(key_to_wire(probe))
+        for got, want in (
+            (restored.reference_weights[layer], weights),
+            (restored.outlier_columns[layer], outliers),
+        ):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert restored.fingerprint() == probe.fingerprint()
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [(127, np.int8), (-128, np.int8), (128, np.int16), (-129, np.int16),
+         (32768, np.int32), (-(2**31), np.int32), (2**31, np.int64), (2**40, np.int64)],
+    )
+    def test_narrowest_signed_dtype_is_sent(self, watermarked_and_key, value, dtype):
+        _, key = watermarked_and_key
+        layer = key.layer_names[0]
+        probe = dataclasses.replace(
+            key,
+            reference_weights={**key.reference_weights, layer: np.asarray([0, value], dtype=np.int64)},
+        )
+        sent = b64_to_arrays(key_to_wire(probe)["arrays"])
+        assert sent[f"weights/{layer}"].dtype == dtype
+
+    def test_model_outlier_columns_wide_and_empty(self, quantized_awq4):
+        """LLM.int8-style outlier indices past 127, and none at all, survive the wire."""
+        model = quantized_awq4.clone()
+        wide, empty = model.layer_names()[:2]
+        grid = model.get_layer(wide).grid
+        for name, columns in ((wide, [5, 128, 200, 299]), (empty, [])):
+            model.layers[name] = QuantizedLinear(
+                name=name,
+                weight_int=np.zeros((4, 300), dtype=np.int64),
+                scale=np.ones((4, 1)),
+                grid=grid,
+                outlier_columns=np.asarray(columns, dtype=np.int64),
+                outlier_weight=np.zeros((4, len(columns))),
+            )
+        restored = model_from_wire(model_to_wire(model))
+        for name in (wide, empty):
+            got = restored.get_layer(name).outlier_columns
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, model.get_layer(name).outlier_columns)
+
+    def test_wire_and_saved_models_are_narrow_and_stored(self, subjects, tmp_path):
+        watermarked, key = subjects["rtn8"]
+        save_model(watermarked, tmp_path)
+        archives = [tmp_path / "model.npz"] + [
+            io.BytesIO(base64.b64decode(wire["arrays"]))
+            for wire in (model_to_wire(watermarked), key_to_wire(key))
+        ]
+        for source in archives:
+            with zipfile.ZipFile(source) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(tmp_path / "model.npz") as saved:
+            on_disk = {name: saved[name] for name in saved.files}
+        for sent in (on_disk, b64_to_arrays(model_to_wire(watermarked)["arrays"])):
+            assert all(v.dtype == np.int8 for k, v in sent.items() if k.startswith("weight_int/"))
+            assert all(v.dtype == np.float64 for k, v in sent.items() if k.startswith("scale/"))
+
+    @pytest.mark.parametrize("name", ["rtn8", "awq4"])
+    def test_content_ids_unchanged_through_the_wire(self, subjects, name):
+        watermarked, key = subjects[name]
+        model = model_from_wire(model_to_wire(watermarked))
+        restored_key = key_from_wire(key_to_wire(key))
+        assert restored_key.fingerprint() == key.fingerprint()
+        assert _model_content_id(model) == _model_content_id(watermarked)
+        assert model_fingerprint(model) == model_fingerprint(watermarked)
+        layer = key.layer_names[0]
+        engine = WatermarkEngine()
+        plans = [
+            engine.plan_for_layer(
+                m.get_layer(layer),
+                k.activations.channel_saliency(layer),
+                k.config.bits_per_layer,
+                k.config,
+            )
+            for m, k in ((watermarked, key), (model, restored_key))
+        ]
+        assert plans[0].fingerprint == plans[1].fingerprint
+        np.testing.assert_array_equal(plans[0].locations, plans[1].locations)
+        direct = WatermarkEngine().extract(watermarked, key)
+        via_wire = WatermarkEngine().extract(model, restored_key)
+        assert via_wire.matched_bits == direct.matched_bits == direct.total_bits
+
+
+class TestBackwardCompatibility:
+    """Payloads and directories written before narrowing still decode."""
+
+    def test_int64_compressed_key_payload(self, subjects):
+        _, key = subjects["awq4"]
+        restored = key_from_wire(_compressed_int64_wire(*key.to_payload()))
+        assert restored.fingerprint() == key.fingerprint()
+        for layer in key.layer_names:
+            np.testing.assert_array_equal(restored.reference_weights[layer], key.reference_weights[layer])
+
+    def test_int64_compressed_model_payload(self, subjects):
+        watermarked, _ = subjects["rtn8"]
+        restored = model_from_wire(_compressed_int64_wire(*model_to_payload(watermarked)))
+        assert _model_content_id(restored) == _model_content_id(watermarked)
+
+    def test_compressed_model_directory(self, subjects, tmp_path):
+        watermarked, _ = subjects["awq4"]
+        meta, arrays = model_to_payload(watermarked)
+        save_json(tmp_path / "model.json", meta)
+        save_npz(tmp_path / "model.npz", arrays, compressed=True)
+        restored = load_model(tmp_path)
+        assert _model_content_id(restored) == _model_content_id(watermarked)
+        for name in watermarked.layer_names():
+            assert restored.get_layer(name).weight_int.dtype == np.int64
+
+    def test_registry_key_archives_stay_int64_and_stored(self, subjects, tmp_path):
+        """The registry memory-maps its archives; wire narrowing must not reach them."""
+        _, key = subjects["rtn8"]
+        record = KeyRegistry(tmp_path).register(key, owner="acme")
+        archive_path = tmp_path / record.key_id / "watermark_key.npz"
+        with zipfile.ZipFile(archive_path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(archive_path, allow_pickle=False) as handle:
+            integer_fields = [n for n in handle.files if n == "signature" or n.startswith(("weights/", "outliers/"))]
+            assert integer_fields
+            assert {handle[n].dtype for n in integer_fields} == {np.dtype(np.int64)}
+        loaded = WatermarkKey.load(tmp_path / record.key_id, mmap=True)
+        assert loaded.fingerprint() == key.fingerprint()
+
+
+class TestIntegerFieldValidation:
+    """A non-integer dtype in an integer field is refused, never truncated."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda w: w.astype(np.float64) + 0.7,
+            lambda w: w.astype(bool),
+            lambda w: w.astype(np.complex128),
+            lambda w: w.astype("U8"),
+        ],
+        ids=["float", "bool", "complex", "str"],
+    )
+    def test_model_weight_int(self, watermarked_and_key, bad):
+        watermarked, _ = watermarked_and_key
+        meta, arrays = model_to_payload(watermarked)
+        field = f"weight_int/{watermarked.layer_names()[0]}"
+        arrays[field] = bad(arrays[field])
+        with pytest.raises(ValueError, match="integers"):
+            model_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+
+    @pytest.mark.parametrize("field", ["weights/", "outliers/", "signature"])
+    def test_key_integer_fields(self, watermarked_and_key, field):
+        _, key = watermarked_and_key
+        layer = key.layer_names[0]
+        meta, arrays = dataclasses.replace(
+            key, outlier_columns={layer: np.arange(3, dtype=np.int64)}
+        ).to_payload()
+        name = field if field == "signature" else field + layer
+        arrays[name] = arrays[name].astype(np.float64) + 0.7
+        with pytest.raises(ValueError, match="integers"):
+            key_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+
+    def test_unsigned_fields_widen_unless_out_of_range(self, watermarked_and_key):
+        _, key = watermarked_and_key
+        layer = key.layer_names[0]
+        meta, arrays = dataclasses.replace(
+            key, outlier_columns={layer: np.arange(3, dtype=np.int64)}
+        ).to_payload()
+        arrays[f"outliers/{layer}"] = np.asarray([1, 200], dtype=np.uint64)
+        restored = key_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+        assert restored.outlier_columns[layer].dtype == np.int64
+        np.testing.assert_array_equal(restored.outlier_columns[layer], [1, 200])
+        arrays[f"outliers/{layer}"] = np.asarray([1, 2**63], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64 range"):
+            key_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})

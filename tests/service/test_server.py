@@ -8,6 +8,7 @@ the shared one stays pristine.
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, WatermarkEngine
@@ -19,6 +20,7 @@ from repro.service import (
     VerificationServer,
     run_in_background,
 )
+from repro.service.codec import arrays_to_b64, b64_to_arrays, key_to_wire, model_to_wire
 
 
 class TestBasicEndpoints:
@@ -53,6 +55,41 @@ class TestBasicEndpoints:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/v1/register", {"owner": "x"})
         assert excinfo.value.status == 400
+
+
+class TestIntegerFieldsRejected:
+    """An integer field sent with a float dtype is a 400, not a truncation."""
+
+    @staticmethod
+    def _with_float_field(wire, field):
+        arrays = b64_to_arrays(wire["arrays"])
+        arrays[field] = arrays[field].astype(np.float64) + 0.7
+        return {"meta": wire["meta"], "arrays": arrays_to_b64(arrays)}
+
+    def _assert_rejected(self, client, path, body):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, body)
+        assert excinfo.value.status == 400
+        assert "must hold integers" in str(excinfo.value)
+
+    def test_register(self, client, watermarked_and_key):
+        _, key = watermarked_and_key
+        wire = self._with_float_field(key_to_wire(key), f"weights/{key.layer_names[0]}")
+        self._assert_rejected(client, "/v1/register", {"owner": "x", "key": wire})
+
+    def test_upload_suspect(self, client, watermarked_and_key):
+        watermarked, _ = watermarked_and_key
+        wire = self._with_float_field(
+            model_to_wire(watermarked), f"weight_int/{watermarked.layer_names()[0]}"
+        )
+        self._assert_rejected(client, "/v1/suspects", {"model": wire, "suspect_id": "float"})
+
+    def test_verify_inline_model(self, client, watermarked_and_key):
+        watermarked, _ = watermarked_and_key
+        wire = self._with_float_field(
+            model_to_wire(watermarked), f"weight_int/{watermarked.layer_names()[0]}"
+        )
+        self._assert_rejected(client, "/v1/verify", {"model": wire})
 
 
 class TestVerification:
