@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.config import EmMarkConfig
 from repro.core.insertion import insert_watermark
 from repro.core.keys import WatermarkKey
+from repro.engine.reports import InsertionReport
 from repro.models.activations import ActivationStats, collect_activation_stats
 from repro.quant.base import QuantizedModel
 from repro.utils.rng import new_rng
@@ -90,6 +91,20 @@ def rewatermark_attack(
         he can of course extract *his* signature — but not remove the
         owner's).
     """
+    attacked, attacker_key, _ = _rewatermark(
+        model, config, calibration_corpus, attacker_activations
+    )
+    return attacked, attacker_key
+
+
+def _rewatermark(
+    model: QuantizedModel,
+    config: RewatermarkAttackConfig,
+    calibration_corpus=None,
+    attacker_activations: Optional[ActivationStats] = None,
+) -> Tuple[QuantizedModel, WatermarkKey, InsertionReport]:
+    """:func:`rewatermark_attack` plus the insertion report, whose ``ticket``
+    lets the gauntlet verify the adversary's key without re-planning it."""
     if attacker_activations is None:
         if calibration_corpus is None:
             raise ValueError(
@@ -116,10 +131,9 @@ def rewatermark_attack(
         seed=config.seed,
         signature_seed=config.signature_seed,
     )
-    attacked, attacker_key, _ = insert_watermark(
+    return insert_watermark(
         model,
         attacker_activations,
         config=attacker_config,
         signature=attacker_signature,
     )
-    return attacked, attacker_key

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.engine.plan import LocationPlan
 
@@ -78,6 +78,10 @@ class PlanCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        # Per-thread lookup tallies: the engine-wide counters above mix every
+        # thread's traffic, so a caller attributing lookups to its own work
+        # (one insertion among concurrent ones) reads these instead.
+        self._thread = threading.local()
 
     # -- lookups ------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[LocationPlan]:
@@ -86,10 +90,20 @@ class PlanCache:
             plan = self._entries.get(fingerprint)
             if plan is None:
                 self._misses += 1
-                return None
-            self._entries.move_to_end(fingerprint)
-            self._hits += 1
-            return plan
+            else:
+                self._entries.move_to_end(fingerprint)
+                self._hits += 1
+        tally = self._thread
+        if plan is None:
+            tally.misses = getattr(tally, "misses", 0) + 1
+        else:
+            tally.hits = getattr(tally, "hits", 0) + 1
+        return plan
+
+    def thread_lookups(self) -> Tuple[int, int]:
+        """``(hits, misses)`` of every lookup the calling thread has made."""
+        tally = self._thread
+        return getattr(tally, "hits", 0), getattr(tally, "misses", 0)
 
     def put(self, fingerprint: str, plan: LocationPlan) -> None:
         """Insert (or refresh) a plan, evicting the LRU entry if over capacity."""

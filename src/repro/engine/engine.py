@@ -276,16 +276,17 @@ class FleetVerificationSession:
     def verify_once(
         self, suspect_id: str, suspect: QuantizedModel, key: KeyLike, key_id: str
     ) -> PairVerification:
-        """Verify against a one-shot key without registering anything.
+        """Verify against a one-shot key or ticket without registering anything.
 
         For keys that will never be consulted again (e.g. a re-watermarking
-        cell's per-attack adversary key): the evidence is bit-identical to
-        :meth:`verify` on a registered key, but neither the key — whose
-        reference weights are a full model-size snapshot — nor its ticket is
-        retained in the session, so streaming pipelines stay O(in-flight
-        suspects) even when every cell brings its own key.  (Layer plans
-        still land in the engine's bounded LRU cache, so a key that *does*
-        come back is still served warm.)
+        cell's per-attack adversary): the evidence is bit-identical to
+        :meth:`verify` on a registered key, but nothing is retained in the
+        session, so streaming pipelines stay O(in-flight suspects) even when
+        every cell brings its own key.  A ticket — what the gauntlet's
+        attacks hand forward from their insertion — is matched as given; a
+        full key is first turned into one by :meth:`WatermarkEngine.ticket_for`
+        (its layer plans land in the engine's bounded LRU cache, so a key
+        that *does* come back is served warm).
         """
         ticket = self._engine.ticket_for(key)
         return self._evaluate_pair(suspect_id, suspect, ticket, key_id)
@@ -522,7 +523,10 @@ class WatermarkEngine:
         :func:`repro.core.insertion.insert_watermark` for the parameter
         documentation.  The engine additionally memoizes each layer's
         location plan, so a follow-up :meth:`extract` against the returned
-        key is pure cache lookups.
+        key is pure cache lookups, and ``report.ticket`` carries the key's
+        :class:`~repro.engine.ticket.VerificationTicket`, built from the
+        plans this call already holds — identical to :meth:`ticket_for`
+        on the returned key, without re-fingerprinting it.
 
         ``occupied`` makes the insertion *co-resident aware*: a
         :class:`~repro.engine.allocator.SlotAllocator` (or a plain
@@ -537,7 +541,6 @@ class WatermarkEngine:
         empty occupancy is bit-identical to omitting the argument.
         """
         wall_start = time.perf_counter()
-        stats_before = self.cache.stats()
         if config is None:
             config = EmMarkConfig.scaled_for_model(model)
         allocator = occupied if isinstance(occupied, SlotAllocator) else None
@@ -579,12 +582,15 @@ class WatermarkEngine:
         watermarked = model if in_place else model.clone()
         reference_weights = model.integer_weight_snapshot()
 
-        def watermark_layer(name: str) -> Tuple[str, int, float, np.ndarray]:
+        def watermark_layer(name: str) -> Tuple[LocationPlan, float, int, int]:
             # thread_time, not perf_counter: with concurrent layers a wall
             # span would include the other workers' GIL and memory-bandwidth
             # contention; Table 2's per-layer metric is the layer's own CPU
             # cost, which must not depend on the worker count.
             start = time.thread_time()
+            # This thread's own lookups: the engine-wide counters would also
+            # count concurrent insertions sharing the cache.
+            hits, misses = self.cache.thread_lookups()
             layer = watermarked.get_layer(name)
             layer_signature = per_layer_signature[name]
             plan = self.plan_for_layer(
@@ -594,14 +600,15 @@ class WatermarkEngine:
                 config,
                 occupied=occupancy_snapshot.get(name),
             )
+            hits_after, misses_after = self.cache.thread_lookups()
             layer.add_to_weights(plan.locations, layer_signature)
-            return name, plan.pool_size, time.thread_time() - start, plan.locations
+            return plan, time.thread_time() - start, hits_after - hits, misses_after - misses
 
         with span("engine.insert", model=model.config.name, layers=len(layer_names)):
             results = self.map_layers(watermark_layer, layer_names)
-        per_layer_seconds = [seconds for _, _, seconds, _ in results]
-        pool_sizes = {name: pool for name, pool, _, _ in results}
-        locations = {name: locs for name, _, _, locs in results}
+        per_layer_seconds = [seconds for _, seconds, _, _ in results]
+        pool_sizes = {name: plan.pool_size for name, (plan, *_) in zip(layer_names, results)}
+        locations = {name: plan.locations for name, (plan, *_) in zip(layer_names, results)}
 
         metadata: Dict[str, object] = {}
         if occupancy_snapshot:
@@ -639,7 +646,9 @@ class WatermarkEngine:
             outlier_columns=outlier_columns,
             metadata=metadata,
         )
-        traffic = self.cache.stats().delta(stats_before)
+        # The plans are in hand: a ticket built from them spares whoever
+        # verifies this key next a re-hash of its reference weights.
+        ticket = VerificationTicket.from_key(key, locations)
         report = InsertionReport(
             total_bits=total_bits,
             num_layers=len(layer_names),
@@ -647,8 +656,9 @@ class WatermarkEngine:
             candidate_pool_sizes=pool_sizes,
             wall_clock_seconds=time.perf_counter() - wall_start,
             parallel_workers=self.workers,
-            cache_hits=traffic.hits,
-            cache_misses=traffic.misses,
+            cache_hits=sum(hits for _, _, hits, _ in results),
+            cache_misses=sum(misses for _, _, _, misses in results),
+            ticket=ticket,
         )
         logger.debug(
             "inserted %d bits into %d layers of %s (%s INT%d) in %.3fs wall "

@@ -11,9 +11,12 @@ dependency-light module (NumPy only) so that both ``repro.core`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.ticket import VerificationTicket
 
 __all__ = [
     "DEFAULT_OWNERSHIP_THRESHOLD",
@@ -62,7 +65,12 @@ class InsertionReport:
     parallel_workers:
         Number of executor workers the engine used (1 = serial).
     cache_hits, cache_misses:
-        Location-plan cache traffic attributable to this insertion.
+        Location-plan lookups this insertion made (one per layer), counted
+        apart from any concurrent insertion sharing the cache.
+    ticket:
+        The new key's verification ticket, built from the plans the
+        insertion used (equal to ``engine.ticket_for(key)``); informational,
+        excluded from equality and ``repr``.
     """
 
     total_bits: int
@@ -73,6 +81,9 @@ class InsertionReport:
     parallel_workers: int = 1
     cache_hits: int = 0
     cache_misses: int = 0
+    ticket: Optional[VerificationTicket] = field(
+        default=None, repr=False, compare=False, metadata={"informational": True}
+    )
 
     @property
     def total_seconds(self) -> float:

@@ -8,8 +8,11 @@ the key's full reference weights and activations); the match reads only a few
 hundred integers.  A :class:`VerificationTicket` holds exactly those, per
 layer: locations, reference integers at them, signature slice and layer shape
 — a few KB against a multi-MB key.  It is a plain picklable value, derived
-once per key by :meth:`~repro.engine.engine.WatermarkEngine.ticket_for`, and
-matching it is bit-identical to matching the key it came from.
+once per key by :meth:`~repro.engine.engine.WatermarkEngine.ticket_for`, or
+handed forward by :meth:`~repro.engine.engine.WatermarkEngine.insert` (on
+its report), which builds it from the plans it just inserted with; both go
+through :meth:`VerificationTicket.from_key` and agree exactly.  Matching a
+ticket is bit-identical to matching the key it came from.
 """
 
 from __future__ import annotations

@@ -32,16 +32,18 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.attacks.overwrite import OverwriteAttackConfig, parameter_overwrite_attack
 from repro.attacks.pruning import PruningAttackConfig, magnitude_pruning_attack
-from repro.attacks.rewatermark import RewatermarkAttackConfig, rewatermark_attack
-from repro.core.keys import WatermarkKey
+from repro.attacks.rewatermark import RewatermarkAttackConfig, _rewatermark
 from repro.quant.base import QuantizedLinear, QuantizedModel
 from repro.quant.llm_int8 import rewrite_outlier_entries
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.engine import KeyLike
 
 __all__ = [
     "AttackOutcome",
@@ -76,16 +78,19 @@ class AttackOutcome:
     model:
         The attacked model (always a copy; the subject is never mutated).
     attacker_key:
-        The adversary's own watermark key, for attacks that insert one
-        (re-watermarking).  The gauntlet additionally extracts the attacker's
-        signature when this is present.
+        What verifies the adversary's own watermark, for attacks that insert
+        one (re-watermarking, the soup partner): the
+        :class:`~repro.engine.ticket.VerificationTicket` their insertion
+        built, not the full key, which is dropped with the attack.  The
+        gauntlet additionally extracts the attacker's signature when this is
+        present.
     info:
         Attack-specific JSON-able diagnostics (e.g. the LoRA attack's final
         loss, or whether the quantized weights moved).
     """
 
     model: QuantizedModel
-    attacker_key: Optional[WatermarkKey] = None
+    attacker_key: Optional[KeyLike] = None
     info: Dict[str, object] = field(default_factory=dict)
 
 
@@ -340,12 +345,12 @@ class RewatermarkAttack(AttackSpec):
     def apply(self, model, strength, rng):
         if int(strength) == 0:
             return AttackOutcome(model=model.clone())
-        attacked, attacker_key = rewatermark_attack(
+        attacked, _, report = _rewatermark(
             model,
             replace(self.config, bits_per_layer=int(strength)),
             attacker_activations=self._attacker_activations(model),
         )
-        return AttackOutcome(model=attacked, attacker_key=attacker_key)
+        return AttackOutcome(model=attacked, attacker_key=report.ticket)
 
     def describe(self):
         return {
@@ -946,7 +951,7 @@ class SoupAttack(AttackSpec):
             seed=_derived_seed(rng),
             signature_seed=_derived_seed(rng),
         )
-        partner, partner_key, _ = insert_watermark(
+        partner, _, partner_report = insert_watermark(
             self.base_model, self.base_activations, config=partner_config
         )
         souped = model.clone()
@@ -963,7 +968,7 @@ class SoupAttack(AttackSpec):
             taken += int(np.count_nonzero(diff_mask & take))
         return AttackOutcome(
             model=souped,
-            attacker_key=partner_key,
+            attacker_key=partner_report.ticket,
             info={
                 "soup_ratio": ratio,
                 "true_two_clone": True,

@@ -3,7 +3,8 @@
 Every executor of :class:`~repro.robustness.gauntlet.Gauntlet` — the inline
 serial loop, the thread pool and the process pool — runs a cell through the
 same :func:`run_cell`: attack → quality → verify the owner key, then each
-co-resident owner key, then the attacker's own key (re-watermarking cells).
+co-resident owner key, then the attacker's own watermark (re-watermarking and
+soup cells), through the ticket the attack's insertion handed forward.
 The executors differ only in where the :class:`CellContext` comes from:
 in-process executors build it from the subjects, pool workers rebuild it
 from shared-memory model views and the parent's pickled tickets
@@ -111,10 +112,9 @@ def run_cell(context: CellContext, cell: GridCell) -> CellOutcome:
         }
         attacker = None
         if outcome.attacker_key is not None:
-            # One-shot: the adversary key belongs to this cell alone, so it
-            # is verified without session registration — retaining it (a
-            # full model-size reference snapshot per cell) would re-grow
-            # memory with the grid.
+            # One-shot: the adversary's ticket belongs to this cell alone, so
+            # it is verified without session registration.  It was built by
+            # the attack's own insertion, so nothing is re-planned here.
             attacker = session.verify_once(
                 cell.cell_id, outcome.model, outcome.attacker_key, cell.attacker_key_id
             )

@@ -44,6 +44,44 @@ class TestFalseClaimProbability:
             false_claim_probability(10, -1)
 
 
+class TestFalseClaimMemo:
+    """Eq. 8 is memoized; the cache must be invisible to every caller."""
+
+    @pytest.mark.parametrize("n", [1, 24, 100, 432])
+    def test_memoized_values_are_bit_equal_to_the_computation(self, n):
+        false_claim_probability.cache_clear()
+        for k in range(n + 1):
+            direct = np.float64(false_claim_probability.__wrapped__(n, k)).tobytes()
+            first = false_claim_probability(n, k)  # computed and cached
+            again = false_claim_probability(n, k)  # served from the cache
+            assert type(first) is float
+            assert np.float64(first).tobytes() == direct
+            assert np.float64(again).tobytes() == direct
+
+    def test_numpy_integers_give_the_same_float(self):
+        false_claim_probability.cache_clear()
+        for n, k in [(24, 13), (100, 100), (432, 250)]:
+            python_first = false_claim_probability(n, k)
+            assert false_claim_probability(np.int64(n), np.int64(k)) == python_first
+            assert false_claim_probability(np.int32(n), k) == python_first
+        false_claim_probability.cache_clear()
+        numpy_first = false_claim_probability(np.int64(24), np.int64(13))
+        assert numpy_first == false_claim_probability.__wrapped__(24, 13)
+        assert type(numpy_first) is float
+
+    def test_cache_is_bounded(self):
+        assert false_claim_probability.cache_info().maxsize is not None
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                false_claim_probability(0, 0)
+            with pytest.raises(ValueError):
+                false_claim_probability(10, 11)
+            with pytest.raises(ValueError):
+                false_claim_probability(np.int64(10), np.int64(-1))
+
+
 class TestWatermarkStrength:
     def test_single_layer_equals_false_claim(self):
         assert watermark_strength(20, 1) == pytest.approx(false_claim_probability(20, 20))

@@ -7,19 +7,24 @@ positions equal to that layer's signature slice.  A layer the suspect lacks,
 or whose shape differs from the reference, extracts nothing.  Tickets are
 derived on an engine whose plan cache never saw the insertion, and are
 matched after a pickle round trip (what process-pool workers receive), so
-agreement is not one cached value compared with itself.
+agreement is not one cached value compared with itself.  The ticket an
+insertion hands forward on its report is held to the same standard: equal,
+field for field, to the one a cold engine derives from the returned key.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EmMarkConfig
-from repro.engine import WatermarkEngine
+from repro.engine import EngineConfig, WatermarkEngine
 from repro.quant.api import quantize_model
 from repro.robustness import build_attack
 
@@ -119,3 +124,109 @@ def test_ticket_match_equals_definition(
     assert set(result.locations) == set(locations)
     for name, where in locations.items():
         np.testing.assert_array_equal(result.locations[name], where)
+
+
+# ----------------------------------------------------------------------
+# The ticket an insertion hands forward equals the one derived from its key
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def bases(trained_model, quantized_awq4, activation_stats):
+    """RTN-8 and AWQ-4 bases of one trained model."""
+    return {
+        "rtn-8": quantize_model(trained_model, "rtn", bits=8),
+        "awq-4": quantized_awq4,
+    }
+
+
+def assert_same_ticket(handed, derived):
+    assert handed.key_id == derived.key_id
+    assert len(handed.layers) == len(derived.layers)
+    for ours, theirs in zip(handed.layers, derived.layers):
+        assert ours.name == theirs.name
+        assert ours.shape == theirs.shape
+        for field in ("locations", "reference", "signature"):
+            a, b = getattr(ours, field), getattr(theirs, field)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    base=st.sampled_from(["rtn-8", "awq-4"]),
+    owners=st.integers(1, 3),
+    bits_per_layer=st.integers(1, 16),
+    seed=st.integers(0, 2**31 - 1),
+    attack_seed=st.integers(0, 2**32 - 1),
+)
+def test_insert_ticket_equals_ticket_for(
+    bases, activation_stats, base, owners, bits_per_layer, seed, attack_seed
+):
+    model = bases[base]
+    config = EmMarkConfig.scaled_for_model(
+        model, bits_per_layer=bits_per_layer, seed=seed, signature_seed=seed + 1
+    )
+    engine = WatermarkEngine()
+    if owners == 1:
+        watermarked, key, report = engine.insert(model, activation_stats, config=config)
+        inserted = [(key, report)]
+    else:
+        multi = engine.insert_multi(
+            model, activation_stats, {f"o{i}": replace(config, seed=seed + i) for i in range(owners)}
+        )
+        watermarked = multi.model
+        inserted = [(item.key, item.report) for item in multi.items]
+        # Later owners were planned under the earlier owners' occupancy.
+        assert all(key.occupied_slots for key, _ in inserted[1:])
+    attacked = build_attack("overwrite").apply(
+        watermarked, 40, np.random.default_rng(attack_seed)
+    ).model
+    # A cold engine: the derived ticket re-plans from the key alone.
+    cold = WatermarkEngine()
+    for key, report in inserted:
+        derived = cold.ticket_for(key)
+        assert_same_ticket(report.ticket, derived)
+        assert_same_ticket(pickle.loads(pickle.dumps(report.ticket)), derived)
+        for suspect in (watermarked, attacked):
+            handed = report.ticket.match(suspect)
+            reference = derived.match(suspect)
+            assert handed.matched_bits == reference.matched_bits
+            assert handed.per_layer_wer == reference.per_layer_wer
+        assert report.ticket.match(watermarked).wer_percent == 100.0
+
+
+def test_insert_counts_only_its_own_lookups(bases, activation_stats):
+    """Concurrent insertions on one engine each report one lookup per layer."""
+    model = bases["awq-4"]
+    # More pool workers than cores, and frequent thread switches, so the two
+    # insertions' layer lookups interleave.
+    engine = WatermarkEngine(EngineConfig(max_workers=4))
+    reports = []
+    errors = []
+
+    def worker(offset):
+        try:
+            for index in range(5):
+                config = EmMarkConfig.scaled_for_model(
+                    model, bits_per_layer=4, seed=100 * offset + index
+                )
+                reports.append(engine.insert(model, activation_stats, config=config)[2])
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(offset,)) for offset in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(reports) == 10
+    for report in reports:
+        assert report.cache_hits + report.cache_misses == report.num_layers
+        assert report.cache_misses == report.num_layers  # every seed is new
+    engine.close()

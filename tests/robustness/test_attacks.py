@@ -26,6 +26,16 @@ from repro.robustness.attacks import AttackSpec
 from repro.utils.rng import new_rng
 
 
+def assert_same_ticket(ours, theirs):
+    """Layer-by-layer equality of two verification tickets."""
+    assert [layer.name for layer in ours.layers] == [layer.name for layer in theirs.layers]
+    for mine, other in zip(ours.layers, theirs.layers):
+        assert mine.shape == other.shape
+        np.testing.assert_array_equal(mine.locations, other.locations)
+        np.testing.assert_array_equal(mine.reference, other.reference)
+        np.testing.assert_array_equal(mine.signature, other.signature)
+
+
 class TestRegistry:
     def test_builtin_attacks_registered(self):
         assert {"none", "overwrite", "rewatermark", "pruning",
@@ -432,14 +442,9 @@ class TestCorpusBackedMemo:
                     outcome.model.get_layer(name).weight_int,
                     attacked.get_layer(name).weight_int,
                 )
-            np.testing.assert_array_equal(
-                outcome.attacker_key.signature, attacker_key.signature
-            )
-            ours = gauntlet_engine.reproduce_locations(outcome.attacker_key)
-            theirs = gauntlet_engine.reproduce_locations(attacker_key)
-            assert ours.keys() == theirs.keys()
-            for name in theirs:
-                np.testing.assert_array_equal(ours[name], theirs[name])
+            # The spec hands forward its insertion's ticket; it must equal
+            # the one derived from the functional call's full key.
+            assert_same_ticket(outcome.attacker_key, gauntlet_engine.ticket_for(attacker_key))
 
     def test_pickled_spec_carries_an_empty_memo(self, quantized_awq4, small_dataset):
         spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
@@ -562,17 +567,26 @@ class TestSoupAttack:
         assert 25.0 < partner.wer_percent < 75.0
 
     def test_partner_is_independent_of_the_subject_watermark(
-        self, soup_spec, awq_subject, quantized_awq4, gauntlet_engine
+        self, soup_spec, awq_subject, quantized_awq4, activation_stats, gauntlet_engine
     ):
         # The partner clone derives from the *base*, not the deployed model:
         # souping the virgin base and souping the watermarked deployment at
-        # the same cell RNG produce the identical partner key locations.
+        # the same cell RNG hand forward the identical partner ticket — the
+        # one derived from a partner key inserted here, outside the spec.
+        from repro.core.config import EmMarkConfig
+        from repro.core.insertion import insert_watermark
+
         out_a = soup_spec.apply(awq_subject.model, 1.0, new_rng(7))
         out_b = soup_spec.apply(quantized_awq4, 1.0, new_rng(7))
-        locs_a = gauntlet_engine.reproduce_locations(out_a.attacker_key)
-        locs_b = gauntlet_engine.reproduce_locations(out_b.attacker_key)
-        for name in locs_a:
-            np.testing.assert_array_equal(locs_a[name], locs_b[name])
+        rng = new_rng(7)
+        seed, signature_seed = (int(rng.integers(0, 2**31 - 1)) for _ in range(2))
+        config = EmMarkConfig.scaled_for_model(
+            quantized_awq4, seed=seed, signature_seed=signature_seed
+        )
+        _, partner_key, _ = insert_watermark(quantized_awq4, activation_stats, config=config)
+        expected = gauntlet_engine.ticket_for(partner_key)
+        assert_same_ticket(out_a.attacker_key, expected)
+        assert_same_ticket(out_b.attacker_key, expected)
 
     def test_info_counts_positions(self, soup_spec, quantized_awq4):
         outcome = soup_spec.apply(quantized_awq4, 0.5, new_rng(3))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.attacks.rewatermark import RewatermarkAttackConfig, rewatermark_attack
 from repro.engine import WatermarkEngine
 from repro.engine.reports import (
     DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
@@ -175,11 +176,21 @@ class TestCellWiring:
             }
             assert cell.co_owner_wer_percent == {o: r.wer_percent for o, r in co.items()}
             assert cell.co_owner_owned == {o: owned(r) for o, r in co.items()}
-            expected_attacker = (
-                None
-                if outcome.attacker_key is None
-                else engine.extract(outcome.model, outcome.attacker_key).wer_percent
-            )
+            if cell.attack == "rewatermark":
+                # The cell verified the ticket its insertion handed forward;
+                # recompute from the functional attack's full key instead,
+                # through the one derivation from a key.
+                attacked, attacker_key = rewatermark_attack(
+                    multi_owner_subject.model,
+                    RewatermarkAttackConfig(bits_per_layer=int(cell.strength)),
+                    calibration_corpus=small_dataset.calibration,
+                )
+                expected_attacker = engine.extract(
+                    attacked, engine.ticket_for(attacker_key)
+                ).wer_percent
+            else:
+                assert outcome.attacker_key is None
+                expected_attacker = None
             assert cell.attacker_wer_percent == expected_attacker
         assert report.cells_for(attack="rewatermark")[0].attacker_wer_percent is not None
 
