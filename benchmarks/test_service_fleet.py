@@ -133,7 +133,7 @@ def _decision_digest(responses: List[Dict[str, object]]) -> str:
 def _measure_fleet(families, num_shards: int, total_requests: int):
     """One fleet at ``num_shards``: identity digests through the router,
     then a client-side-routed load burst with per-shard breakdown."""
-    with launch_fleet(FleetConfig(num_shards=num_shards, max_wait_ms=1.0)) as fleet:
+    with launch_fleet(FleetConfig(num_shards=num_shards)) as fleet:
         # Register + upload THROUGH the router: it derives every placement
         # itself (and learns suspect ids), so the identity pass also proves
         # the router's routing.  The returned shard labels seed the
@@ -277,7 +277,7 @@ def test_service_fleet():
     # -- the unsharded baseline: one plain VerificationServer --------------
     server = VerificationServer(
         engine=WatermarkEngine(EngineConfig()),
-        config=ServiceConfig(port=0, max_wait_ms=1.0),
+        config=ServiceConfig(port=0),
     )
     with run_in_background(server) as handle:
         with VerificationClient(port=handle.port) as client:

@@ -132,7 +132,7 @@ def _start_server(registry_root, watermarked, clean):
     server = VerificationServer(
         engine=engine,
         registry=KeyRegistry(registry_root, engine=engine),
-        config=ServiceConfig(port=0, max_wait_ms=1.0, max_batch=32),
+        config=ServiceConfig(port=0, max_batch=32),
     )
     handle = run_in_background(server)
     with VerificationClient(port=handle.port) as client:
@@ -336,7 +336,7 @@ def test_job_resume_digest():
     def boot(checkpoints):
         return run_in_background(VerificationServer(
             engine=WatermarkEngine(EngineConfig()),
-            config=ServiceConfig(port=0, max_wait_ms=1.0, checkpoint_dir=checkpoints),
+            config=ServiceConfig(port=0, checkpoint_dir=checkpoints),
         ))
 
     def load(client):

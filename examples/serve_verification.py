@@ -81,7 +81,7 @@ def main():
             registry=KeyRegistry(registry_dir),
             audit=AuditLog(audit_path),
             config=ServiceConfig(
-                port=0, max_wait_ms=2.0, checkpoint_dir=Path(tmp) / "checkpoints"
+                port=0, checkpoint_dir=Path(tmp) / "checkpoints"
             ),
         )
         print("\n== 2. starting the verification server ==")

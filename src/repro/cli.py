@@ -116,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL audit log of every ownership decision")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="max verification requests coalesced per engine sweep")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batching window after the first queued request")
     serve.add_argument("--max-queue", type=int, default=256,
                        help="pending-request bound before returning 503")
     serve.add_argument("--rate-limit", type=float, default=None,
@@ -337,7 +335,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue,
             rate_limit_per_sec=args.rate_limit,
             rate_limit_burst=args.burst,

@@ -7,14 +7,16 @@ Two mechanisms sit between the HTTP handlers and the
   that arrive faster than the configured sustained rate (plus burst) are
   rejected up front with HTTP 429 instead of growing the queue without bound.
 * :class:`MicroBatchDispatcher` — a bounded queue plus a single consumer
-  task.  Concurrent ``/verify`` requests are coalesced into one
-  :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` call per batch:
-  the batch's suspects and keys are deduplicated, and the engine is handed
-  the exact ``(suspect, key)`` pairs the batched requests asked for.  Keys
-  arrive as the registry's resident
+  task.  A batch is the first queued job plus whatever else is already
+  queued (up to ``max_batch``): the backlog that built while the previous
+  batch ran on the one dispatch thread.  Nothing waits on a timer, so a
+  lone request goes straight to the engine.  Each batch is one
+  :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` call per
+  threshold pair: the batch's suspects and keys are deduplicated, and the
+  engine is handed the exact ``(suspect, key)`` pairs the batched requests
+  asked for.  Keys arrive as the registry's resident
   :class:`~repro.engine.ticket.VerificationTicket`\\ s, so each pair is a
-  gather-and-compare; batching amortizes the executor hand-off and lets the
-  queue absorb bursts while a batch runs.
+  gather-and-compare.
 
 Verdicts are bit-identical to unbatched ``verify_fleet`` calls because each
 pair's evidence (match counts, WER, Equation 8 probability) is computed
@@ -267,7 +269,15 @@ class VerifyJob:
 
 @dataclass
 class VerifyOutcome:
-    """What the dispatcher hands back for one job."""
+    """What the dispatcher hands back for one job.
+
+    ``queue_seconds`` is the job's wall time from enqueue to its outcome
+    being built, minus ``verify_seconds`` (its group's engine call).  So it
+    counts the wait behind earlier batches *and* the hand-off to the
+    dispatch thread and the resolution of its future back on the event
+    loop.  ``queue_seconds + verify_seconds`` never exceeds the time from
+    enqueue to the job's future resolving.
+    """
 
     request_id: str
     suspect_id: str
@@ -279,7 +289,12 @@ class VerifyOutcome:
 
 
 class MicroBatchDispatcher:
-    """Coalesces concurrent verification jobs into single fleet sweeps.
+    """Coalesces queued verification jobs into single fleet sweeps.
+
+    One consumer task takes the first queued job and sweeps up whatever else
+    is already queued, up to ``max_batch``, without waiting for followers.
+    Batches run one at a time on a single executor thread, so the next batch
+    is exactly the backlog that arrived while the current one ran.
 
     Parameters
     ----------
@@ -287,10 +302,6 @@ class MicroBatchDispatcher:
         The verification engine the coalesced sweeps run on.
     max_batch:
         Hard cap on jobs folded into one ``verify_fleet`` call.
-    max_wait_ms:
-        How long the dispatcher waits for followers after the first job of a
-        batch arrives.  Zero still batches whatever is already queued (the
-        natural backlog that builds while the previous batch executes).
     max_queue:
         Bound on the pending-job queue; beyond it :meth:`submit` raises
         :class:`QueueFullError` (surfaced as HTTP 503).
@@ -305,7 +316,6 @@ class MicroBatchDispatcher:
         self,
         engine: WatermarkEngine,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 256,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -315,7 +325,6 @@ class MicroBatchDispatcher:
             raise ValueError("max_queue must be >= 1")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_wait_s = max(0.0, float(max_wait_ms)) / 1000.0
         self.max_queue = int(max_queue)
         self._queue: "asyncio.Queue[Optional[VerifyJob]]" = asyncio.Queue(maxsize=max_queue)
         # One worker: batches execute strictly one at a time, which is what
@@ -343,7 +352,8 @@ class MicroBatchDispatcher:
         )
         self._queue_time = self.metrics.histogram(
             "repro_dispatch_queue_seconds",
-            "Seconds a job waited in the queue before its batch ran",
+            "Seconds from enqueue to outcome minus the engine call: the wait "
+            "behind earlier batches plus the dispatch-thread hand-off",
         )
         self.jobs_in_batches = 0
         self.largest_batch = 0
@@ -408,28 +418,13 @@ class MicroBatchDispatcher:
     # Consumer side
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             if first is None:
                 return
             batch = [first]
-            deadline = loop.time() + self.max_wait_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Window elapsed — still sweep up anything already queued.
-                    while len(batch) < self.max_batch and not self._queue.empty():
-                        follower = self._queue.get_nowait()
-                        if follower is None:
-                            await self._execute(batch)
-                            return
-                        batch.append(follower)
-                    break
-                try:
-                    follower = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    continue
+            while len(batch) < self.max_batch and not self._queue.empty():
+                follower = self._queue.get_nowait()
                 if follower is None:
                     await self._execute(batch)
                     return
@@ -535,7 +530,6 @@ class MicroBatchDispatcher:
             "pairs_verified": self.pairs_verified,
             "queue_depth": self.depth,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_s * 1000.0,
             "max_queue": self.max_queue,
             "batch_size": self._batch_size.summary(),
             "queue_seconds": self._queue_time.summary(),

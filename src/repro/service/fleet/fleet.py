@@ -62,7 +62,6 @@ class FleetConfig:
     num_shards: int = 2
     registry_root: Optional[Union[str, Path]] = None
     plan_cache_entries: int = 256
-    max_wait_ms: float = 2.0
     max_batch: int = 32
     run_audit: bool = True
     replicas: int = 64
@@ -157,7 +156,6 @@ def launch_fleet(config: Optional[FleetConfig] = None, **kwargs) -> FleetHandle:
                 host=cfg.host,
                 port=0,
                 max_batch=cfg.max_batch,
-                max_wait_ms=cfg.max_wait_ms,
             ),
         )
         shards.append(server)

@@ -293,6 +293,10 @@ class _GauntletRequest:
 class ServiceConfig:
     """Tuning knobs of a :class:`VerificationServer`.
 
+    ``max_batch`` caps how many queued verify requests the dispatcher folds
+    into one engine sweep; it coalesces only the backlog that built while
+    the previous sweep ran and never holds a request back waiting for more.
+    ``max_queue`` bounds that backlog (beyond it, ``/v1/verify`` is a 503).
     ``rate_limit_per_sec`` is the legacy whole-server token bucket;
     ``owner_rate_limit_per_sec`` keys admission by the registry owner the
     request's keys belong to — the multi-tenant replacement, giving each
@@ -313,7 +317,6 @@ class ServiceConfig:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 256,
         rate_limit_per_sec: Optional[float] = None,
         rate_limit_burst: Optional[float] = None,
@@ -343,7 +346,6 @@ class ServiceConfig:
         self.host = host
         self.port = int(port)
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self.max_queue = int(max_queue)
         self.rate_limit_per_sec = rate_limit_per_sec
         self.rate_limit_burst = rate_limit_burst
@@ -396,7 +398,6 @@ class VerificationServer(AsyncHttpServer):
         self.dispatcher = MicroBatchDispatcher(
             self.engine,
             max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
             max_queue=self.config.max_queue,
             metrics=self.metrics,
         )

@@ -66,7 +66,7 @@ def server_handle(watermarked_and_key, quantized_awq4):
     watermarked, key = watermarked_and_key
     server = VerificationServer(
         engine=WatermarkEngine(EngineConfig()),
-        config=ServiceConfig(port=0, max_wait_ms=2.0),
+        config=ServiceConfig(port=0),
     )
     with run_in_background(server) as handle:
         with VerificationClient(port=handle.port) as client:

@@ -85,6 +85,12 @@ class TestFlagSpelling:
         assert "Traceback" not in result.stderr
         assert "unrecognized arguments: --mode batched" in result.stderr
 
+    def test_removed_batching_window_flag_is_a_usage_error(self):
+        result = _run_cli("serve", "--max-wait-ms", "2")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "unrecognized arguments: --max-wait-ms 2" in result.stderr
+
     @pytest.mark.parametrize("command", ["insert", "gauntlet"])
     def test_unknown_model_is_a_usage_error(self, command):
         result = _run_cli(command, "--model", "batched")

@@ -1,6 +1,8 @@
 """TokenBucket and MicroBatchDispatcher behaviour (no HTTP involved)."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -49,7 +51,11 @@ class TestTokenBucket:
 
 
 def _run_jobs(dispatcher_kwargs, jobs_spec, engine):
-    """Drive a dispatcher inside a private event loop and return outcomes."""
+    """Drive a dispatcher inside a private event loop and return outcomes.
+
+    Every job is submitted before the consumer task first runs, so the whole
+    list is backlog and coalesces up to ``max_batch`` per batch.
+    """
 
     async def main():
         dispatcher = MicroBatchDispatcher(engine, **dispatcher_kwargs)
@@ -75,9 +81,7 @@ class TestMicroBatchDispatcher:
                 [("hit", watermarked), ("miss", quantized_awq4)] * 3
             )
         ]
-        dispatcher, outcomes = _run_jobs(
-            dict(max_batch=16, max_wait_ms=50.0), jobs, engine
-        )
+        dispatcher, outcomes = _run_jobs(dict(max_batch=16), jobs, engine)
         # All six submitted before the loop ran → a single coalesced batch.
         assert dispatcher.batches == 1
         assert dispatcher.largest_batch == 6
@@ -99,7 +103,7 @@ class TestMicroBatchDispatcher:
             VerifyJob("r1", "hit", watermarked, {"owner": key}),
             VerifyJob("r2", "miss", quantized_awq4, {"owner": key}),
         ]
-        _, outcomes = _run_jobs(dict(max_batch=8, max_wait_ms=20.0), jobs, engine)
+        _, outcomes = _run_jobs(dict(max_batch=8), jobs, engine)
         for outcome in outcomes:
             for pair in outcome.decisions:
                 reference = direct_by_pair[(pair.suspect_id, pair.key_id)]
@@ -115,7 +119,7 @@ class TestMicroBatchDispatcher:
             VerifyJob("strict", "hit", watermarked, {"owner": key}, wer_threshold=100.0),
             VerifyJob("lenient", "hit", watermarked, {"owner": key}, wer_threshold=1.0),
         ]
-        dispatcher, outcomes = _run_jobs(dict(max_batch=8, max_wait_ms=20.0), jobs, engine)
+        dispatcher, outcomes = _run_jobs(dict(max_batch=8), jobs, engine)
         assert dispatcher.batches == 1  # one batch, two threshold groups inside
         assert all(o.decisions[0].owned for o in outcomes)
 
@@ -130,7 +134,7 @@ class TestMicroBatchDispatcher:
             VerifyJob("a", "prod", watermarked, {"owner": key}),
             VerifyJob("b", "prod", quantized_awq4, {"owner": key}),
         ]
-        dispatcher, outcomes = _run_jobs(dict(max_batch=8, max_wait_ms=50.0), jobs, engine)
+        dispatcher, outcomes = _run_jobs(dict(max_batch=8), jobs, engine)
         assert dispatcher.batches == 1  # both coalesced into one batch
         by_request = {o.request_id: o.decisions[0] for o in outcomes}
         assert by_request["a"].owned is True
@@ -144,7 +148,7 @@ class TestMicroBatchDispatcher:
         engine = WatermarkEngine(EngineConfig())
 
         async def main():
-            dispatcher = MicroBatchDispatcher(engine, max_queue=2, max_wait_ms=1000.0)
+            dispatcher = MicroBatchDispatcher(engine, max_queue=2)
             # Not started: jobs stay queued, so the bound is reached.
             dispatcher.submit(VerifyJob("a", "hit", watermarked, {"k": key}))
             dispatcher.submit(VerifyJob("b", "hit", watermarked, {"k": key}))
@@ -161,8 +165,8 @@ class TestMicroBatchDispatcher:
         jobs = [
             VerifyJob(f"req-{i}", "hit", watermarked, {"owner": key}) for i in range(5)
         ]
-        dispatcher, outcomes = _run_jobs(dict(max_batch=2, max_wait_ms=20.0), jobs, engine)
-        assert dispatcher.batches >= 3  # ceil(5 / 2)
+        dispatcher, outcomes = _run_jobs(dict(max_batch=2), jobs, engine)
+        assert dispatcher.batches == 3  # ceil(5 / 2)
         assert dispatcher.largest_batch <= 2
         assert len(outcomes) == 5
 
@@ -170,9 +174,115 @@ class TestMicroBatchDispatcher:
         watermarked, key = watermarked_and_key
         engine = WatermarkEngine(EngineConfig())
         jobs = [VerifyJob("r", "hit", watermarked, {"owner": key})]
-        dispatcher, _ = _run_jobs(dict(max_batch=4, max_wait_ms=1.0), jobs, engine)
+        dispatcher, _ = _run_jobs(dict(max_batch=4), jobs, engine)
         stats = dispatcher.stats()
         assert stats["batches"] == 1
         assert stats["jobs_dispatched"] == 1
         assert stats["queue_depth"] == 0
         assert stats["mean_batch_size"] == 1.0
+
+
+class _GatedEngine:
+    """Stub engine whose sweeps block until :attr:`release` is set.
+
+    It records each sweep's suspects and delegates the arithmetic to a real
+    engine, so outcomes stay genuine verdicts.
+    """
+
+    def __init__(self):
+        self.engine = WatermarkEngine(EngineConfig())
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.sweeps = []
+
+    def verify_fleet(self, suspects, keys, **kwargs):
+        self.sweeps.append(len(suspects))
+        self.entered.set()
+        assert self.release.wait(timeout=30), "test never released the engine"
+        return self.engine.verify_fleet(suspects, keys, **kwargs)
+
+
+async def _yield_to_loop(times=10):
+    """Let ready callbacks run without letting any timer come due."""
+    for _ in range(times):
+        await asyncio.sleep(0)
+
+
+class TestBacklogCoalescing:
+    def test_lone_job_runs_at_once_and_backlog_forms_next_batch(
+        self, watermarked_and_key, quantized_awq4
+    ):
+        watermarked, key = watermarked_and_key
+        engine = _GatedEngine()
+        models = {"a": watermarked, "b": quantized_awq4, "c": watermarked.clone()}
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            dispatcher = MicroBatchDispatcher(engine, max_batch=8)
+            dispatcher.start()
+            await _yield_to_loop()  # consumer parks on the empty queue
+            futures = {"a": dispatcher.submit(VerifyJob("a", "a", models["a"], {"owner": key}))}
+            # With the queue otherwise empty, A's batch starts within a few
+            # loop turns: no window holds it open for followers.
+            await _yield_to_loop()
+            assert dispatcher.batches == 1
+            assert await loop.run_in_executor(None, engine.entered.wait, 30)
+            # B and C queue while A's batch is blocked in the engine.
+            for name in ("b", "c"):
+                futures[name] = dispatcher.submit(
+                    VerifyJob(name, name, models[name], {"owner": key})
+                )
+            await _yield_to_loop()
+            assert dispatcher.depth == 2
+            engine.release.set()
+            outcomes = {name: await future for name, future in futures.items()}
+            await dispatcher.stop()
+            return dispatcher, outcomes
+
+        dispatcher, outcomes = asyncio.run(main())
+        assert dispatcher.batches == 2
+        assert dispatcher.largest_batch == 2
+        assert engine.sweeps == [1, 2]
+        assert outcomes["a"].batch_size == 1
+        assert outcomes["b"].batch_id == outcomes["c"].batch_id != outcomes["a"].batch_id
+        assert outcomes["b"].batch_size == outcomes["c"].batch_size == 2
+        owned = {name: o.decisions[0].owned for name, o in outcomes.items()}
+        assert owned == {"a": True, "b": False, "c": True}
+
+
+class TestQueueAccounting:
+    def test_queue_and_verify_seconds_fit_inside_the_wall_time(self, watermarked_and_key):
+        """``queue_seconds`` is enqueue-to-outcome minus the engine call, so
+        with ``verify_seconds`` it never exceeds enqueue-to-resolution."""
+        watermarked, key = watermarked_and_key
+        engine = WatermarkEngine(EngineConfig())
+        jobs = [
+            VerifyJob(f"req-{i}", "hit", watermarked, {"owner": key}) for i in range(5)
+        ]
+
+        async def main():
+            dispatcher = MicroBatchDispatcher(engine, max_batch=2)
+            dispatcher.start()
+            resolved = {}
+            futures = []
+            for job in jobs:
+                future = dispatcher.submit(job)
+                future.add_done_callback(
+                    lambda _f, rid=job.request_id: resolved.setdefault(rid, time.perf_counter())
+                )
+                futures.append(future)
+            outcomes = await asyncio.gather(*futures)
+            await dispatcher.stop()
+            return outcomes, resolved
+
+        outcomes, resolved = asyncio.run(main())
+        enqueued = {job.request_id: job.enqueued_at for job in jobs}
+        for outcome in outcomes:
+            wall = resolved[outcome.request_id] - enqueued[outcome.request_id]
+            assert 0.0 <= outcome.queue_seconds
+            assert 0.0 < outcome.verify_seconds
+            assert outcome.queue_seconds + outcome.verify_seconds <= wall
+        # Later batches waited behind earlier ones; that wait is queue time.
+        last = max(outcomes, key=lambda o: o.batch_id)
+        first = min(outcomes, key=lambda o: o.batch_id)
+        assert last.queue_seconds >= first.verify_seconds

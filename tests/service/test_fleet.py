@@ -199,7 +199,7 @@ def fleet(watermarked_and_key, quantized_awq4):
     """A running 2-shard fleet with the key and both suspects registered
     through the router (so the router learns the suspect placements)."""
     watermarked, key = watermarked_and_key
-    with launch_fleet(num_shards=2, max_wait_ms=1.0) as handle:
+    with launch_fleet(num_shards=2) as handle:
         with VerificationClient(port=handle.port) as client:
             record = client.register_key(key, owner="acme", metadata={"suite": "fleet"})
             hit = client.upload_suspect(watermarked, suspect_id="fleet-hit")

@@ -37,7 +37,7 @@ SLOW_ATTACKS = [{"name": "slowmo", "strengths": [0, 1, 2, 3]}]
 
 def _start_server(checkpoint_dir, **overrides):
     config = ServiceConfig(
-        port=0, max_wait_ms=2.0, checkpoint_dir=checkpoint_dir, **overrides
+        port=0, checkpoint_dir=checkpoint_dir, **overrides
     )
     server = VerificationServer(engine=WatermarkEngine(EngineConfig()), config=config)
     return run_in_background(server)

@@ -167,7 +167,7 @@ class TestConcurrentJobs:
         watermarked, key = watermarked_and_key
         server = VerificationServer(
             engine=WatermarkEngine(EngineConfig()),
-            config=ServiceConfig(port=0, max_wait_ms=1.0, job_max_active=1),
+            config=ServiceConfig(port=0, job_max_active=1),
         )
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:

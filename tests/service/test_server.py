@@ -209,7 +209,7 @@ class TestStatsAndAudit:
         server = VerificationServer(
             engine=engine,
             registry=KeyRegistry(tmp_path / "reg", engine=engine),
-            config=ServiceConfig(port=0, max_wait_ms=1.0),
+            config=ServiceConfig(port=0),
         )
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
@@ -226,7 +226,7 @@ class TestStatsAndAudit:
 class TestRevocationAndAdmission:
     def test_revoked_key_stops_serving(self, watermarked_and_key, quantized_awq4):
         watermarked, key = watermarked_and_key
-        server = VerificationServer(config=ServiceConfig(port=0, max_wait_ms=1.0))
+        server = VerificationServer(config=ServiceConfig(port=0))
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
                 record = c.register_key(key, owner="acme")
@@ -243,7 +243,7 @@ class TestRevocationAndAdmission:
     ):
         """Same-architecture but different-weight uploads must not alias."""
         watermarked, key = watermarked_and_key
-        server = VerificationServer(config=ServiceConfig(port=0, max_wait_ms=1.0))
+        server = VerificationServer(config=ServiceConfig(port=0))
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
                 c.register_key(key, owner="acme")
@@ -261,7 +261,7 @@ class TestRevocationAndAdmission:
     def test_suspect_store_is_lru_bounded(self, watermarked_and_key, quantized_awq4):
         watermarked, key = watermarked_and_key
         server = VerificationServer(
-            config=ServiceConfig(port=0, max_wait_ms=1.0, max_suspects=2)
+            config=ServiceConfig(port=0, max_suspects=2)
         )
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
@@ -295,7 +295,7 @@ class TestRevocationAndAdmission:
         watermarked, key = watermarked_and_key
         server = VerificationServer(
             config=ServiceConfig(
-                port=0, max_wait_ms=1.0, rate_limit_per_sec=0.001, rate_limit_burst=2
+                port=0, rate_limit_per_sec=0.001, rate_limit_burst=2
             )
         )
         with run_in_background(server) as handle:
@@ -332,7 +332,6 @@ class TestMultiOwnerService:
         server = VerificationServer(
             config=ServiceConfig(
                 port=0,
-                max_wait_ms=1.0,
                 owner_rate_limit_per_sec=0.001,
                 owner_rate_limit_burst=2,
             )
@@ -363,7 +362,6 @@ class TestMultiOwnerService:
         server = VerificationServer(
             config=ServiceConfig(
                 port=0,
-                max_wait_ms=1.0,
                 owner_rate_limit_per_sec=0.001,
                 owner_rate_limit_burst=2,
             )
@@ -395,7 +393,7 @@ class TestMultiOwnerService:
         watermarked, key = watermarked_and_key
         server = VerificationServer(
             engine=WatermarkEngine(EngineConfig()),
-            config=ServiceConfig(port=0, max_wait_ms=1.0),
+            config=ServiceConfig(port=0),
         )
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
@@ -419,7 +417,7 @@ class TestMultiOwnerService:
 
     def test_rank_flag_must_be_boolean(self, watermarked_and_key):
         watermarked, key = watermarked_and_key
-        server = VerificationServer(config=ServiceConfig(port=0, max_wait_ms=1.0))
+        server = VerificationServer(config=ServiceConfig(port=0))
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
                 from repro.service.codec import model_to_wire
@@ -436,7 +434,7 @@ class TestMultiOwnerService:
     ):
         engine = WatermarkEngine()
         result = engine.insert_multi(quantized_awq4, activation_stats, 2)
-        server = VerificationServer(config=ServiceConfig(port=0, max_wait_ms=1.0))
+        server = VerificationServer(config=ServiceConfig(port=0))
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
                 for owner_id, key in result.keys().items():
@@ -500,7 +498,7 @@ class TestVersionedSurface:
         watermarked, key = watermarked_and_key
         server = VerificationServer(
             config=ServiceConfig(
-                port=0, max_wait_ms=1.0, rate_limit_per_sec=0.001, rate_limit_burst=1
+                port=0, rate_limit_per_sec=0.001, rate_limit_burst=1
             )
         )
         with run_in_background(server) as handle:
@@ -528,7 +526,7 @@ class TestVersionedSurface:
 
     def test_delete_key_resource_route(self, watermarked_and_key):
         _, key = watermarked_and_key
-        server = VerificationServer(config=ServiceConfig(port=0, max_wait_ms=1.0))
+        server = VerificationServer(config=ServiceConfig(port=0))
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
                 record = c.register_key(key, owner="acme")
@@ -539,7 +537,7 @@ class TestVersionedSurface:
                 assert excinfo.value.status == 404
 
     def test_readiness_probe_flips_to_503_on_drain(self, watermarked_and_key):
-        server = VerificationServer(config=ServiceConfig(port=0, max_wait_ms=1.0))
+        server = VerificationServer(config=ServiceConfig(port=0))
         with run_in_background(server) as handle:
             with VerificationClient(port=handle.port) as c:
                 ready = c.healthz(ready=True)
