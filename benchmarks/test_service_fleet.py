@@ -6,7 +6,7 @@ Three claims ride in one report (``BENCH_fleet.json``):
    (consistent-hash placement, client-side routing, per-shard latency
    percentiles).  The 4-vs-1 speedup is gated at ≥ 1.5× by
    ``compare_bench.py`` in measured mode on ≥ 4-core hosts only; shards run
-   in one process (per-shard dispatcher threads), so single-core smoke
+   in one process (one event-loop thread per shard), so single-core smoke
    timings are not a fair scaling measurement.
 2. **Decision bit-identity** — every suspect verified through the fleet
    router (any shard count) must produce decisions bit-identical to a

@@ -10,7 +10,8 @@ request counting and latency observation; everything below the routes
 (parsing, limits, response writing, lifecycle) is common.
 
 The HTTP layer is deliberately minimal — request line + headers +
-``Content-Length`` body, keep-alive connections, no TLS, chunked
+``Content-Length`` body (a request with ``Transfer-Encoding`` is one 400
+and a closed connection), keep-alive connections, no TLS, chunked
 transfer-encoding only where a handler returns a :class:`StreamingResponse`
 — the stdlib-only constraint rules out real frameworks, and the interesting
 engineering lives behind the routes, not in header parsing.
@@ -105,6 +106,18 @@ def error_envelope(
     if retry_after is not None:
         error["retry_after"] = float(retry_after)
     return {"error": error}
+
+
+def _keep_alive(version: str, headers: Dict[str, str]) -> bool:
+    """Whether the connection stays open after this request's response.
+
+    HTTP/1.1 keeps it open unless the client sends ``Connection: close``;
+    HTTP/1.0 closes it unless the client sends ``Connection: keep-alive``.
+    """
+    tokens = {t.strip() for t in headers.get("connection", "").lower().split(",")}
+    if version.upper() == "HTTP/1.0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
 
 
 class StreamingResponse:
@@ -230,8 +243,8 @@ class AsyncHttpServer:
                     break
                 if request is None:
                     break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
+                method, path, version, headers, body = request
+                keep_alive = _keep_alive(version, headers)
                 self._count("requests_total")
                 started = time.perf_counter()
                 response: Union[Tuple[int, object, Dict[str, str]], StreamingResponse]
@@ -283,7 +296,7 @@ class AsyncHttpServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    ) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
         try:
             request_line = await reader.readline()
         except ValueError:
@@ -293,7 +306,7 @@ class AsyncHttpServer:
         if not request_line:
             return None
         try:
-            method, target, _version = request_line.decode("latin-1").split(None, 2)
+            method, target, version = request_line.decode("latin-1").split(None, 2)
         except ValueError:
             raise HttpError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
@@ -309,7 +322,14 @@ class AsyncHttpServer:
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise HttpError(400, "conflicting Content-Length headers")
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            # Only Content-Length bodies are read: the end of this one cannot
+            # be found, so its bytes must not be parsed as the next request.
+            raise HttpError(400, "Transfer-Encoding request bodies are not supported")
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
@@ -317,7 +337,7 @@ class AsyncHttpServer:
         if length < 0 or length > MAX_BODY_BYTES:
             raise HttpError(400, f"body exceeds the {MAX_BODY_BYTES}-byte limit")
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
+        return method.upper(), target, version.strip(), headers, body
 
     async def _write_response(
         self,

@@ -475,6 +475,19 @@ class KeyRegistry:
         """``{key_id: ticket}`` of :meth:`active_records` — the verification lookup."""
         return {record.key_id: self._ticket(record) for record in self.active_records(key_ids)}
 
+    def tickets_resident(self, key_ids: Optional[List[str]] = None) -> bool:
+        """Whether :meth:`active_keys` for ``key_ids`` needs no disk read.
+
+        True when every named key (every active key when ``None``) already
+        has its resident ticket.  Unknown and revoked ids count as not
+        resident, so their error is raised by :meth:`active_keys` itself.
+        """
+        with self._index_lock:
+            if key_ids is None:
+                # Only active keys ever hold a ticket (revocation drops it).
+                return len(self._tickets) == self._active_count
+            return all(kid in self._tickets for kid in key_ids)
+
     def keys_for_model(self, fingerprint: str) -> Dict[str, WatermarkKey]:
         """Full keys of the active keys on one model fingerprint (loaded on demand)."""
         return {

@@ -296,7 +296,9 @@ class ServiceConfig:
     ``max_batch`` caps how many queued verify requests the dispatcher folds
     into one engine sweep; it coalesces only the backlog that built while
     the previous sweep ran and never holds a request back waiting for more.
-    ``max_queue`` bounds that backlog (beyond it, ``/v1/verify`` is a 503).
+    Sweeps run on the event loop, so ``max_batch`` also bounds how long one
+    batch holds it.  ``max_queue`` bounds that backlog (beyond it,
+    ``/v1/verify`` is a 503).
     ``rate_limit_per_sec`` is the legacy whole-server token bucket;
     ``owner_rate_limit_per_sec`` keys admission by the registry owner the
     request's keys belong to — the multi-tenant replacement, giving each
@@ -873,11 +875,14 @@ class VerificationServer(AsyncHttpServer):
         ):
             raise _HttpError(400, "'key_ids' must be a list of key id strings")
         try:
-            # Off the loop: a key untouched since a restart derives its
-            # ticket from disk here (resident tickets return at once).
-            keys = await asyncio.get_running_loop().run_in_executor(
-                None, self.registry.active_keys, key_ids
-            )
+            if self.registry.tickets_resident(key_ids):
+                keys = self.registry.active_keys(key_ids)  # dict lookups
+            else:
+                # Off the loop: a key untouched since a restart loads from
+                # disk and derives its ticket here.
+                keys = await asyncio.get_running_loop().run_in_executor(
+                    None, self.registry.active_keys, key_ids
+                )
         except RegistryError as exc:
             raise _HttpError(404, str(exc)) from exc
         if not keys:

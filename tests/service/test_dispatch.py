@@ -1,7 +1,6 @@
 """TokenBucket and MicroBatchDispatcher behaviour (no HTTP involved)."""
 
 import asyncio
-import threading
 import time
 
 import pytest
@@ -182,23 +181,24 @@ class TestMicroBatchDispatcher:
         assert stats["mean_batch_size"] == 1.0
 
 
-class _GatedEngine:
-    """Stub engine whose sweeps block until :attr:`release` is set.
+class _BacklogEngine:
+    """Stub engine whose first sweep calls :attr:`on_first_sweep` before it runs.
 
-    It records each sweep's suspects and delegates the arithmetic to a real
+    Batches run on the event loop, so nothing else can be submitted while
+    one runs; the hook stands in for the requests that arrive meanwhile.  It
+    records each sweep's suspects and delegates the arithmetic to a real
     engine, so outcomes stay genuine verdicts.
     """
 
     def __init__(self):
         self.engine = WatermarkEngine(EngineConfig())
-        self.entered = threading.Event()
-        self.release = threading.Event()
+        self.on_first_sweep = lambda: None
         self.sweeps = []
 
     def verify_fleet(self, suspects, keys, **kwargs):
         self.sweeps.append(len(suspects))
-        self.entered.set()
-        assert self.release.wait(timeout=30), "test never released the engine"
+        if len(self.sweeps) == 1:
+            self.on_first_sweep()
         return self.engine.verify_fleet(suspects, keys, **kwargs)
 
 
@@ -213,28 +213,29 @@ class TestBacklogCoalescing:
         self, watermarked_and_key, quantized_awq4
     ):
         watermarked, key = watermarked_and_key
-        engine = _GatedEngine()
+        engine = _BacklogEngine()
         models = {"a": watermarked, "b": quantized_awq4, "c": watermarked.clone()}
 
         async def main():
-            loop = asyncio.get_running_loop()
             dispatcher = MicroBatchDispatcher(engine, max_batch=8)
+            futures = {}
+
+            def arrive_while_a_runs():
+                assert dispatcher.batches == 1
+                for name in ("b", "c"):
+                    futures[name] = dispatcher.submit(
+                        VerifyJob(name, name, models[name], {"owner": key})
+                    )
+                assert dispatcher.depth == 2
+
+            engine.on_first_sweep = arrive_while_a_runs
             dispatcher.start()
             await _yield_to_loop()  # consumer parks on the empty queue
-            futures = {"a": dispatcher.submit(VerifyJob("a", "a", models["a"], {"owner": key}))}
-            # With the queue otherwise empty, A's batch starts within a few
+            futures["a"] = dispatcher.submit(VerifyJob("a", "a", models["a"], {"owner": key}))
+            # With the queue otherwise empty, A's batch runs within a few
             # loop turns: no window holds it open for followers.
             await _yield_to_loop()
-            assert dispatcher.batches == 1
-            assert await loop.run_in_executor(None, engine.entered.wait, 30)
-            # B and C queue while A's batch is blocked in the engine.
-            for name in ("b", "c"):
-                futures[name] = dispatcher.submit(
-                    VerifyJob(name, name, models[name], {"owner": key})
-                )
-            await _yield_to_loop()
-            assert dispatcher.depth == 2
-            engine.release.set()
+            assert futures["a"].done()
             outcomes = {name: await future for name, future in futures.items()}
             await dispatcher.stop()
             return dispatcher, outcomes

@@ -258,16 +258,26 @@ class TestPersistence:
         KeyRegistry(tmp_path / "reg").register(key, owner="acme")
 
         reloaded = KeyRegistry(tmp_path / "reg")
+        kid = key.fingerprint()
         stats = reloaded.stats()
         assert stats["key_loads"] == 0
         assert stats["tickets"] == 0
+        assert not reloaded.tickets_resident()
+        assert not reloaded.tickets_resident([kid])
         # First touch: one key load derives the ticket, which stays resident.
-        reloaded.active_keys([key.fingerprint()])
+        reloaded.active_keys([kid])
         stats = reloaded.stats()
         assert stats["key_loads"] == 1
         assert stats["tickets"] == 1
-        reloaded.active_keys([key.fingerprint()])
+        assert reloaded.tickets_resident() and reloaded.tickets_resident([kid])
+        reloaded.active_keys([kid])
         assert reloaded.stats()["key_loads"] == 1
+        # Revocation drops the ticket: no active key is cold, and the revoked
+        # id is left to active_keys to refuse.
+        reloaded.revoke(kid)
+        assert reloaded.tickets_resident()
+        assert not reloaded.tickets_resident([kid])
+        assert not reloaded.tickets_resident(["no-such-key"])
 
     def test_tickets_stay_resident_and_keys_load_on_demand(
         self, watermarked_and_key, second_key, tmp_path

@@ -6,6 +6,8 @@ Mutating scenarios (revocation, rate limiting) spin up their own servers so
 the shared one stays pristine.
 """
 
+import json
+import socket
 import threading
 
 import numpy as np
@@ -221,6 +223,155 @@ class TestStatsAndAudit:
                 registry = c.stats()["registry"]
         assert registry["tickets"] == 1
         assert registry["key_loads"] == 1
+
+
+def _record_threads(monkeypatch, obj, attr, threads):
+    """Wrap ``obj.attr`` so each call appends the calling thread's id."""
+    original = getattr(obj, attr)
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, attr, recorded)
+
+
+class TestWhereVerifyRuns:
+    def test_resident_lookup_and_match_run_on_the_loop(
+        self, watermarked_and_key, monkeypatch
+    ):
+        """With every ticket resident, verify-by-id makes no thread hop: the
+        registry lookup and the engine sweep both run on the loop's thread."""
+        watermarked, key = watermarked_and_key
+        server = VerificationServer(
+            engine=WatermarkEngine(EngineConfig()), config=ServiceConfig(port=0)
+        )
+        lookups, sweeps = [], []
+        _record_threads(monkeypatch, server.registry, "active_keys", lookups)
+        _record_threads(monkeypatch, server.dispatcher.engine, "verify_fleet", sweeps)
+        with run_in_background(server) as handle:
+            with VerificationClient(port=handle.port) as c:
+                record = c.register_key(key, owner="acme")
+                c.upload_suspect(watermarked, suspect_id="hit")
+                assert c.verify("hit")["decisions"][0]["owned"] is True
+                assert c.verify("hit", key_ids=[record["key_id"]])["decisions"][0]["owned"]
+            loop_thread = handle._thread.ident
+        assert len(lookups) == len(sweeps) == 2
+        assert set(lookups) == set(sweeps) == {loop_thread}
+
+    def test_cold_ticket_is_derived_off_the_loop(
+        self, watermarked_and_key, tmp_path, monkeypatch
+    ):
+        """On a registry reopened from disk the first verify loads the key and
+        derives its ticket off the loop; the next one reads it on the loop."""
+        from repro.service.registry import KeyRegistry
+
+        watermarked, key = watermarked_and_key
+        KeyRegistry(tmp_path / "reg").register(key, owner="acme")
+        engine = WatermarkEngine(EngineConfig())
+        registry = KeyRegistry(tmp_path / "reg", engine=engine)
+        server = VerificationServer(
+            engine=engine, registry=registry, config=ServiceConfig(port=0)
+        )
+        lookups, derivations = [], []
+        _record_threads(monkeypatch, registry, "active_keys", lookups)
+        _record_threads(monkeypatch, engine, "ticket_for", derivations)
+        with run_in_background(server) as handle:
+            with VerificationClient(port=handle.port) as c:
+                c.upload_suspect(watermarked, suspect_id="hit")
+                assert registry.stats()["key_loads"] == 0
+                first = c.verify("hit")["decisions"]
+                assert registry.stats()["key_loads"] == 1
+                second = c.verify("hit")["decisions"]
+                assert registry.stats()["key_loads"] == 1
+            loop_thread = handle._thread.ident
+        assert len(derivations) == 1 and derivations[0] != loop_thread
+        assert lookups[0] != loop_thread and lookups[1] == loop_thread
+        direct = WatermarkEngine(EngineConfig()).verify_fleet(
+            {"hit": watermarked}, {first[0]["key_id"]: key}
+        )
+        expected = [pair.to_dict() for pair in direct.pairs]
+        for decisions in (first, second):
+            assert [dict(d, seconds=None) for d in decisions] == [
+                dict(d, seconds=None) for d in expected
+            ]
+
+
+class TestHttpFraming:
+    """Raw-socket checks of request framing and connection persistence."""
+
+    @staticmethod
+    def _exchange(port, request):
+        """Send ``request`` and read until the server closes the connection."""
+        received = []
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request)
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    return b"".join(received)
+                received.append(data)
+
+    @staticmethod
+    def _single_response(raw):
+        """The one response in ``raw``: (status, headers, body); fails on extras."""
+        head, _, body = raw.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        assert len(body) == int(headers["content-length"]), "extra bytes after the response"
+        return int(status_line.split()[1]), headers, json.loads(body)
+
+    def test_chunked_request_body_is_one_400_then_close(self, server_handle):
+        request = (
+            b"POST /v1/verify HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"15\r\n{\"suspect_id\": \"hit\"}\r\n0\r\n\r\n"
+        )
+        status, headers, body = self._single_response(
+            self._exchange(server_handle.port, request)
+        )
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert body["error"]["code"] == "invalid_request"
+        assert "Transfer-Encoding" in body["error"]["message"]
+
+    def test_conflicting_content_lengths_are_one_400_then_close(self, server_handle):
+        request = (
+            b"POST /v1/verify HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 2\r\nContent-Length: 4\r\n\r\n{}{}"
+        )
+        status, headers, body = self._single_response(
+            self._exchange(server_handle.port, request)
+        )
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "Content-Length" in body["error"]["message"]
+
+    def test_http10_request_closes_by_default(self, server_handle):
+        raw = self._exchange(server_handle.port, b"GET /v1/healthz HTTP/1.0\r\n\r\n")
+        status, headers, body = self._single_response(raw)
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert body["status"] == "ok"
+
+    def test_http10_keep_alive_is_honoured(self, server_handle):
+        """An HTTP/1.0 client that asks for keep-alive gets a second request."""
+        with socket.create_connection(
+            ("127.0.0.1", server_handle.port), timeout=5
+        ) as sock, sock.makefile("rb") as reader:
+            for _ in range(2):
+                sock.sendall(
+                    b"GET /v1/healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                )
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    head += reader.read(1)
+                assert b"Connection: keep-alive" in head
+                length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+                assert json.loads(reader.read(length))["status"] == "ok"
 
 
 class TestRevocationAndAdmission:
