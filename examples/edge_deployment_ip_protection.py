@@ -25,15 +25,14 @@ from __future__ import annotations
 import argparse
 
 from repro import EmMark, EmMarkConfig, quantize_model
-from repro.attacks.finetune_attack import lora_finetune_attack
-from repro.attacks.overwrite import OverwriteAttackConfig, parameter_overwrite_attack
 from repro.data.alpaca import load_alpaca_sim
 from repro.eval import EvaluationHarness
 from repro.finetune.full import FineTuneConfig, fine_tune_full_precision
-from repro.finetune.lora import LoRAConfig
 from repro.models import collect_activation_stats
 from repro.models.registry import get_pretrained_model_and_data
+from repro.robustness import build_attack
 from repro.utils.logging import configure
+from repro.utils.rng import new_rng
 from repro.utils.tables import Table, format_float
 
 
@@ -63,14 +62,13 @@ def main() -> None:
     # Pirate: copy the deployed weights and try to launder them.
     # ------------------------------------------------------------------
     print("\n=== Pirate: laundering the stolen copy ===")
-    stolen = watermarked.clone()
-    stolen = parameter_overwrite_attack(stolen, OverwriteAttackConfig(weights_per_layer=40, seed=13))
-    lora_result = lora_finetune_attack(
-        stolen, dataset.train, LoRAConfig(steps=8, batch_size=4, rank=2)
+    stolen = build_attack("overwrite").apply(watermarked, 40, new_rng(13)).model
+    lora = build_attack("lora-finetune", calibration_corpus=dataset.train, rank=2).apply(
+        stolen, 8, new_rng(13)
     )
-    pirated = lora_result.attacked_model
+    pirated = lora.model
     print(f"pirate overwrote 40 weights/layer and LoRA-fine-tuned "
-          f"(quantized weights untouched: {lora_result.quantized_weights_unchanged})")
+          f"(quantized weights untouched: {lora.info['weights_unchanged']})")
 
     # ------------------------------------------------------------------
     # Honest competitor: independent fine-tune + quantization.

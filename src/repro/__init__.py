@@ -11,9 +11,9 @@ model zoo (:mod:`repro.models`), the post-training quantization frameworks
 SmoothQuant, LLM.int8(), AWQ and GPTQ (:mod:`repro.quant`), synthetic
 evaluation corpora and tasks (:mod:`repro.data`, :mod:`repro.eval`),
 fine-tuning (:mod:`repro.finetune`), the watermarking algorithms
-(:mod:`repro.core`), the attack suite (:mod:`repro.attacks`) and the
-experiment harness regenerating every table and figure
-(:mod:`repro.experiments`).
+(:mod:`repro.core`), the attack registry and robustness gauntlet
+(:mod:`repro.robustness`) and the experiment harness regenerating every
+table and figure (:mod:`repro.experiments`).
 
 Quickstart
 ----------

@@ -90,7 +90,6 @@ class CheckConfig:
         "repro.robustness",
         "repro.service",
         "repro.quant",
-        "repro.attacks",
         "repro.experiments",
     )
     #: Basename of the one module allowed to create/unlink shared-memory

@@ -574,6 +574,7 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
     from repro.experiments.common import prepare_context
     from repro.obs.trace import TraceCollector, tracing
     from repro.robustness import (
+        ATTACK_REGISTRY,
         GauntletSubject,
         available_attacks,
         build_attack,
@@ -602,6 +603,13 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
     if orphaned:
         print(f"error: --strengths given for attacks not in the grid: {orphaned}",
               file=sys.stderr)
+        return 2
+    try:
+        for name, values in strengths.items():
+            for value in values:
+                ATTACK_REGISTRY[name].check_strength(value)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     checkpoint = args.checkpoint
     if args.resume:

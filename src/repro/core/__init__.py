@@ -34,7 +34,6 @@ from repro.core.keys import WatermarkKey, model_fingerprint
 from repro.core.insertion import (
     InsertionReport,
     MultiOwnerInsertionResult,
-    WatermarkLocation,
     insert_watermark,
     insert_watermark_multi,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "select_candidates",
     "WatermarkKey",
     "model_fingerprint",
-    "WatermarkLocation",
     "insert_watermark",
     "insert_watermark_multi",
     "MultiOwnerInsertionResult",

@@ -25,7 +25,6 @@ ownership verification and the batch serving APIs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,12 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import WatermarkEngine
 
 __all__ = [
-    "WatermarkLocation",
     "InsertionReport",
     "MultiOwnerInsertionResult",
     "insert_watermark",
     "insert_watermark_multi",
-    "select_layer_locations",
 ]
 
 
@@ -61,37 +58,6 @@ def _engine(engine: "Optional[WatermarkEngine]" = None) -> "WatermarkEngine":
     from repro.engine.engine import get_default_engine
 
     return get_default_engine()
-
-
-@dataclass(frozen=True)
-class WatermarkLocation:
-    """One watermarked position: layer, flattened weight index, signature bit."""
-
-    layer_name: str
-    flat_index: int
-    bit: int
-
-
-def select_layer_locations(
-    layer,
-    channel_activations: np.ndarray,
-    bits_needed: int,
-    config: EmMarkConfig,
-    occupied: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Select the watermark positions of one layer (flattened indices).
-
-    Scoring, candidate pooling and the seeded sub-sampling all live in the
-    engine's (cached) location planner, which both the insertion stage and
-    the extraction stage call — guaranteeing that extraction reproduces the
-    exact insertion-time locations when given the same inputs (reference
-    weights, activations, seed, coefficients).  ``occupied`` lists flat
-    indices already held by co-resident watermarks; the planner re-ranks
-    past them (see :class:`repro.engine.SlotAllocator`).
-    """
-    return _engine().locations_for_layer(
-        layer, channel_activations, bits_needed, config, occupied=occupied
-    )
 
 
 def insert_watermark(

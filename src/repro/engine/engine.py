@@ -478,19 +478,6 @@ class WatermarkEngine:
             compute_seconds=time.perf_counter() - start,
         )
 
-    def locations_for_layer(
-        self,
-        layer: QuantizedLinear,
-        channel_activations: np.ndarray,
-        bits_needed: int,
-        config: EmMarkConfig,
-        occupied: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Watermark positions of one layer (flattened indices, cached)."""
-        return self.plan_for_layer(
-            layer, channel_activations, bits_needed, config, occupied=occupied
-        ).locations
-
     def cache_info(self) -> CacheStats:
         """Snapshot of the plan-cache counters."""
         return self.cache.stats()

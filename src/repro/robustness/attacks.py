@@ -4,31 +4,37 @@ Every removal and forging attack in the repository — parameter overwriting,
 re-watermarking, magnitude pruning, LoRA fine-tuning, RTN and GPTQ
 re-quantization, scale tampering, outlier-column rewrites, structured
 head/row pruning, the adaptive (algorithm-aware) attacker and
-distillation-style model souping — is wrapped behind one uniform interface:
+distillation-style model souping — is implemented by one spec class behind
+one uniform interface:
 
     ``spec.apply(model, strength, rng) -> AttackOutcome``
 
 so the :class:`~repro.robustness.gauntlet.Gauntlet` can execute arbitrary
 (attack × strength × model) grids without knowing any attack's plumbing.
 ``strength`` is the attack's own sweep axis (weights per layer, bits per
-layer, sparsity fraction, fine-tuning steps, target bit-width) and ``rng``
-is a per-cell generator derived by the gauntlet from its seed, so a grid's
-outcome is a pure function of (subjects, attacks, strengths, seed) — never
-of execution order or worker count.
+layer, sparsity fraction, fine-tuning steps, target bit-width), whose valid
+domain :meth:`AttackSpec.check_strength` states, and ``rng`` is a per-cell
+generator derived by the gauntlet from its seed, so a grid's outcome is a
+pure function of (subjects, attacks, strengths, seed) — never of execution
+order or worker count.
 
-Specs that need attacker-side resources (a calibration corpus for
-re-watermarking and fine-tuning) receive them at construction time via
-:func:`build_attack`, keeping ``apply`` itself resource-free.  New attack
-scenarios plug in with :func:`register_attack`:
+The threat model (Section 3) gives the adversary full access to the deployed
+integer weights and knowledge of the EmMark algorithm, but not the
+full-precision model, the owner's signature or the seed.  Specs that need
+attacker-side resources (a calibration corpus for re-watermarking and
+fine-tuning) receive them at construction time via :func:`build_attack`,
+keeping ``apply`` itself resource-free.  New attack scenarios plug in with
+:func:`register_attack`:
 
 >>> @register_attack
-... class BitFlipAttack:
+... class BitFlipAttack(AttackSpec):
 ...     name = "bit-flip"
 ...     ...
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
@@ -36,11 +42,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.attacks.overwrite import OverwriteAttackConfig, parameter_overwrite_attack
-from repro.attacks.pruning import PruningAttackConfig, magnitude_pruning_attack
-from repro.attacks.rewatermark import RewatermarkAttackConfig, _rewatermark
+from repro.core.config import EmMarkConfig
+from repro.core.insertion import insert_watermark
+from repro.core.scoring import topk_argsort_stable
 from repro.quant.base import QuantizedLinear, QuantizedModel
 from repro.quant.llm_int8 import rewrite_outlier_entries
+from repro.utils.rng import new_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import KeyLike
@@ -56,6 +63,7 @@ __all__ = [
     "IdentityAttack",
     "OverwriteAttack",
     "RewatermarkAttack",
+    "RewatermarkAttackConfig",
     "PruningAttack",
     "LoRAFineTuneAttack",
     "RequantizeAttack",
@@ -114,6 +122,32 @@ class AttackSpec:
     #: its activation statistics — the true two-clone scenarios, where the
     #: "attack" is another legitimate custody of the same open base.
     requires_base_model: bool = False
+    #: Closed interval of valid strengths (read by :meth:`check_strength`).
+    strength_bounds: Tuple[float, float] = (-math.inf, math.inf)
+    #: Whether strengths are counts (weights, bits, steps) that must be whole.
+    integer_strength: bool = False
+
+    @classmethod
+    def check_strength(cls, strength: float) -> None:
+        """Raise ``ValueError`` unless ``strength`` lies in this attack's domain.
+
+        :meth:`apply` calls it, and the gauntlet calls it for every cell
+        while building a grid, so a bad strength is refused before any cell
+        runs.  The default domain is every finite number.
+        """
+        value = float(strength)
+        low, high = cls.strength_bounds
+        if not (math.isfinite(value) and low <= value <= high):
+            if high < math.inf:
+                domain = f"in [{low:g}, {high:g}]"
+            else:
+                domain = f">= {low:g}" if low > -math.inf else "finite"
+            raise ValueError(f"{cls.name} strength must be {domain}, got {strength!r}")
+        if cls.integer_strength and not value.is_integer():
+            raise ValueError(
+                f"{cls.name} strength counts {cls.strength_unit} and must be a "
+                f"whole number, got {strength!r}"
+            )
 
     def apply(
         self, model: QuantizedModel, strength: float, rng: np.random.Generator
@@ -279,46 +313,117 @@ class IdentityAttack(AttackSpec):
     default_strengths = (0,)
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         return AttackOutcome(model=model.clone())
 
 
 @register_attack
 class OverwriteAttack(AttackSpec):
-    """Parameter overwriting (Figure 2a); strength = weights per layer."""
+    """Parameter overwriting (Figure 2a); strength = weights per layer.
+
+    The threat model's "other values replace model parameters": the
+    adversary rewrites randomly chosen weight positions in every
+    quantization layer.  Section 5.3 sweeps 100–500 positions per layer and
+    shows model quality collapsing well before the watermark does.  Two
+    styles:
+
+    * ``"resample"`` (default) — the chosen weights are replaced with fresh
+      uniform levels of the quantization grid;
+    * ``"increment"`` — the chosen weights move by a random ±1 step (the
+      lighter variant of Section 5.3's prose).
+
+    Both are oblivious to the watermark locations, so the WER only falls in
+    proportion to the fraction of weights touched.  Positions are drawn from
+    :meth:`~repro.quant.base.QuantizedLinear.quantized_mask`: LLM.int8()
+    outlier columns are re-inserted at full precision by
+    ``effective_weight()``, so hits there would change nothing the deployed
+    model computes and would silently under-report the attack.
+    """
 
     name = "overwrite"
     strength_unit = "weights/layer"
     default_strengths = (0, 100, 200, 300, 400, 500)
+    strength_bounds = (0, math.inf)
+    integer_strength = True
+    STYLES = ("resample", "increment")
 
     def __init__(self, style: str = "resample") -> None:
+        if style not in self.STYLES:
+            raise ValueError(f"overwrite style must be one of {self.STYLES}, got {style!r}")
         self.style = style
 
     def apply(self, model, strength, rng):
-        config = OverwriteAttackConfig(
-            weights_per_layer=int(strength), style=self.style, seed=_derived_seed(rng)
-        )
-        return AttackOutcome(model=parameter_overwrite_attack(model, config))
+        self.check_strength(strength)
+        per_layer = int(strength)
+        seed = _derived_seed(rng)
+        attacked = model.clone()
+        if per_layer == 0:
+            return AttackOutcome(model=attacked)
+        for layer in attacked.iter_layers():
+            layer_rng = new_rng(seed, "overwrite", layer.name)
+            eligible = np.flatnonzero(layer.quantized_mask().reshape(-1))
+            count = min(per_layer, eligible.size)
+            if count == 0:
+                continue
+            positions = layer_rng.choice(eligible, size=count, replace=False)
+            current = layer.weight_int.reshape(-1)[positions]
+            if self.style == "resample":
+                replacement = layer_rng.integers(
+                    layer.grid.qmin, layer.grid.qmax + 1, size=count
+                )
+                deltas = replacement - current
+            else:
+                deltas = layer_rng.choice(np.array([-1, 1], dtype=np.int64), size=count)
+            # The shared mutation primitive: grid-overflow handling matches
+            # watermark insertion exactly.
+            layer.add_to_weights(positions, deltas)
+        return AttackOutcome(model=attacked)
 
     def describe(self):
         return {**super().describe(), "style": self.style}
+
+
+@dataclass(frozen=True)
+class RewatermarkAttackConfig:
+    """The re-watermarking adversary's own EmMark hyper-parameters.
+
+    ``alpha``, ``beta`` and ``seed`` are his scoring coefficients and
+    sub-sampling seed — the paper sets them to 1, 1.5 and 22, all different
+    from the owner's — and ``signature_seed`` seeds his Rademacher
+    signature.  Bits per layer are the attack strength, not a field.
+    """
+
+    alpha: float = 1.0
+    beta: float = 1.5
+    seed: int = 22
+    signature_seed: int = 999
 
 
 @register_attack
 class RewatermarkAttack(AttackSpec):
     """Re-watermarking (Figure 2b); strength = attacker bits per layer.
 
-    The adversary's hyper-parameters default to the paper's (α=1, β=1.5,
-    seed 22); ``config_overrides`` may set any other
-    :class:`RewatermarkAttackConfig` field, but not ``bits_per_layer`` — the
-    strength axis owns it.  Activations are measured on the quantized model
-    via the attacker-side calibration corpus, once per subject per spec
-    instance: they depend on neither the strength nor the cell RNG, so a
-    sweep re-uses one estimate across all its strengths.
+    The adversary knows EmMark's insertion algorithm but not the owner's
+    secrets, so he runs the same scoring + insertion on the watermarked
+    model with his own :class:`RewatermarkAttackConfig` (the paper's α=1,
+    β=1.5, seed 22 by default; ``config_overrides`` may set any field) and
+    with activations measured on the **quantized** model — he has no
+    full-precision one.  His positions partially overlap the owner's, so
+    the attack nibbles at the owner's WER, which Section 5.3 shows stays
+    high even once the attacker's bits visibly damage the model.
+
+    The activation estimate (attacker-side calibration corpus, quantized
+    model) is computed once per subject per spec instance: it depends on
+    neither the strength nor the cell RNG, so a sweep re-uses one estimate
+    across all its strengths.  The outcome's ``attacker_key`` is the ticket
+    the adversary's insertion built.
     """
 
     name = "rewatermark"
     strength_unit = "bits/layer"
     default_strengths = (0, 100, 150, 200, 250, 300)
+    strength_bounds = (0, math.inf)
+    integer_strength = True
     requires_corpus = True
 
     def __init__(self, calibration_corpus, **config_overrides) -> None:
@@ -333,8 +438,7 @@ class RewatermarkAttack(AttackSpec):
 
     def _attacker_activations(self, model: QuantizedModel):
         """The adversary's activation estimate for ``model`` (memoized per subject)."""
-        # Looked up at call time, as the adaptive specs do, not through the
-        # name repro.attacks.rewatermark bound at import.
+        # Looked up at call time, as the adaptive specs do.
         from repro.models.activations import collect_activation_stats
 
         return self._memo.get(
@@ -343,12 +447,30 @@ class RewatermarkAttack(AttackSpec):
         )
 
     def apply(self, model, strength, rng):
-        if int(strength) == 0:
+        self.check_strength(strength)
+        bits_per_layer = int(strength)
+        if bits_per_layer == 0:
             return AttackOutcome(model=model.clone())
-        attacked, _, report = _rewatermark(
+        signature = new_rng(self.config.signature_seed, "attacker-signature").choice(
+            np.array([-1, 1], dtype=np.int64),
+            size=bits_per_layer * model.num_quantization_layers,
+        )
+        # replace() on a default config: only the fields the attacker
+        # controls are overridden; every other EmMarkConfig field keeps its
+        # default.
+        attacker_config = replace(
+            EmMarkConfig(),
+            bits_per_layer=bits_per_layer,
+            alpha=self.config.alpha,
+            beta=self.config.beta,
+            seed=self.config.seed,
+            signature_seed=self.config.signature_seed,
+        )
+        attacked, _, report = insert_watermark(
             model,
-            replace(self.config, bits_per_layer=int(strength)),
-            attacker_activations=self._attacker_activations(model),
+            self._attacker_activations(model),
+            config=attacker_config,
+            signature=signature,
         )
         return AttackOutcome(model=attacked, attacker_key=report.ticket)
 
@@ -364,29 +486,57 @@ class RewatermarkAttack(AttackSpec):
 
 @register_attack
 class PruningAttack(AttackSpec):
-    """Magnitude pruning; strength = sparsity fraction in [0, 1]."""
+    """Magnitude pruning; strength = sparsity fraction in [0, 1].
+
+    Zeroes the smallest-magnitude fraction of every layer's integer weights.
+    Sections 3 and 5.3 argue pruning is no viable removal attack on an
+    already-compressed model: pruning hard enough to disturb the watermark
+    (which sits on large-magnitude weights, pruned *last*) destroys the
+    model's perplexity first.
+    """
 
     name = "pruning"
     strength_unit = "sparsity"
     default_strengths = (0.0, 0.3, 0.6, 0.9)
+    strength_bounds = (0.0, 1.0)
 
     def apply(self, model, strength, rng):
-        config = PruningAttackConfig(sparsity=float(strength))
-        return AttackOutcome(model=magnitude_pruning_attack(model, config))
+        self.check_strength(strength)
+        sparsity = float(strength)
+        attacked = model.clone()
+        if sparsity == 0.0:
+            return AttackOutcome(model=attacked)
+        for layer in attacked.iter_layers():
+            # flat_weight_view guarantees a real view: reshape(-1) on a
+            # non-contiguous tensor returns a copy and the zeroing below
+            # would be silently discarded.
+            flat = layer.flat_weight_view()
+            count = int(round(flat.size * sparsity))
+            if count == 0:
+                continue
+            # O(n + k log k) top-k, bit-identical to a stable full argsort
+            # (ties admitted in index order).
+            flat[topk_argsort_stable(np.abs(flat), count)] = 0
+        return AttackOutcome(model=attacked)
 
 
 @register_attack
 class LoRAFineTuneAttack(AttackSpec):
     """QLoRA-style fine-tuning; strength = optimization steps.
 
-    The quantized weights are frozen by construction, so the outcome's
-    ``info`` records the mechanical proof (``weights_unchanged``) plus the
-    attacker's final loss (showing the adapters actually trained).
+    The paper rules fine-tuning out as a removal attack because QLoRA
+    freezes the quantized weights and learns additive low-rank adapters.
+    The spec carries that out: it trains adapters on the attacker's corpus
+    and ``info`` records the mechanical proof (``weights_unchanged``) plus
+    the final loss (showing the adapters actually trained).  Verification
+    reads the deployed quantized tensors, not the adapter outputs.
     """
 
     name = "lora-finetune"
     strength_unit = "steps"
     default_strengths = (0, 20, 60)
+    strength_bounds = (0, math.inf)
+    integer_strength = True
     requires_corpus = True
 
     def __init__(self, calibration_corpus, rank: int = 4) -> None:
@@ -394,21 +544,23 @@ class LoRAFineTuneAttack(AttackSpec):
         self.rank = rank
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         if int(strength) == 0:
             return AttackOutcome(model=model.clone())
         # Imported lazily: the finetune package pulls in the training stack.
-        from repro.attacks.finetune_attack import lora_finetune_attack
-        from repro.finetune.lora import LoRAConfig
+        from repro.finetune.lora import LoRAConfig, LoRAFineTuner
 
         config = LoRAConfig(
             rank=self.rank, steps=int(strength), seed=_derived_seed(rng)
         )
-        result = lora_finetune_attack(model.clone(), self.calibration_corpus, config=config)
+        attacked = model.clone()
+        tuner = LoRAFineTuner(attacked, config=config)
+        losses = tuner.fine_tune(self.calibration_corpus)["loss"]
         return AttackOutcome(
-            model=result.attacked_model,
+            model=attacked,
             info={
-                "weights_unchanged": bool(result.quantized_weights_unchanged),
-                "final_loss": float(result.final_loss),
+                "weights_unchanged": bool(tuner.quantized_weights_unchanged(model)),
+                "final_loss": float(losses[-1]) if losses else float("nan"),
             },
         )
 
@@ -429,8 +581,11 @@ class RequantizeAttack(AttackSpec):
     name = "requantize"
     strength_unit = "bits"
     default_strengths = (8, 6, 4)
+    strength_bounds = (2, 16)
+    integer_strength = True
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         # Imported lazily to avoid a repro.quant.api ↔ attacks import cycle
         # at package-init time.
         from repro.quant.api import quantize_model
@@ -458,6 +613,8 @@ class GPTQRequantizeAttack(AttackSpec):
     name = "gptq-requantize"
     strength_unit = "bits"
     default_strengths = (8, 4)
+    strength_bounds = (2, 16)
+    integer_strength = True
     requires_corpus = True
 
     def __init__(self, calibration_corpus, damping: float = 0.01, act_order: bool = True) -> None:
@@ -466,6 +623,7 @@ class GPTQRequantizeAttack(AttackSpec):
         self.act_order = act_order
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         # Imported lazily: repro.quant.gptq's hook pulls in repro.quant.api.
         from repro.quant.gptq import gptq_requantize
 
@@ -499,6 +657,7 @@ class ScaleTamperingAttack(AttackSpec):
     name = "scale-tamper"
     strength_unit = "rel-perturbation"
     default_strengths = (0.0, 0.05, 0.1, 0.3)
+    strength_bounds = (0.0, math.inf)
     #: Multiplicative factors are clipped here so a large strength cannot
     #: zero or sign-flip a scale (which no rational attacker would ship).
     MIN_FACTOR = 0.05
@@ -507,9 +666,8 @@ class ScaleTamperingAttack(AttackSpec):
         self.tamper_smoothing = tamper_smoothing
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         bound = float(strength)
-        if bound < 0:
-            raise ValueError("scale-tamper strength must be >= 0")
         attacked = model.clone()
         if bound == 0.0:
             return AttackOutcome(model=attacked)
@@ -550,11 +708,11 @@ class OutlierColumnAttack(AttackSpec):
     name = "outlier-rewrite"
     strength_unit = "fraction"
     default_strengths = (0.0, 0.5, 1.0)
+    strength_bounds = (0.0, 1.0)
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         fraction = float(strength)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("outlier-rewrite strength must be in [0, 1]")
         attacked = model.clone()
         rewritten = 0
         outlier_layers = 0
@@ -596,11 +754,18 @@ class StructuredPruningAttack(AttackSpec):
     name = "structured-prune"
     strength_unit = "fraction"
     default_strengths = (0.0, 0.25, 0.5)
+    strength_bounds = (0.0, 1.0)
+
+    @classmethod
+    def check_strength(cls, strength):
+        super().check_strength(strength)
+        # Removing every row would leave no model to verify.
+        if float(strength) == 1.0:
+            raise ValueError(f"{cls.name} strength must be in [0, 1), got {strength!r}")
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         fraction = float(strength)
-        if not 0.0 <= fraction < 1.0:
-            raise ValueError("structured-prune strength must be in [0, 1)")
         attacked = model.clone()
         if fraction == 0.0:
             return AttackOutcome(model=attacked)
@@ -698,6 +863,8 @@ class AdaptiveOverwriteAttack(AttackSpec):
     name = "adaptive-overwrite"
     strength_unit = "weights/layer"
     default_strengths = (0, 100, 200, 300)
+    strength_bounds = (0, math.inf)
+    integer_strength = True
     requires_corpus = True
 
     #: (α, β) guesses bracketing the published defaults (0.5/0.5) and the
@@ -753,9 +920,8 @@ class AdaptiveOverwriteAttack(AttackSpec):
         return self._memo.get(model, compute)
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         per_layer = int(strength)
-        if per_layer < 0:
-            raise ValueError("adaptive-overwrite strength must be >= 0")
         attacked = model.clone()
         if per_layer == 0:
             return AttackOutcome(model=attacked)
@@ -814,6 +980,7 @@ class OracleAdaptiveOverwriteAttack(AttackSpec):
     name = "adaptive-oracle"
     strength_unit = "pool-coverage"
     default_strengths = (0.0, 0.25, 0.5, 1.0)
+    strength_bounds = (0.0, 1.0)
     requires_corpus = True
 
     def __init__(self, calibration_corpus, owner_config=None) -> None:
@@ -827,7 +994,6 @@ class OracleAdaptiveOverwriteAttack(AttackSpec):
 
     def _exact_pools(self, model: QuantizedModel) -> Dict[str, np.ndarray]:
         """The owner's candidate pool re-derived with estimated activations."""
-        from repro.core.config import EmMarkConfig
         from repro.core.scoring import select_candidates
         from repro.models.activations import collect_activation_stats
 
@@ -851,9 +1017,8 @@ class OracleAdaptiveOverwriteAttack(AttackSpec):
         return self._memo.get(model, compute)
 
     def apply(self, model, strength, rng):
+        self.check_strength(strength)
         coverage = float(strength)
-        if not 0.0 <= coverage <= 1.0:
-            raise ValueError("adaptive-oracle strength must be in [0, 1]")
         attacked = model.clone()
         if coverage == 0.0:
             return AttackOutcome(model=attacked)
@@ -919,6 +1084,7 @@ class SoupAttack(AttackSpec):
     name = "soup"
     strength_unit = "soup-ratio"
     default_strengths = (0.0, 0.5, 1.0)
+    strength_bounds = (0.0, 1.0)
     requires_base_model = True
 
     def __init__(
@@ -932,12 +1098,8 @@ class SoupAttack(AttackSpec):
         self.partner_bits_per_layer = partner_bits_per_layer
 
     def apply(self, model, strength, rng):
-        from repro.core.config import EmMarkConfig
-        from repro.core.insertion import insert_watermark
-
+        self.check_strength(strength)
         ratio = float(strength)
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError("soup strength must be in [0, 1]")
         if ratio == 0.0:
             return AttackOutcome(model=model.clone())
         if self.base_model.layer_names() != model.layer_names():

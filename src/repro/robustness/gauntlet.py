@@ -273,6 +273,7 @@ class Gauntlet:
                         f"attack {spec.name!r} has no strengths (and no defaults)"
                     )
                 for strength in sweep:
+                    spec.check_strength(strength)
                     cells.append(GridCell(model_id, spec.name, float(strength)))
         # Cell ids are the suspect ids of the verification stage; a collision
         # (duplicate strengths, or strengths differing only past the %g

@@ -9,12 +9,13 @@ plan-cache eviction behaviour inside the engine, and the batch serving APIs
 import numpy as np
 import pytest
 
-from repro.attacks.overwrite import OverwriteAttackConfig, parameter_overwrite_attack
 from repro.core.config import EmMarkConfig
 from repro.core.extraction import extract_watermark, reproduce_locations
 from repro.core.insertion import insert_watermark
 from repro.engine import EngineConfig, PlanCache, WatermarkEngine, get_default_engine
 from repro.quant.api import quantize_model
+from repro.robustness import build_attack
+from repro.utils.rng import new_rng
 
 
 @pytest.fixture()
@@ -163,9 +164,9 @@ class TestVerifyFleet:
     def fleet(self, quantized_awq4, activation_stats, config):
         engine = parallel_engine()
         watermarked, key, _ = engine.insert(quantized_awq4, activation_stats, config=config)
-        attacked = parameter_overwrite_attack(
-            watermarked, OverwriteAttackConfig(weights_per_layer=3, style="resample", seed=1)
-        )
+        attacked = build_attack("overwrite", style="resample").apply(
+            watermarked, 3, new_rng(1)
+        ).model
         return engine, watermarked, attacked, key
 
     def test_mixed_suspects(self, fleet, quantized_awq4, trained_model):

@@ -9,12 +9,13 @@ attacks and against unrelated models.
 import numpy as np
 import pytest
 
-from repro.attacks.overwrite import OverwriteAttackConfig, parameter_overwrite_attack
 from repro.core import EmMark, EmMarkConfig, WatermarkKey
 from repro.eval.harness import EvaluationHarness
 from repro.models.activations import collect_activation_stats
 from repro.quant.api import quantize_model
 from repro.models.transformer import TransformerLM
+from repro.robustness import build_attack
+from repro.utils.rng import new_rng
 
 from tests.conftest import make_tiny_llama_config
 
@@ -51,7 +52,7 @@ def test_watermark_quality_and_robustness_end_to_end(
     assert abs(watermarked_quality.zero_shot_accuracy - baseline.zero_shot_accuracy) <= 10.0
 
     # Robustness: an overwriting attack leaves the watermark extractable.
-    attacked = parameter_overwrite_attack(watermarked, OverwriteAttackConfig(40, seed=9))
+    attacked = build_attack("overwrite").apply(watermarked, 40, new_rng(9)).model
     assert emmark.extract_with_key(attacked, key).wer_percent > 90.0
 
     # Integrity: an architecturally identical but unrelated model never

@@ -2,19 +2,23 @@
 
 On top of the session substrate from ``tests/conftest.py`` this adds an
 LLM.int8() quantization with *guaranteed* outlier columns (the INT8
-attack-effectiveness regression tests need full-precision columns to exist)
-and a watermarked subject pair shared across the gauntlet tests.
+attack-effectiveness regression tests need full-precision columns to exist),
+a watermarked subject pair shared across the gauntlet tests, and an
+independent re-watermarking reference for the ``rewatermark`` spec.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import EmMarkConfig
 from repro.engine import WatermarkEngine
 from repro.eval.harness import EvaluationHarness
 from repro.quant.api import quantize_model
+from repro.models.activations import collect_activation_stats
 from repro.robustness import GauntletSubject
+from repro.utils.rng import new_rng
 
 
 @pytest.fixture(scope="session")
@@ -87,3 +91,44 @@ def multi_owner_subject(quantized_awq4, activation_stats, tiny_harness, gauntlet
         harness=tiny_harness,
         co_keys={"globex": result.key_for("globex")},
     )
+
+
+def _assert_same_ticket(ours, theirs):
+    """Layer-by-layer equality of two verification tickets."""
+    assert [layer.name for layer in ours.layers] == [layer.name for layer in theirs.layers]
+    for mine, other in zip(ours.layers, theirs.layers):
+        assert mine.shape == other.shape
+        np.testing.assert_array_equal(mine.locations, other.locations)
+        np.testing.assert_array_equal(mine.reference, other.reference)
+        np.testing.assert_array_equal(mine.signature, other.signature)
+
+
+@pytest.fixture(scope="session")
+def assert_same_ticket():
+    return _assert_same_ticket
+
+
+@pytest.fixture(scope="session")
+def paper_rewatermark():
+    """The paper's re-watermarking adversary, derived without the spec.
+
+    Returns ``insert(model, bits_per_layer, corpus, engine) -> (attacked,
+    attacker_ticket)``: ``engine.insert`` with the Section 5.3 attacker
+    parameters (α=1, β=1.5, d=22, signature seed 999) on activations
+    collected afresh from the quantized model, and the ticket derived from
+    the resulting full key.
+    """
+
+    def insert(model, bits_per_layer, corpus, engine):
+        activations = collect_activation_stats(model.materialize(), corpus)
+        config = EmMarkConfig(
+            bits_per_layer=bits_per_layer, alpha=1.0, beta=1.5, seed=22, signature_seed=999
+        )
+        signature = new_rng(999, "attacker-signature").choice(
+            np.array([-1, 1], dtype=np.int64),
+            size=bits_per_layer * model.num_quantization_layers,
+        )
+        attacked, key, _ = engine.insert(model, activations, config=config, signature=signature)
+        return attacked, engine.ticket_for(key)
+
+    return insert

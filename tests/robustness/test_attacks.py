@@ -12,8 +12,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.attacks.overwrite import OverwriteAttackConfig, parameter_overwrite_attack
-from repro.attacks.rewatermark import RewatermarkAttackConfig, rewatermark_attack
 from repro.robustness import (
     ATTACK_REGISTRY,
     AttackOutcome,
@@ -24,16 +22,6 @@ from repro.robustness import (
 )
 from repro.robustness.attacks import AttackSpec
 from repro.utils.rng import new_rng
-
-
-def assert_same_ticket(ours, theirs):
-    """Layer-by-layer equality of two verification tickets."""
-    assert [layer.name for layer in ours.layers] == [layer.name for layer in theirs.layers]
-    for mine, other in zip(ours.layers, theirs.layers):
-        assert mine.shape == other.shape
-        np.testing.assert_array_equal(mine.locations, other.locations)
-        np.testing.assert_array_equal(mine.reference, other.reference)
-        np.testing.assert_array_equal(mine.signature, other.signature)
 
 
 class TestRegistry:
@@ -159,13 +147,274 @@ class TestSpecBehaviour:
             )
 
 
+@pytest.fixture(scope="module")
+def owner_setup(request):
+    """An owner's (EmMark, original, watermarked, key) on the AWQ INT4 model."""
+    from repro.core import EmMark, EmMarkConfig
+
+    quantized = request.getfixturevalue("quantized_awq4")
+    stats = request.getfixturevalue("activation_stats")
+    emmark = EmMark(EmMarkConfig.scaled_for_model(quantized, bits_per_layer=8))
+    watermarked, key, _ = emmark.insert_with_key(quantized, stats)
+    return emmark, quantized, watermarked, key
+
+
+class TestOverwriteAttack:
+    def test_zero_strength_is_identity(self, quantized_awq4):
+        attacked = build_attack("overwrite").apply(quantized_awq4, 0, new_rng(0)).model
+        for name in quantized_awq4.layer_names():
+            np.testing.assert_array_equal(
+                attacked.get_layer(name).weight_int, quantized_awq4.get_layer(name).weight_int
+            )
+
+    def test_original_model_untouched(self, quantized_awq4):
+        snapshot = quantized_awq4.integer_weight_snapshot()
+        build_attack("overwrite").apply(quantized_awq4, 50, new_rng(0))
+        for name, weights in snapshot.items():
+            np.testing.assert_array_equal(weights, quantized_awq4.get_layer(name).weight_int)
+
+    def test_resample_touches_at_most_requested_count(self, quantized_awq4):
+        attacked = build_attack("overwrite", style="resample").apply(
+            quantized_awq4, 30, new_rng(3)
+        ).model
+        diff = attacked.weight_difference(quantized_awq4)
+        for delta in diff.values():
+            assert np.count_nonzero(delta) <= 30
+
+    def test_increment_changes_are_small(self, quantized_awq4):
+        attacked = build_attack("overwrite", style="increment").apply(
+            quantized_awq4, 30, new_rng(3)
+        ).model
+        diff = attacked.weight_difference(quantized_awq4)
+        for delta in diff.values():
+            assert np.max(np.abs(delta)) <= 1
+
+    def test_grid_respected(self, quantized_awq4):
+        attacked = build_attack("overwrite", style="resample").apply(
+            quantized_awq4, 200, new_rng(1)
+        ).model
+        for layer in attacked.iter_layers():
+            assert layer.weight_int.max() <= layer.grid.qmax
+            assert layer.weight_int.min() >= layer.grid.qmin
+
+    def test_strength_larger_than_layer_handled(self, quantized_awq4):
+        biggest = max(layer.num_weights for layer in quantized_awq4.iter_layers())
+        attacked = build_attack("overwrite", style="resample").apply(
+            quantized_awq4, biggest + 1000, new_rng(0)
+        ).model
+        assert attacked.num_quantization_layers == quantized_awq4.num_quantization_layers
+
+    def test_seed_controls_positions(self, quantized_awq4):
+        spec = build_attack("overwrite")
+        a = spec.apply(quantized_awq4, 40, new_rng(1)).model
+        b = spec.apply(quantized_awq4, 40, new_rng(2)).model
+        name = quantized_awq4.layer_names()[0]
+        assert not np.array_equal(a.get_layer(name).weight_int, b.get_layer(name).weight_int)
+
+    def test_config_validation(self, quantized_awq4):
+        with pytest.raises(ValueError):
+            build_attack("overwrite").apply(quantized_awq4, -1, new_rng(0))
+        # A bad style is refused when the spec is built, not in the first cell.
+        with pytest.raises(ValueError, match="style"):
+            build_attack("overwrite", style="flip")
+
+    def test_watermark_survives_moderate_attack(self, owner_setup):
+        """The headline robustness claim: WER stays high under overwriting."""
+        emmark, _, watermarked, key = owner_setup
+        attacked = build_attack("overwrite").apply(watermarked, 60, new_rng(5)).model
+        wer = emmark.extract_with_key(attacked, key).wer_percent
+        # 60 random overwrites in layers of ~1k-4k weights leave the
+        # watermark overwhelmingly intact.
+        assert wer > 90.0
+
+
+class TestRewatermarkAttack:
+    def test_attack_perturbs_weights(self, owner_setup, small_dataset):
+        _, _, watermarked, _ = owner_setup
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        attacked = spec.apply(watermarked, 8, new_rng(0)).model
+        diff = attacked.weight_difference(watermarked)
+        assert sum(np.count_nonzero(d) for d in diff.values()) > 0
+
+    def test_attacker_can_extract_own_signature(self, owner_setup, small_dataset):
+        emmark, _, watermarked, _ = owner_setup
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        outcome = spec.apply(watermarked, 8, new_rng(0))
+        attacker_result = emmark.extract_with_key(outcome.model, outcome.attacker_key)
+        assert attacker_result.wer_percent > 95.0
+
+    def test_owner_watermark_survives(self, owner_setup, small_dataset):
+        """The paper's claim: the owner's WER stays high under attack."""
+        emmark, _, watermarked, owner_key = owner_setup
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        attacked = spec.apply(watermarked, 24, new_rng(0)).model
+        owner_result = emmark.extract_with_key(attacked, owner_key)
+        assert owner_result.wer_percent > 90.0
+
+    def test_attacker_key_does_not_extract_from_original(self, owner_setup, small_dataset):
+        emmark, original, watermarked, _ = owner_setup
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        attacker_ticket = spec.apply(watermarked, 8, new_rng(0)).attacker_key
+        result = emmark.extract_with_key(original, attacker_ticket)
+        assert result.wer_percent < 30.0
+
+    def test_paper_attacker_hyperparameters(self, small_dataset):
+        config = build_attack("rewatermark", calibration_corpus=small_dataset.calibration).config
+        assert config.alpha == 1.0
+        assert config.beta == 1.5
+        assert config.seed == 22
+
+    def test_bits_per_layer_validated(self, owner_setup, small_dataset):
+        _, _, watermarked, _ = owner_setup
+        spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
+        with pytest.raises(ValueError, match="rewatermark strength"):
+            spec.apply(watermarked, -1, new_rng(0))
+        with pytest.raises(ValueError, match="whole number"):
+            spec.apply(watermarked, 0.5, new_rng(0))
+
+
+class TestPruningAttack:
+    def test_zero_sparsity_identity(self, quantized_awq4):
+        attacked = build_attack("pruning").apply(quantized_awq4, 0.0, new_rng(0)).model
+        name = quantized_awq4.layer_names()[0]
+        np.testing.assert_array_equal(
+            attacked.get_layer(name).weight_int, quantized_awq4.get_layer(name).weight_int
+        )
+
+    def test_sparsity_achieved(self, quantized_awq4):
+        attacked = build_attack("pruning").apply(quantized_awq4, 0.5, new_rng(0)).model
+        for layer in attacked.iter_layers():
+            zero_fraction = np.mean(layer.weight_int == 0)
+            assert zero_fraction >= 0.45
+
+    def test_smallest_magnitudes_pruned_first(self, quantized_awq4):
+        attacked = build_attack("pruning").apply(quantized_awq4, 0.3, new_rng(0)).model
+        name = quantized_awq4.layer_names()[0]
+        original = quantized_awq4.get_layer(name).weight_int
+        pruned = attacked.get_layer(name).weight_int
+        newly_zeroed = (original != 0) & (pruned == 0)
+        surviving = pruned != 0
+        if newly_zeroed.any() and surviving.any():
+            assert np.abs(original[newly_zeroed]).max() <= np.abs(original[surviving]).min() + 1
+
+    def test_sparsity_validated(self, quantized_awq4):
+        with pytest.raises(ValueError, match=r"pruning strength must be in \[0, 1\]"):
+            build_attack("pruning").apply(quantized_awq4, 1.5, new_rng(0))
+
+    def test_moderate_pruning_leaves_watermark_intact(self, owner_setup):
+        """Pruning light enough to keep the model alive barely touches the WER."""
+        emmark, _, watermarked, key = owner_setup
+        attacked = build_attack("pruning").apply(watermarked, 0.4, new_rng(0)).model
+        wer = emmark.extract_with_key(attacked, key).wer_percent
+        assert wer > 80.0
+
+    def test_heavy_pruning_destroys_quality(self, owner_setup, small_dataset):
+        """The paper's argument: pruning strong enough to threaten the
+        watermark has already broken the compressed model."""
+        from repro.eval.perplexity import compute_perplexity
+
+        _, quantized, watermarked, _ = owner_setup
+        attacked = build_attack("pruning").apply(watermarked, 0.9, new_rng(0)).model
+        base_ppl = compute_perplexity(quantized, small_dataset.validation, max_sequences=12)
+        attacked_ppl = compute_perplexity(attacked, small_dataset.validation, max_sequences=12)
+        assert attacked_ppl > base_ppl * 1.2
+
+
+class TestLoRAFineTuneAttack:
+    @staticmethod
+    def _attack(watermarked, corpus, steps):
+        spec = build_attack("lora-finetune", calibration_corpus=corpus, rank=2)
+        return spec.apply(watermarked, steps, new_rng(0))
+
+    def test_quantized_weights_unchanged(self, owner_setup, small_dataset):
+        _, _, watermarked, _ = owner_setup
+        outcome = self._attack(watermarked, small_dataset.train, 4)
+        assert outcome.info["weights_unchanged"] is True
+        assert outcome.model is not watermarked
+
+    def test_watermark_fully_extractable_after_attack(self, owner_setup, small_dataset):
+        emmark, _, watermarked, key = owner_setup
+        outcome = self._attack(watermarked, small_dataset.train, 4)
+        assert emmark.extract_with_key(outcome.model, key).wer_percent == 100.0
+
+    def test_final_loss_reported(self, owner_setup, small_dataset):
+        _, _, watermarked, _ = owner_setup
+        outcome = self._attack(watermarked, small_dataset.train, 3)
+        assert np.isfinite(outcome.info["final_loss"])
+
+
+#: Strengths outside each built-in attack's domain, with the message part
+#: naming it.
+_OUT_OF_DOMAIN = [
+    ("overwrite", -5, ">= 0"),
+    ("overwrite", 2.5, "whole number"),
+    ("rewatermark", -1, ">= 0"),
+    ("pruning", 2.0, r"in \[0, 1\]"),
+    ("lora-finetune", 1.5, "whole number"),
+    ("requantize", 0, r"in \[2, 16\]"),
+    ("requantize", 4.5, "whole number"),
+    ("gptq-requantize", 32, r"in \[2, 16\]"),
+    ("scale-tamper", -0.2, ">= 0"),
+    ("outlier-rewrite", 1.5, r"in \[0, 1\]"),
+    ("structured-prune", 1.0, r"in \[0, 1\)"),
+    ("adaptive-overwrite", -1, ">= 0"),
+    ("adaptive-oracle", 1.5, r"in \[0, 1\]"),
+    ("soup", -0.5, r"in \[0, 1\]"),
+    ("none", float("nan"), "finite"),
+    ("overwrite", float("inf"), ">= 0"),
+]
+
+
+class TestStrengthDomain:
+    """One domain check per spec: apply and grid construction both call it."""
+
+    @pytest.mark.parametrize(
+        "name, strength, message", _OUT_OF_DOMAIN,
+        ids=[f"{name}@{strength}" for name, strength, _ in _OUT_OF_DOMAIN],
+    )
+    def test_out_of_domain_refused(self, name, strength, message):
+        with pytest.raises(ValueError, match=f"{name} strength .*{message}"):
+            ATTACK_REGISTRY[name].check_strength(strength)
+
+    def test_default_sweeps_are_in_domain(self):
+        for cls in ATTACK_REGISTRY.values():
+            for strength in cls.default_strengths:
+                cls.check_strength(strength)
+
+    def test_boundaries_accepted(self):
+        ATTACK_REGISTRY["overwrite"].check_strength(25.0)
+        ATTACK_REGISTRY["pruning"].check_strength(1.0)
+        ATTACK_REGISTRY["structured-prune"].check_strength(0.99)
+        ATTACK_REGISTRY["requantize"].check_strength(2)
+        ATTACK_REGISTRY["requantize"].check_strength(16)
+
+    def test_gauntlet_refuses_the_grid_before_any_cell(self, awq_subject, gauntlet_engine):
+        from repro.robustness import run_gauntlet
+
+        applied = []
+
+        class Spy(AttackSpec):
+            name = "spy"
+
+            def apply(self, model, strength, rng):
+                applied.append(strength)
+                return AttackOutcome(model=model.clone())
+
+        with pytest.raises(ValueError, match="structured-prune strength"):
+            run_gauntlet(
+                {"m": awq_subject},
+                [Spy(), build_attack("structured-prune")],
+                {"spy": (0,), "structured-prune": (0.0, 1.0)},
+                engine=gauntlet_engine, evaluate_quality=False,
+            )
+        assert applied == []
+
+
 class TestLLMInt8AttackEffectiveness:
     """Attack strength must reflect *effective* weights on LLM.int8() models."""
 
     def test_overwrite_avoids_outlier_columns(self, quantized_llm_int8):
-        attacked = parameter_overwrite_attack(
-            quantized_llm_int8, OverwriteAttackConfig(weights_per_layer=50, seed=11)
-        )
+        attacked = build_attack("overwrite").apply(quantized_llm_int8, 50, new_rng(11)).model
         for name in quantized_llm_int8.layer_names():
             layer = quantized_llm_int8.get_layer(name)
             delta = attacked.get_layer(name).weight_int - layer.weight_int
@@ -176,9 +425,7 @@ class TestLLMInt8AttackEffectiveness:
 
     def test_every_integer_hit_lands_in_effective_weights(self, quantized_llm_int8):
         """No silent no-ops: integer changes == effective-weight changes."""
-        attacked = parameter_overwrite_attack(
-            quantized_llm_int8, OverwriteAttackConfig(weights_per_layer=60, seed=3)
-        )
+        attacked = build_attack("overwrite").apply(quantized_llm_int8, 60, new_rng(3)).model
         total_int_changes = 0
         for name in quantized_llm_int8.layer_names():
             before = quantized_llm_int8.get_layer(name)
@@ -192,10 +439,9 @@ class TestLLMInt8AttackEffectiveness:
     def test_full_strength_touches_every_quantized_position(self, quantized_llm_int8):
         """Saturating the attack rewrites the whole quantized mask — no more."""
         biggest = max(layer.num_weights for layer in quantized_llm_int8.iter_layers())
-        attacked = parameter_overwrite_attack(
-            quantized_llm_int8,
-            OverwriteAttackConfig(weights_per_layer=biggest, style="increment", seed=1),
-        )
+        attacked = build_attack("overwrite", style="increment").apply(
+            quantized_llm_int8, biggest, new_rng(1)
+        ).model
         for name in quantized_llm_int8.layer_names():
             before = quantized_llm_int8.get_layer(name)
             after = attacked.get_layer(name)
@@ -213,9 +459,7 @@ class TestLLMInt8AttackEffectiveness:
         """The headline regression: on INT8 models the attack must actually
         reach the watermark (pre-fix, hits in outlier columns were wasted)."""
         biggest = max(layer.num_weights for layer in int8_subject.model.iter_layers())
-        attacked = parameter_overwrite_attack(
-            int8_subject.model, OverwriteAttackConfig(weights_per_layer=biggest, seed=2)
-        )
+        attacked = build_attack("overwrite").apply(int8_subject.model, biggest, new_rng(2)).model
         wer = gauntlet_engine.extract(attacked, int8_subject.key, strict_layout=False).wer_percent
         # A full-strength resample leaves each bit only a chance match.
         assert wer < 50.0
@@ -425,17 +669,17 @@ class TestCorpusBackedMemo:
         assert len(calls) == 2
 
     def test_rewatermark_memo_matches_the_reference_path(
-        self, awq_subject, gauntlet_engine, small_dataset
+        self, awq_subject, gauntlet_engine, small_dataset, paper_rewatermark,
+        assert_same_ticket,
     ):
-        """The memoized spec inserts exactly what an uncached functional call does."""
+        """The memoized spec inserts exactly what an uncached reference
+        insertion with the paper's attacker parameters does."""
         model = awq_subject.model
         spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
         for strength in (6, 12):
             outcome = spec.apply(model, strength, new_rng(strength))
-            attacked, attacker_key = rewatermark_attack(
-                model,
-                RewatermarkAttackConfig(bits_per_layer=strength),
-                calibration_corpus=small_dataset.calibration,
+            attacked, attacker_ticket = paper_rewatermark(
+                model, strength, small_dataset.calibration, gauntlet_engine
             )
             for name in model.layer_names():
                 np.testing.assert_array_equal(
@@ -443,8 +687,8 @@ class TestCorpusBackedMemo:
                     attacked.get_layer(name).weight_int,
                 )
             # The spec hands forward its insertion's ticket; it must equal
-            # the one derived from the functional call's full key.
-            assert_same_ticket(outcome.attacker_key, gauntlet_engine.ticket_for(attacker_key))
+            # the one derived from the reference insertion's full key.
+            assert_same_ticket(outcome.attacker_key, attacker_ticket)
 
     def test_pickled_spec_carries_an_empty_memo(self, quantized_awq4, small_dataset):
         spec = build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
@@ -567,7 +811,8 @@ class TestSoupAttack:
         assert 25.0 < partner.wer_percent < 75.0
 
     def test_partner_is_independent_of_the_subject_watermark(
-        self, soup_spec, awq_subject, quantized_awq4, activation_stats, gauntlet_engine
+        self, soup_spec, awq_subject, quantized_awq4, activation_stats, gauntlet_engine,
+        assert_same_ticket,
     ):
         # The partner clone derives from the *base*, not the deployed model:
         # souping the virgin base and souping the watermarked deployment at

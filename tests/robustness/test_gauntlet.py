@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.attacks.rewatermark import RewatermarkAttackConfig, rewatermark_attack
 from repro.engine import WatermarkEngine
 from repro.engine.reports import (
     DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
@@ -140,7 +139,8 @@ class TestCellWiring:
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_cells_match_direct_attack_and_extract(
-        self, multi_owner_subject, small_dataset, executor
+        self, multi_owner_subject, small_dataset, executor, paper_rewatermark,
+        assert_same_ticket,
     ):
         attacks = _grid_attacks() + [
             build_attack("rewatermark", calibration_corpus=small_dataset.calibration)
@@ -178,16 +178,19 @@ class TestCellWiring:
             assert cell.co_owner_owned == {o: owned(r) for o, r in co.items()}
             if cell.attack == "rewatermark":
                 # The cell verified the ticket its insertion handed forward;
-                # recompute from the functional attack's full key instead,
-                # through the one derivation from a key.
-                attacked, attacker_key = rewatermark_attack(
-                    multi_owner_subject.model,
-                    RewatermarkAttackConfig(bits_per_layer=int(cell.strength)),
-                    calibration_corpus=small_dataset.calibration,
+                # recompute from an independent reference insertion's full
+                # key instead, through the one derivation from a key.
+                attacked, attacker_ticket = paper_rewatermark(
+                    multi_owner_subject.model, int(cell.strength),
+                    small_dataset.calibration, engine,
                 )
-                expected_attacker = engine.extract(
-                    attacked, engine.ticket_for(attacker_key)
-                ).wer_percent
+                for name in attacked.layer_names():
+                    np.testing.assert_array_equal(
+                        outcome.model.get_layer(name).weight_int,
+                        attacked.get_layer(name).weight_int,
+                    )
+                assert_same_ticket(outcome.attacker_key, attacker_ticket)
+                expected_attacker = engine.extract(attacked, attacker_ticket).wer_percent
             else:
                 assert outcome.attacker_key is None
                 expected_attacker = None

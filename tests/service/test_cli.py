@@ -159,6 +159,20 @@ class TestGauntletUsageErrors:
         assert main(["gauntlet", "--strengths", "overwrite"]) == 2
         assert "NAME=V1,V2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("attack,strength", [
+        ("pruning", "2.0"), ("requantize", "0"), ("overwrite", "2.5"),
+    ])
+    def test_out_of_domain_strength(self, capsys, monkeypatch, attack, strength):
+        import repro.experiments.common as common
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the model was prepared for a refused grid")
+
+        monkeypatch.setattr(common, "prepare_context", unreachable)
+        assert main(["gauntlet", "--attack", attack,
+                     "--strengths", f"{attack}={strength}"]) == 2
+        assert f"{attack} strength" in capsys.readouterr().err
+
 
 class TestOfflineVerify:
     def test_verify_against_registry(

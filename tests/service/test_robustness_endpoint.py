@@ -10,7 +10,15 @@ import json
 import pytest
 
 from repro.engine import WatermarkEngine
-from repro.robustness import GauntletSubject, build_attack, run_gauntlet
+from repro.robustness import (
+    ATTACK_REGISTRY,
+    AttackOutcome,
+    GauntletSubject,
+    build_attack,
+    register_attack,
+    run_gauntlet,
+)
+from repro.robustness.attacks import AttackSpec
 from repro.service import client as client_mod
 from repro.service.client import JobHandle, ServiceError
 
@@ -125,12 +133,27 @@ class TestRobustnessEndpoint:
         assert client.jobs() == jobs_before
 
     def test_attack_range_error_fails_the_job(self, client):
-        # A strength the attack itself rejects is only found when the cell
-        # runs: the job fails and the report fetch is a 409.
-        with pytest.raises(ServiceError, match="scale-tamper") as excinfo:
-            client.robustness(
-                "hit", attacks=[{"name": "scale-tamper", "strengths": [-1]}]
-            )
+        # A strength the attack rejects only when its cell runs (this spec
+        # declares no strength domain) fails the job; the report fetch is a
+        # 409.  Declared domains are refused at submission instead
+        # (TestStrengthDomainAtSubmission).
+        @register_attack
+        class BrittleAttack(AttackSpec):
+            name = "test-brittle"
+
+            def apply(self, model, strength, rng):
+                if strength > 0:
+                    raise ValueError("test-brittle strength rejected when the cell runs")
+                return AttackOutcome(model=model.clone())
+
+        try:
+            with pytest.raises(ServiceError, match="test-brittle") as excinfo:
+                client.robustness(
+                    "hit", attacks=[{"name": "test-brittle", "strengths": [1]}],
+                    executor="serial",
+                )
+        finally:
+            del ATTACK_REGISTRY["test-brittle"]
         assert excinfo.value.status == 409
         assert excinfo.value.code == "job_failed"
 
@@ -255,6 +278,50 @@ class TestGridValueValidation:
         report = handle.report()["report"]
         assert [c["strength"] for c in report["cells"]] == [0.0, 25.0]
         assert report["seed"] == 3
+
+
+def _raw_request(port, method, path, body=None):
+    """One request over a fresh connection: (status, decoded JSON body)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+#: Strengths outside the attack's declared domain, as sent on the wire.
+_OUT_OF_DOMAIN = [
+    pytest.param("pruning", "2.0", id="pruning-sparsity-above-1"),
+    pytest.param("overwrite", "-5", id="overwrite-negative"),
+    pytest.param("overwrite", "2.5", id="overwrite-fractional"),
+    pytest.param("structured-prune", "1.0", id="structured-prune-everything"),
+    pytest.param("scale-tamper", "-0.2", id="scale-tamper-negative"),
+    pytest.param("requantize", "0", id="requantize-zero-bits"),
+]
+
+
+class TestStrengthDomainAtSubmission:
+    """Out-of-domain strengths are a 400 before any job exists."""
+
+    @pytest.mark.parametrize("attack,strength", _OUT_OF_DOMAIN)
+    def test_refused_before_a_job_exists(self, server_handle, attack, strength):
+        port = server_handle.port
+        status, before = _raw_request(port, "GET", "/v1/jobs")
+        assert status == 200
+        body = (
+            '{"suspect_id": "hit", "attacks": [{"name": "%s", "strengths": [0, %s]}]}'
+            % (attack, strength)
+        ).encode("utf-8")
+        status, payload = _raw_request(port, "POST", "/v1/jobs/robustness", body)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert f"{attack} strength" in payload["error"]["message"]
+        status, after = _raw_request(port, "GET", "/v1/jobs")
+        assert status == 200
+        assert after["jobs"] == before["jobs"]
 
 
 class TestCpuBudgetGate:
