@@ -40,8 +40,6 @@ __all__ = [
     "MIN_SPEEDUP_MEASURED",
     "MIN_PROCESS_SPEEDUP_MEASURED",
     "MIN_TELEMETRY_THROUGHPUT_RATIO",
-    "MIN_FLEET_SPEEDUP_MEASURED",
-    "FLEET_SPEEDUP_SHARDS",
     "validate_schema",
     "check_gates",
     "evaluate_report",
@@ -78,16 +76,6 @@ MIN_PROCESS_SPEEDUP_MEASURED = 1.5
 #: shared runners are noise).  Decision equivalence with telemetry on is
 #: gated unconditionally via ``telemetry_digests_equal``.
 MIN_TELEMETRY_THROUGHPUT_RATIO = 0.95
-#: The sharded fleet's acceptance bar: on a ≥ 4-core host in measured mode,
-#: a 4-shard fleet (consistent-hash routed, per-shard plan caches and
-#: dispatchers) must sustain ≥ 1.5× the verify throughput of the 1-shard
-#: baseline on identical scoped requests.  Decision and occupancy-audit
-#: digest equality across shard counts is gated unconditionally — routing
-#: must never change a verdict.
-MIN_FLEET_SPEEDUP_MEASURED = 1.5
-#: Shard width the fleet speedup bar is measured at (and the core count the
-#: host must clear for the bar to apply).
-FLEET_SPEEDUP_SHARDS = 4
 
 
 class _Num:
@@ -144,24 +132,6 @@ SCHEMAS: Dict[str, Dict[str, object]] = {
         "warm_over_cold_speedup": _Num,
         "concurrency_levels": dict,
         "decisions_checked_against_direct_verify_fleet": int,
-    },
-    "service_fleet": {
-        "benchmark": str,
-        "smoke": bool,
-        "cpu_count": int,
-        "fleet": dict,
-        "shard_counts": list,
-        "shard_levels": dict,
-        "speedup_4_vs_1": _Num,
-        "decision_digest_single": str,
-        "decision_digests_by_shards": dict,
-        "decision_digests_equal": bool,
-        "audit_digests_by_shards": dict,
-        "audit_digests_equal": bool,
-        "registry_scale": dict,
-        "registry_cold_start_key_loads_x1000": int,
-        "registry_cold_start_tickets_x1000": int,
-        "registry_first_touch_key_loads_x1000": int,
     },
     "service_jobs": {
         "benchmark": str,
@@ -309,56 +279,6 @@ def _gate_service(report: Dict[str, object]) -> List[str]:
     return failures
 
 
-def _gate_service_fleet(report: Dict[str, object]) -> List[str]:
-    failures = []
-    if report["decision_digests_equal"] is not True:
-        failures.append("fleet decisions diverged from the unsharded server")
-    for shards, digest in report["decision_digests_by_shards"].items():
-        if digest != report["decision_digest_single"]:
-            failures.append(
-                f"{shards}-shard decision digest {digest!r} != unsharded "
-                f"{report['decision_digest_single']!r}"
-            )
-    if report["audit_digests_equal"] is not True:
-        failures.append("occupancy-audit digest changed with the shard count")
-    if len(set(report["audit_digests_by_shards"].values())) > 1:
-        failures.append("audit_digests_by_shards carries more than one digest")
-    for level, result in report["shard_levels"].items():
-        if not isinstance(result, dict) or not result.get("throughput_rps", 0) > 0:
-            failures.append(f"shard level {level!r} reports no throughput")
-    # Lazy tickets are a structural claim, never a timing: re-opening a
-    # registry over ×1000 persisted keys must read zero NPZ archives, and
-    # the first touch of a key derives its ticket from exactly one load.
-    if report["registry_cold_start_key_loads_x1000"] != 0:
-        failures.append(
-            f"registry startup performed "
-            f"{report['registry_cold_start_key_loads_x1000']} bulk NPZ loads "
-            "at x1000 scale (must be 0)"
-        )
-    if report["registry_cold_start_tickets_x1000"] != 0:
-        failures.append(
-            f"registry startup left {report['registry_cold_start_tickets_x1000']} "
-            "tickets resident at x1000 scale (must be 0)"
-        )
-    if report["registry_first_touch_key_loads_x1000"] != 1:
-        failures.append(
-            f"first touch of a key performed "
-            f"{report['registry_first_touch_key_loads_x1000']} key loads "
-            "at x1000 scale (must be exactly 1)"
-        )
-    if (
-        not report["smoke"]
-        and report["cpu_count"] >= FLEET_SPEEDUP_SHARDS
-        and report["speedup_4_vs_1"] < MIN_FLEET_SPEEDUP_MEASURED
-    ):
-        failures.append(
-            f"4-shard fleet speedup {report['speedup_4_vs_1']:.2f}x is below "
-            f"{MIN_FLEET_SPEEDUP_MEASURED}x "
-            f"(measured mode, {report['cpu_count']} cores)"
-        )
-    return failures
-
-
 def _gate_service_jobs(report: Dict[str, object]) -> List[str]:
     """The async-jobs resume bar, gated unconditionally (never a timing):
     a sweep cancelled mid-run and resumed from its checkpoint must replay
@@ -388,7 +308,6 @@ _GATES = {
     "gauntlet": _gate_gauntlet,
     "engine_throughput": _gate_engine,
     "service_load": _gate_service,
-    "service_fleet": _gate_service_fleet,
     "service_jobs": _gate_service_jobs,
 }
 

@@ -23,6 +23,7 @@ Run with:  python examples/edge_deployment_ip_protection.py [--profile smoke|def
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro import EmMark, EmMarkConfig, quantize_model
 from repro.data.alpaca import load_alpaca_sim
@@ -36,7 +37,7 @@ from repro.utils.rng import new_rng
 from repro.utils.tables import Table, format_float
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--profile", default="smoke", choices=["smoke", "default"])
     parser.add_argument("--model", default="opt-1.3b-sim")
@@ -90,22 +91,32 @@ def main() -> None:
         title="Vendor key vs. candidate models",
         columns=["Candidate", "WER (%)", "False-claim probability", "Ownership asserted"],
     )
-    for label, candidate in [
-        ("Deployed (vendor's own)", watermarked),
-        ("Pirated + laundered copy", pirated),
-        ("Competitor's independent model", competitor),
-        ("Original non-watermarked", deployed),
-    ]:
+    # (label, candidate, whether the vendor's claim must hold)
+    candidates = [
+        ("Deployed (vendor's own)", watermarked, True),
+        ("Pirated + laundered copy", pirated, True),
+        ("Competitor's independent model", competitor, False),
+        ("Original non-watermarked", deployed, False),
+    ]
+    wrong = []
+    for label, candidate, expected in candidates:
         extraction = emmark.extract_with_key(candidate, vendor_key)
+        owned = emmark.verify(candidate, vendor_key)
+        if owned != expected:
+            wrong.append(label)
         table.add_row([
             label,
             format_float(extraction.wer_percent),
             f"{extraction.false_claim_probability:.2e}",
-            emmark.verify(candidate, vendor_key),
+            owned,
         ])
     print(table.render())
+    if wrong:
+        print(f"\nAttribution FAILED for: {', '.join(wrong)}.")
+        return 1
     print("\nThe pirated copy is attributed to the vendor; independent models are not.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -21,14 +21,14 @@ the robustness gauntlet and the repo's own static analysis from a shell:
     the server batches, without the HTTP hop.
 
 ``repro loadgen``
-    Closed-loop load generator against a running server — or, with
-    ``--fleet``, against a sharded fleet with client-side consistent-hash
-    routing and a per-shard latency/throughput breakdown.
+    Closed-loop load generator against a running server.
 
 ``repro audit``
     Occupancy audit: re-verify per model fingerprint that every co-resident
     key set reproduces pairwise-disjoint slot sets, either offline against a
-    registry directory or remotely against a running shard / fleet router.
+    registry directory or remotely against a running server.  Exit 0 means
+    disjoint, 1 a collision; a missing registry or an unreachable server is
+    exit 2.
 
 ``repro check``
     Repo-specific static analysis: run the invariant rules in
@@ -160,22 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict verification to these key ids (repeatable)")
     loadgen.add_argument("--output", metavar="PATH", default=None,
                          help="write the JSON report here as well as stdout")
-    loadgen.add_argument("--fleet", metavar="HOST:PORT", action="append", default=None,
-                         help="shard address (repeatable, shard-index order): drive a "
-                              "sharded fleet with client-side consistent-hash routing "
-                              "instead of --host/--port; requires --suspect uploads so "
-                              "placement is learned, and adds a per-shard latency/"
-                              "throughput breakdown to the report")
 
     audit = sub.add_parser("audit", help="occupancy audit: co-resident keys on disjoint slots")
     audit.add_argument("--registry", metavar="DIR", default=None,
                        help="audit this key-registry directory offline (re-derives every "
                             "model fingerprint's slot sets through the engine)")
     audit.add_argument("--host", default="127.0.0.1",
-                       help="server/router address for a remote audit (default: 127.0.0.1)")
+                       help="server address for a remote audit (default: 127.0.0.1)")
     audit.add_argument("--port", type=int, default=8420,
-                       help="server/router port — a shard answers for its partition, a "
-                            "fleet router merges all shards (default: 8420)")
+                       help="server port; the server audits its own registry via "
+                            "GET /v1/audit (default: 8420)")
     audit.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     check = sub.add_parser("check", help="repo-invariant static analysis")
@@ -387,9 +381,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.service.codec import load_model
     from repro.service.registry import KeyRegistry, RegistryError
 
+    if not _registry_exists(args.registry):
+        return 2
+    try:
+        suspect = load_model(args.suspect)
+    except OSError as exc:
+        # Exit 1 means "not owned": an unreadable suspect must not read as one.
+        print(f"error: cannot load suspect {args.suspect!r}: {exc}", file=sys.stderr)
+        return 2
     engine = WatermarkEngine()
     registry = KeyRegistry(args.registry, engine=engine)
-    suspect = load_model(args.suspect)
     try:
         keys = registry.active_keys(args.key_id)
     except RegistryError as exc:
@@ -418,38 +419,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print("error: set exactly one of --duration / --requests", file=sys.stderr)
         return 2
     key_ids = tuple(args.key_id) if args.key_id else None
-    templates: List[RequestTemplate] = []
-    if args.fleet:
-        # Fleet mode: upload through the consistent-hash client so every
-        # suspect's owning shard is known, then drive the shards directly.
-        if args.suspect_id:
-            print("error: --suspect-id needs a known shard; use --suspect uploads "
-                  "with --fleet", file=sys.stderr)
-            return 2
-        if not args.suspect:
-            print("error: --fleet requires --suspect uploads", file=sys.stderr)
-            return 2
-        from repro.service.fleet import FleetClient
-
-        with FleetClient(args.fleet) as fleet_client:
+    suspect_ids: List[str] = list(args.suspect_id or [])
+    if args.suspect:
+        client = VerificationClient(args.host, args.port)
+        try:
             for index, directory in enumerate(args.suspect):
-                uploaded = fleet_client.upload_suspect(load_model(directory), f"suspect-{index}")
-                sid = uploaded["suspect_id"]
-                templates.append(RequestTemplate(
-                    sid, key_ids=key_ids, label=sid,
-                    shard=fleet_client.labels.index(uploaded["shard"]),
-                ))
-    else:
-        suspect_ids: List[str] = list(args.suspect_id or [])
-        if args.suspect:
-            client = VerificationClient(args.host, args.port)
-            try:
-                for index, directory in enumerate(args.suspect):
-                    uploaded = client.upload_suspect(load_model(directory), f"suspect-{index}")
-                    suspect_ids.append(uploaded["suspect_id"])
-            finally:
-                client.close()
-        templates = [RequestTemplate(sid, key_ids=key_ids, label=sid) for sid in suspect_ids]
+                uploaded = client.upload_suspect(load_model(directory), f"suspect-{index}")
+                suspect_ids.append(uploaded["suspect_id"])
+        finally:
+            client.close()
+    templates = [RequestTemplate(sid, key_ids=key_ids, label=sid) for sid in suspect_ids]
     if not templates:
         print("error: no suspects (use --suspect and/or --suspect-id)", file=sys.stderr)
         return 2
@@ -462,7 +441,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             total_requests=args.requests,
             templates=templates,
             collect_decisions=False,
-            fleet=list(args.fleet) if args.fleet else None,
         )
     )
     print(report.summary())
@@ -476,23 +454,40 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if report.completed else 1
 
 
+def _registry_exists(path: str) -> bool:
+    """Read-only commands never create a registry: a missing directory is a
+    usage error (reported on stderr), not an empty registry."""
+    from pathlib import Path
+
+    if Path(path).is_dir():
+        return True
+    print(f"error: registry directory {path!r} does not exist", file=sys.stderr)
+    return False
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.registry:
         from repro.engine import EngineConfig, WatermarkEngine
-        from repro.service.fleet import occupancy_audit
+        from repro.service.occupancy import occupancy_audit
         from repro.service.registry import KeyRegistry
 
+        if not _registry_exists(args.registry):
+            return 2
         registry = KeyRegistry(args.registry)
         report = occupancy_audit(registry, WatermarkEngine(EngineConfig()))
         payload = report.to_dict()
     else:
-        # A shard answers for its own partition; the fleet router's alias
-        # merges every shard into one fleet-wide report.
-        from repro.service.client import VerificationClient
+        from http.client import HTTPException
+
+        from repro.service.client import ServiceError, VerificationClient
 
         client = VerificationClient(args.host, args.port)
         try:
             payload = client._request("GET", "/v1/audit")["audit"]
+        except (OSError, HTTPException, ServiceError) as exc:
+            # Exit 1 means COLLISION: a failed request must not read as one.
+            print(f"error: cannot audit {args.host}:{args.port}: {exc}", file=sys.stderr)
+            return 2
         finally:
             client.close()
     if args.json:

@@ -1,11 +1,12 @@
 """Watermark verification service.
 
-This package turns the library-level ownership checks into a serving system —
-the ROADMAP's "serve heavy traffic from millions of users" direction:
+This package turns the library-level ownership checks into a serving system:
 
 * :mod:`repro.service.registry` — :class:`KeyRegistry`, a persistent,
   content-addressed store of issued :class:`~repro.core.keys.WatermarkKey`s
   with owner metadata, model-fingerprint indexing and revocation.
+* :mod:`repro.service.occupancy` — :func:`occupancy_audit`, which proves
+  per model fingerprint that co-resident keys reproduce disjoint slot sets.
 * :mod:`repro.service.dispatch` — :class:`MicroBatchDispatcher` (coalesces
   concurrent verification requests into single
   :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` sweeps) and
@@ -21,10 +22,6 @@ the ROADMAP's "serve heavy traffic from millions of users" direction:
   generator (:func:`run_load`) producing throughput and latency percentiles.
 * :mod:`repro.service.codec` — base64-NPZ wire / directory codecs for keys
   and quantized models.
-* :mod:`repro.service.fleet` — the sharded fleet: consistent-hash routing
-  (:class:`HashRing`, :class:`ShardRouter`, :class:`FleetClient`), topology
-  (:func:`launch_fleet`, :func:`partition_registry`) and the occupancy audit
-  (:func:`occupancy_audit`).
 
 Quickstart
 ----------
@@ -68,19 +65,10 @@ from repro.service.loadgen import (
     run_job_load,
     run_load,
 )
-from repro.service.fleet import (
-    FleetAuditError,
-    FleetClient,
-    FleetConfig,
-    FleetHandle,
-    HashRing,
+from repro.service.occupancy import (
     ModelAuditVerdict,
     OccupancyAuditReport,
-    ShardRouter,
-    launch_fleet,
     occupancy_audit,
-    partition_registry,
-    shard_labels,
 )
 from repro.service.registry import KeyRecord, KeyRegistry, RegistryError
 from repro.service.server import (
@@ -124,16 +112,7 @@ __all__ = [
     "model_from_wire",
     "save_model",
     "load_model",
-    "FleetAuditError",
-    "FleetClient",
-    "FleetConfig",
-    "FleetHandle",
-    "HashRing",
     "ModelAuditVerdict",
     "OccupancyAuditReport",
-    "ShardRouter",
-    "launch_fleet",
     "occupancy_audit",
-    "partition_registry",
-    "shard_labels",
 ]

@@ -1,13 +1,12 @@
-"""Shared asyncio HTTP/1.1 plumbing for the service processes.
+"""Asyncio HTTP/1.1 plumbing for the verification server.
 
-Extracted from :mod:`repro.service.server` so the shard router
-(:mod:`repro.service.fleet.router`) serves the same wire behaviour — framing
-limits, keep-alive handling, the ``{param}`` routing table, the uniform JSON
-error envelope, chunked streaming — without duplicating ~400 lines of
-connection handling.  :class:`AsyncHttpServer` is the base: subclasses
-provide a routing table (:meth:`AsyncHttpServer._build_routes`) and may hook
-request counting and latency observation; everything below the routes
-(parsing, limits, response writing, lifecycle) is common.
+Kept apart from :mod:`repro.service.server` so the server module holds only
+routes and verification logic, not framing: framing limits, keep-alive
+handling, the ``{param}`` routing table, the uniform JSON error envelope and
+chunked streaming live here.  :class:`AsyncHttpServer` is the base: a
+subclass provides a routing table (:meth:`AsyncHttpServer._build_routes`)
+and may hook request counting and latency observation; everything below the
+routes (parsing, limits, response writing, lifecycle) is in this module.
 
 The HTTP layer is deliberately minimal — request line + headers +
 ``Content-Length`` body (a request with ``Transfer-Encoding`` is one 400
@@ -50,7 +49,6 @@ REASONS = {
     409: "Conflict",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    502: "Bad Gateway",
     503: "Service Unavailable",
 }
 
@@ -63,7 +61,6 @@ ERROR_CODES = {
     409: "conflict",
     429: "rate_limited",
     500: "internal",
-    502: "bad_gateway",
     503: "unavailable",
 }
 

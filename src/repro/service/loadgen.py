@@ -8,13 +8,6 @@ exhausted, with structured latency/throughput output.
 Each user thread owns one keep-alive :class:`VerificationClient` connection
 and walks the configured request mix round-robin with a per-user stride, so
 a hit/miss template mix is exercised evenly at every concurrency level.
-
-Fleet mode (``LoadConfig.fleet``): instead of one server address, the config
-carries the shard address list and every template its owning shard index
-(client-side consistent-hash placement — the same ring the fleet router and
-:class:`~repro.service.fleet.client.FleetClient` use).  Each user thread then
-keeps one keep-alive connection *per shard* and the report gains a per-shard
-latency/throughput breakdown (``shard_latency_ms`` / ``shard_timeseries``).
 """
 
 from __future__ import annotations
@@ -60,18 +53,11 @@ class RequestTemplate:
     label:
         Mix label carried into the per-request records (e.g. ``"hit"`` /
         ``"miss"``) so reports can split latency by request class.
-    shard:
-        Owning shard index in fleet mode (``LoadConfig.fleet``) — the index
-        into the fleet address list where this suspect lives, as learned
-        from the upload (``response["shard"]``) or
-        :meth:`~repro.service.fleet.client.FleetClient.shard_for`.  Ignored
-        (and must stay ``None``) against a single server.
     """
 
     suspect_id: str
     key_ids: Optional[tuple] = None
     label: str = ""
-    shard: Optional[int] = None
 
 
 @dataclass
@@ -82,10 +68,6 @@ class LoadConfig:
     and errored attempts consume it too, so a run against a rate-limited
     server always terminates.  Without admission control in play,
     ``completed == total_requests``.
-
-    ``fleet`` switches to fleet mode: a list of shard addresses
-    (``"host:port"`` each, shard-index order) that every template's
-    ``shard`` field indexes into; ``host``/``port`` are then ignored.
     """
 
     host: str = "127.0.0.1"
@@ -96,7 +78,6 @@ class LoadConfig:
     templates: List[RequestTemplate] = field(default_factory=list)
     timeout: float = 60.0
     collect_decisions: bool = True
-    fleet: Optional[List[str]] = None
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -105,15 +86,6 @@ class LoadConfig:
             raise ValueError("set exactly one of duration_seconds / total_requests")
         if not self.templates:
             raise ValueError("at least one request template is required")
-        if self.fleet is not None:
-            if not self.fleet:
-                raise ValueError("fleet mode needs at least one shard address")
-            for template in self.templates:
-                if template.shard is None or not 0 <= template.shard < len(self.fleet):
-                    raise ValueError(
-                        f"template {template.suspect_id!r} needs a shard index in "
-                        f"[0, {len(self.fleet)}) for fleet mode (got {template.shard!r})"
-                    )
 
 
 @dataclass
@@ -135,12 +107,6 @@ class LoadReport:
     #: Requests completed in each 1-second window of the run (requests/s),
     #: so a flat p95 cannot hide a sawtooth or a mid-run stall.
     throughput_timeseries: List[int] = field(default_factory=list)
-    #: Fleet mode only: latency percentiles per shard label, so a slow or
-    #: overloaded shard is visible even when the fleet-wide p95 looks fine.
-    shard_latency_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Fleet mode only: per-shard 1-second completion windows (same buckets
-    #: as ``throughput_timeseries``), exposing placement imbalance over time.
-    shard_timeseries: Dict[str, List[int]] = field(default_factory=dict)
     decisions: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -163,8 +129,6 @@ class LoadReport:
             "throughput_timeseries": list(self.throughput_timeseries),
             "latency_ms": self.latency_ms,
             "per_label_completed": self.per_label_completed,
-            "shard_latency_ms": {k: dict(v) for k, v in self.shard_latency_ms.items()},
-            "shard_timeseries": {k: list(v) for k, v in self.shard_timeseries.items()},
         }
 
     def summary(self) -> str:
@@ -215,24 +179,12 @@ class _Budget:
 class _WorkerResult:
     latencies_ms: List[float] = field(default_factory=list)
     labels: List[str] = field(default_factory=list)
-    shards: List[Optional[int]] = field(default_factory=list)
     completions: List[float] = field(default_factory=list)  # perf_counter stamps
     decisions: List[Dict[str, object]] = field(default_factory=list)
     errors: int = 0
     rate_limited: int = 0
     unavailable: int = 0
     timeouts: int = 0
-
-
-def _worker_clients(config: LoadConfig) -> List[VerificationClient]:
-    """One keep-alive client per target: the single server, or one per shard."""
-    if config.fleet is None:
-        return [VerificationClient(config.host, config.port, timeout=config.timeout)]
-    clients = []
-    for address in config.fleet:
-        host, _, port = address.rpartition(":")
-        clients.append(VerificationClient(host, int(port), timeout=config.timeout))
-    return clients
 
 
 def _worker(
@@ -244,7 +196,7 @@ def _worker(
     result: _WorkerResult,
 ) -> None:
     templates = config.templates
-    clients = _worker_clients(config)
+    client = VerificationClient(config.host, config.port, timeout=config.timeout)
     cursor = index  # stride by concurrency → even template coverage per user
     try:
         start_barrier.wait(timeout=30.0)
@@ -253,7 +205,6 @@ def _worker(
                 break
             template = templates[cursor % len(templates)]
             cursor += config.concurrency
-            client = clients[template.shard or 0]
             begin = time.perf_counter()
             try:
                 response = client.verify(
@@ -279,7 +230,6 @@ def _worker(
             result.latencies_ms.append((done - begin) * 1000.0)
             result.completions.append(done)
             result.labels.append(template.label)
-            result.shards.append(template.shard)
             if config.collect_decisions:
                 result.decisions.append(
                     {
@@ -290,8 +240,7 @@ def _worker(
                     }
                 )
     finally:
-        for client in clients:
-            client.close()
+        client.close()
 
 
 def run_load(config: LoadConfig) -> LoadReport:
@@ -322,7 +271,6 @@ def run_load(config: LoadConfig) -> LoadReport:
 
     latencies = [lat for result in results for lat in result.latencies_ms]
     labels = [label for result in results for label in result.labels]
-    shards = [shard for result in results for shard in result.shards]
     decisions = [d for result in results for d in result.decisions]
     completed = len(latencies)
     per_label: Dict[str, int] = {}
@@ -337,24 +285,6 @@ def run_load(config: LoadConfig) -> LoadReport:
             offset = int(stamp - started)
             if 0 <= offset < len(buckets):
                 buckets[offset] += 1
-    # Fleet breakdown: the same stats per shard label, so one hot or slow
-    # shard cannot hide inside the fleet-wide aggregate.
-    shard_latency_ms: Dict[str, Dict[str, float]] = {}
-    shard_timeseries: Dict[str, List[int]] = {}
-    if config.fleet is not None:
-        stamps = [stamp for result in results for stamp in result.completions]
-        for index in range(len(config.fleet)):
-            label = f"shard-{index}"
-            shard_lats = [lat for lat, s in zip(latencies, shards) if s == index]
-            shard_latency_ms[label] = _latency_stats(shard_lats)
-            shard_buckets = [0] * len(buckets)
-            for stamp, s in zip(stamps, shards):
-                if s != index:
-                    continue
-                offset = int(stamp - started)
-                if 0 <= offset < len(shard_buckets):
-                    shard_buckets[offset] += 1
-            shard_timeseries[label] = shard_buckets
     report = LoadReport(
         concurrency=config.concurrency,
         elapsed_seconds=elapsed,
@@ -367,8 +297,6 @@ def run_load(config: LoadConfig) -> LoadReport:
         throughput_timeseries=buckets,
         latency_ms=latency_ms,
         per_label_completed=per_label,
-        shard_latency_ms=shard_latency_ms,
-        shard_timeseries=shard_timeseries,
         decisions=decisions,
     )
     logger.info("%s", report.summary())

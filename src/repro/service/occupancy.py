@@ -9,12 +9,10 @@ each model fingerprint it reloads the co-resident key set and replays
 every key's locations through the engine and raises
 :class:`~repro.engine.allocator.SlotCollisionError` on any overlap.
 
-Run it at shard build/rebalance time (``launch_fleet`` does), on demand via
-``repro audit`` or ``GET /v1/audit`` (per shard) / ``GET /v1/fleet/audit``
-(whole fleet).  Because the fleet shards by model fingerprint, each
-fingerprint's verdict is computed wholly on one shard — the fleet-level
-digest over the union of verdicts is therefore identical for any shard
-count, which the tests pin down.
+Run it on demand via ``repro audit`` (offline over a registry directory, or
+remotely against a server) or ``GET /v1/audit``.  The report digest is keyed
+by model fingerprint, so the same registered key population always yields
+the same digest whichever way it is audited.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.utils.logging import get_logger
 
 __all__ = ["ModelAuditVerdict", "OccupancyAuditReport", "occupancy_audit"]
 
-logger = get_logger("service.fleet.audit")
+logger = get_logger("service.occupancy")
 
 
 @dataclass
@@ -56,21 +54,10 @@ class ModelAuditVerdict:
             payload["collision"] = dict(self.collision)
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ModelAuditVerdict":
-        return cls(
-            model_fingerprint=str(payload["model_fingerprint"]),
-            key_ids=[str(k) for k in payload.get("key_ids", [])],
-            owners=[str(o) for o in payload.get("owners", [])],
-            disjoint=bool(payload.get("disjoint", False)),
-            total_slots=int(payload.get("total_slots", 0)),
-            collision=dict(payload["collision"]) if payload.get("collision") else None,
-        )
-
 
 @dataclass
 class OccupancyAuditReport:
-    """All per-fingerprint verdicts of one registry (or a merged fleet)."""
+    """All per-fingerprint verdicts of one registry."""
 
     verdicts: List[ModelAuditVerdict] = field(default_factory=list)
     elapsed_seconds: float = 0.0
@@ -88,8 +75,8 @@ class OccupancyAuditReport:
         """Stable content digest of the verdicts.
 
         Verdicts are keyed and sorted by model fingerprint before hashing,
-        so the digest is independent of shard count and audit order — the
-        same registered key population always produces the same digest.
+        so the digest is independent of audit order — the same registered
+        key population always produces the same digest.
         """
         canonical = json.dumps(
             [v.to_dict() for v in sorted(self.verdicts, key=lambda v: v.model_fingerprint)],
@@ -107,34 +94,6 @@ class OccupancyAuditReport:
             "elapsed_seconds": self.elapsed_seconds,
             "verdicts": [v.to_dict() for v in self.verdicts],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "OccupancyAuditReport":
-        """Rebuild a report from its wire form (``to_dict`` round-trip)."""
-        verdicts = payload.get("verdicts", [])
-        return cls(
-            verdicts=[ModelAuditVerdict.from_dict(v) for v in verdicts],
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-        )
-
-    @classmethod
-    def merge(cls, reports: List["OccupancyAuditReport"]) -> "OccupancyAuditReport":
-        """Union of several shards' reports (fingerprints must not repeat —
-        the consistent-hash partition guarantees they don't)."""
-        merged = cls()
-        seen: Dict[str, str] = {}
-        for report in reports:
-            for verdict in report.verdicts:
-                if verdict.model_fingerprint in seen:
-                    raise ValueError(
-                        f"model fingerprint {verdict.model_fingerprint!r} audited "
-                        "on more than one shard — the fleet partition is broken"
-                    )
-                seen[verdict.model_fingerprint] = verdict.model_fingerprint
-                merged.verdicts.append(verdict)
-            merged.elapsed_seconds += report.elapsed_seconds
-        merged.verdicts.sort(key=lambda v: v.model_fingerprint)
-        return merged
 
 
 def occupancy_audit(registry, engine=None) -> OccupancyAuditReport:

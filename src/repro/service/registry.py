@@ -21,7 +21,7 @@ A registry constructed without a root directory keeps everything in memory —
 that mode backs unit tests and ephemeral servers.
 
 Startup is *record-only*: only the small ``record.json`` files are read, never
-the bulk NPZ archives, so a shard fronting a million keys comes up in seconds.
+the bulk NPZ archives, so a server fronting a million keys comes up in seconds.
 Each key is served by its resident few-KB
 :class:`~repro.engine.ticket.VerificationTicket`, derived at registration or,
 after a restart, on first use from one load of the key on disk.  Full keys are

@@ -688,10 +688,10 @@ class VerificationServer(AsyncHttpServer):
 
         Reproduces each registered key's locations through the engine (plan
         cache makes repeats cheap) and answers with per-fingerprint verdicts
-        plus a shard-count-stable digest; the fleet router merges these per
-        shard into ``GET /v1/fleet/audit``.
+        plus a digest equal to an offline ``repro audit --registry`` of the
+        same registry directory.
         """
-        from repro.service.fleet.audit import occupancy_audit
+        from repro.service.occupancy import occupancy_audit
 
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(
@@ -1330,20 +1330,17 @@ class VerificationServer(AsyncHttpServer):
 # Background runner (tests, examples, load generator)
 # ----------------------------------------------------------------------
 class ServerHandle:
-    """An :class:`AsyncHttpServer` running on a dedicated event-loop thread.
+    """A :class:`VerificationServer` running on a dedicated event-loop thread.
 
-    Works for any server built on the shared HTTP plumbing — a
-    :class:`VerificationServer` shard or a fleet
-    :class:`~repro.service.fleet.router.ShardRouter`.  Created via
-    :func:`run_in_background` (or directly for non-default servers); usable
-    as a context manager::
+    Created via :func:`run_in_background` (or directly for non-default
+    servers); usable as a context manager::
 
         with run_in_background(server) as handle:
             client = VerificationClient(port=handle.port)
             ...
     """
 
-    def __init__(self, server: AsyncHttpServer) -> None:
+    def __init__(self, server: VerificationServer) -> None:
         self.server = server
         self._loop = asyncio.new_event_loop()
         self._ready = threading.Event()

@@ -90,35 +90,6 @@ def service_report(**overrides):
     return report
 
 
-def fleet_report(**overrides):
-    digest = "dec-" + "a" * 20
-    audit = "aud-" + "b" * 20
-    report = {
-        "benchmark": "service_fleet",
-        "smoke": True,
-        "cpu_count": 8,
-        "fleet": {"model_families": 4, "keys": 4},
-        "shard_counts": [1, 2, 4],
-        "shard_levels": {
-            "1": {"throughput_rps": 40.0},
-            "2": {"throughput_rps": 60.0},
-            "4": {"throughput_rps": 80.0},
-        },
-        "speedup_4_vs_1": 2.0,
-        "decision_digest_single": digest,
-        "decision_digests_by_shards": {"1": digest, "2": digest, "4": digest},
-        "decision_digests_equal": True,
-        "audit_digests_by_shards": {"1": audit, "2": audit, "4": audit},
-        "audit_digests_equal": True,
-        "registry_scale": {"x1000": {"keys": 1000}},
-        "registry_cold_start_key_loads_x1000": 0,
-        "registry_cold_start_tickets_x1000": 0,
-        "registry_first_touch_key_loads_x1000": 1,
-    }
-    report.update(overrides)
-    return report
-
-
 def jobs_report(**overrides):
     digest = "a" * 64
     report = {
@@ -146,7 +117,6 @@ class TestSchemaValidation:
             gauntlet_report,
             engine_report,
             service_report,
-            fleet_report,
             jobs_report,
         ],
     )
@@ -178,6 +148,11 @@ class TestSchemaValidation:
         problems = compare_bench.evaluate_report(report)
         # Only the schema error is reported; gates never ran on a bad shape.
         assert all("missing" in p for p in problems)
+
+    def test_every_schema_kind_has_a_gate(self):
+        # A kind with a schema but no gate would validate and then crash in
+        # check_gates; a gate without a schema could never be reached.
+        assert set(compare_bench.SCHEMAS) == set(compare_bench._GATES)
 
 
 class TestGauntletGates:
@@ -301,91 +276,41 @@ class TestEngineAndServiceGates:
         )
         assert any("warm-over-cold" in p for p in problems)
 
-
-class TestServiceFleetGates:
-    """The sharded-fleet bars: bit-identity and lazy residency are
-    unconditional; the 4-shard speedup floor applies only measured on a
-    wide-enough host."""
-
-    def test_decision_divergence_flag_gates_even_in_smoke(self):
+    def test_engine_warm_extraction_must_be_positive(self):
         problems = compare_bench.evaluate_report(
-            fleet_report(decision_digests_equal=False)
+            engine_report(extractions_per_sec_warm=0.0)
         )
-        assert any("diverged from the unsharded server" in p for p in problems)
+        assert any("extractions_per_sec_warm" in p for p in problems)
 
-    def test_digest_fields_must_agree_with_the_flag(self):
-        # decision_digests_equal=True but a per-shard digest differs: the
-        # cross-check catches a benchmark that computes the flag wrong.
-        by_shards = {"1": "dec-" + "a" * 20, "2": "dec-" + "c" * 20}
+    def test_engine_measured_warm_extraction_floor(self):
         problems = compare_bench.evaluate_report(
-            fleet_report(decision_digests_by_shards=by_shards)
+            engine_report(smoke=False, warm_vs_cold_extraction_speedup=0.5)
         )
-        assert any("2-shard decision digest" in p for p in problems)
+        assert any("warm extraction speedup" in p for p in problems)
 
-    def test_audit_digest_instability_fails(self):
+    def test_engine_speedup_floors_skipped_in_smoke(self):
+        report = engine_report(
+            roundtrip_speedup_vs_seed=0.5, warm_vs_cold_extraction_speedup=0.5
+        )
+        assert compare_bench.evaluate_report(report) == []
+
+    @pytest.mark.parametrize(
+        "field, phrase",
+        [("throughput_rps_cold", "cold throughput"), ("throughput_rps_warm", "warm throughput")],
+    )
+    def test_service_throughput_must_be_positive(self, field, phrase):
+        problems = compare_bench.evaluate_report(service_report(**{field: 0.0}))
+        assert any(phrase in p for p in problems)
+
+    def test_service_needs_decisions_checked_against_verify_fleet(self):
         problems = compare_bench.evaluate_report(
-            fleet_report(audit_digests_equal=False)
+            service_report(decisions_checked_against_direct_verify_fleet=0)
         )
-        assert any("occupancy-audit digest changed" in p for p in problems)
+        assert any("direct verify_fleet" in p for p in problems)
 
-    def test_audit_digest_set_cross_checked(self):
-        audits = {"1": "aud-" + "b" * 20, "2": "aud-" + "d" * 20}
-        problems = compare_bench.evaluate_report(
-            fleet_report(audit_digests_by_shards=audits)
-        )
-        assert any("more than one digest" in p for p in problems)
-
-    def test_shard_level_without_throughput_fails(self):
-        report = fleet_report()
-        report["shard_levels"]["2"] = {"throughput_rps": 0.0}
-        problems = compare_bench.evaluate_report(report)
-        assert any("shard level '2'" in p for p in problems)
-
-    def test_cold_start_npz_loads_fail_even_in_smoke(self):
-        # Lazy residency is structural: re-opening a x1000 registry must
-        # read zero archives regardless of mode.
-        problems = compare_bench.evaluate_report(
-            fleet_report(registry_cold_start_key_loads_x1000=1000)
-        )
-        assert any("bulk NPZ loads" in p for p in problems)
-
-    def test_cold_start_resident_keys_fail_even_in_smoke(self):
-        # What a registry keeps resident per key is its ticket; startup must
-        # derive none of them.
-        problems = compare_bench.evaluate_report(
-            fleet_report(registry_cold_start_tickets_x1000=7)
-        )
-        assert any("tickets resident" in p for p in problems)
-
-    @pytest.mark.parametrize("loads", [0, 2])
-    def test_first_touch_must_load_exactly_one_key(self, loads):
-        problems = compare_bench.evaluate_report(
-            fleet_report(registry_first_touch_key_loads_x1000=loads)
-        )
-        assert any("first touch" in p for p in problems)
-
-    def test_speedup_bar_is_1_5x_at_4_shards(self):
-        assert compare_bench.MIN_FLEET_SPEEDUP_MEASURED == 1.5
-        assert compare_bench.FLEET_SPEEDUP_SHARDS == 4
-        problems = compare_bench.evaluate_report(
-            fleet_report(smoke=False, speedup_4_vs_1=1.4)
-        )
-        assert any("4-shard fleet speedup" in p for p in problems)
-        assert compare_bench.evaluate_report(
-            fleet_report(smoke=False, speedup_4_vs_1=1.5)
-        ) == []
-
-    def test_speedup_gate_skipped_in_smoke_mode(self):
-        assert compare_bench.evaluate_report(
-            fleet_report(speedup_4_vs_1=0.4)
-        ) == []
-
-    def test_speedup_gate_skipped_below_shard_width(self):
-        # A narrow host cannot run 4 shards in parallel; the bar only
-        # applies when the core count clears the shard width.
-        assert compare_bench.evaluate_report(
-            fleet_report(smoke=False, cpu_count=2, speedup_4_vs_1=0.8)
-        ) == []
+    def test_service_warm_regression_skipped_in_smoke(self):
+        report = service_report(warm_over_cold_speedup=0.5)
+        assert compare_bench.evaluate_report(report) == []
 
 
 class TestServiceJobsGates:

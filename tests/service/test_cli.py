@@ -1,9 +1,12 @@
 """CLI smoke tests: ``--help`` for every sub-command plus an offline verify."""
 
+import contextlib
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,12 @@ class TestFlagSpelling:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "unrecognized arguments: --max-wait-ms 2" in result.stderr
+
+    def test_removed_fleet_flag_is_a_usage_error(self):
+        result = _run_cli("loadgen", "--requests", "1", "--fleet", "127.0.0.1:1")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "unrecognized arguments: --fleet 127.0.0.1:1" in result.stderr
 
     @pytest.mark.parametrize("command", ["insert", "gauntlet"])
     def test_unknown_model_is_a_usage_error(self, command):
@@ -215,9 +224,163 @@ class TestOfflineVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is False and out["collisions"] == 1
 
+    def test_offline_audit_text_reports_disjoint(
+        self, watermarked_and_key, tmp_path, capsys
+    ):
+        _, key = watermarked_and_key
+        KeyRegistry(tmp_path / "reg").register(key, owner="acme")
+        assert main(["audit", "--registry", str(tmp_path / "reg")]) == 0
+        out = capsys.readouterr().out
+        assert "occupancy audit: DISJOINT — 1 model fingerprint(s), 0 collision(s)" in out
+        assert "  COLLISION" not in out
+
+    def test_offline_audit_text_names_the_collision(
+        self, watermarked_and_key, tmp_path, capsys
+    ):
+        from dataclasses import replace
+
+        _, key = watermarked_and_key
+        registry = KeyRegistry(tmp_path / "reg")
+        registry.register(key, owner="acme")
+        registry.register(replace(key, signature=-key.signature), owner="mallory")
+        assert main(["audit", "--registry", str(tmp_path / "reg")]) == 1
+        out = capsys.readouterr().out
+        assert "occupancy audit: COLLISION — 1 model fingerprint(s), 1 collision(s)" in out
+        assert f"  COLLISION {key.model_fingerprint()}: layer " in out
+        assert "already held by wmk-" in out
+
+    def test_existing_empty_registry_is_a_disjoint_verdict(self, tmp_path, capsys):
+        (tmp_path / "reg").mkdir()
+        assert main(["audit", "--registry", str(tmp_path / "reg"), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is True and out["models"] == 0
+
     def test_verify_empty_registry_errors(self, quantized_awq4, tmp_path, capsys):
         save_model(quantized_awq4, tmp_path / "suspect")
         code = main(["verify", "--registry", str(tmp_path / "empty"),
                      "--suspect", str(tmp_path / "suspect")])
         capsys.readouterr()
         assert code == 2
+
+
+@contextlib.contextmanager
+def _one_shot_server(reply):
+    """A listener that answers its first connection with ``reply`` and
+    closes; yields its port."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(10)
+
+    def serve():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            conn.recv(65536)
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+
+
+def _one_error_line(capsys):
+    """The single stderr line of a refused command (no traceback)."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+class TestReadOnlyCommandsRefuseBadTargets:
+    """`repro audit` and `repro verify` exit 0/1 only for a real verdict; a
+    missing registry or suspect, or an unreachable server, is exit 2 and
+    creates nothing."""
+
+    def test_audit_of_missing_registry_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir"
+        assert main(["audit", "--registry", str(missing)]) == 2
+        assert "does not exist" in _one_error_line(capsys)
+        assert not (tmp_path / "no").exists()
+
+    def test_verify_against_missing_registry_creates_nothing(
+        self, quantized_awq4, tmp_path, capsys
+    ):
+        save_model(quantized_awq4, tmp_path / "suspect")
+        missing = tmp_path / "no" / "such" / "dir"
+        code = main(["verify", "--registry", str(missing),
+                     "--suspect", str(tmp_path / "suspect")])
+        assert code == 2
+        assert "does not exist" in _one_error_line(capsys)
+        assert not (tmp_path / "no").exists()
+
+    def test_verify_of_missing_suspect_is_not_a_verdict(self, tmp_path, capsys):
+        (tmp_path / "reg").mkdir()
+        code = main(["verify", "--registry", str(tmp_path / "reg"),
+                     "--suspect", str(tmp_path / "no-suspect")])
+        assert code == 2
+        assert "cannot load suspect" in _one_error_line(capsys)
+
+    def test_audit_of_unreachable_server_is_not_a_collision(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # The socket is closed: nothing listens on ``port``.
+        assert main(["audit", "--port", str(port), "--json"]) == 2
+        assert f"127.0.0.1:{port}" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["audit", "verify"])
+    def test_registry_path_that_is_a_file_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        (tmp_path / "reg").write_text("not a registry")
+        argv = [command, "--registry", str(tmp_path / "reg")]
+        if command == "verify":
+            argv += ["--suspect", str(tmp_path / "suspect")]
+        assert main(argv) == 2
+        assert "does not exist" in _one_error_line(capsys)
+        assert (tmp_path / "reg").read_text() == "not a registry"
+
+    def test_audit_of_an_error_response_is_not_a_verdict(self, capsys):
+        with _one_shot_server(
+            b"HTTP/1.1 500 Internal Server Error\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 52\r\nConnection: close\r\n\r\n"
+            b'{"error": {"code": "internal", "message": "boom!!"}}'
+        ) as port:
+            assert main(["audit", "--port", str(port)]) == 2
+        line = _one_error_line(capsys)
+        assert f"127.0.0.1:{port}" in line and "boom!!" in line
+
+    def test_audit_of_a_non_http_peer_is_not_a_verdict(self, capsys):
+        with _one_shot_server(b"SSH-2.0-OpenSSH\r\n") as port:
+            assert main(["audit", "--port", str(port), "--json"]) == 2
+        assert f"127.0.0.1:{port}" in _one_error_line(capsys)
+
+
+class TestLoadgenCommand:
+    def test_requires_one_stop_condition(self, capsys):
+        assert main(["loadgen", "--suspect-id", "hit"]) == 2
+        assert "exactly one of --duration / --requests" in _one_error_line(capsys)
+
+    def test_requires_a_suspect(self, capsys):
+        assert main(["loadgen", "--requests", "1"]) == 2
+        assert "no suspects" in _one_error_line(capsys)
+
+    def test_run_against_a_live_server_writes_the_report(
+        self, server_handle, tmp_path, capsys
+    ):
+        output = tmp_path / "load.json"
+        code = main(["loadgen", "--port", str(server_handle.port),
+                     "--suspect-id", "hit", "--requests", "4",
+                     "--concurrency", "2", "--output", str(output)])
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads(output.read_text())
+        assert report["completed"] == 4
+        assert report["failed"] == 0
+        assert report["per_label_completed"] == {"hit": 4}

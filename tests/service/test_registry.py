@@ -1,5 +1,7 @@
 """KeyRegistry: content addressing, persistence, revocation, indexing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.keys import model_fingerprint
@@ -251,15 +253,23 @@ class TestPersistence:
         # The survivor's material still loads.
         assert reloaded.get_key(good.key_id).fingerprint() == second_key.fingerprint()
 
+    @pytest.mark.parametrize("persisted", [1, 64])
     def test_record_only_startup_defers_bulk_reads(
-        self, watermarked_and_key, tmp_path
+        self, watermarked_and_key, tmp_path, persisted
     ):
+        # Residency is a count, not a timing, so it must not move with the
+        # number of persisted keys: the extra keys are synthetic renames of
+        # the real one (distinct ids and model fingerprints, same arrays).
         _, key = watermarked_and_key
-        KeyRegistry(tmp_path / "reg").register(key, owner="acme")
+        writer = KeyRegistry(tmp_path / "reg")
+        writer.register(key, owner="acme")
+        for i in range(1, persisted):
+            writer.register(replace(key, model_name=f"synth-{i:04d}"), owner="acme")
 
         reloaded = KeyRegistry(tmp_path / "reg")
         kid = key.fingerprint()
         stats = reloaded.stats()
+        assert stats["keys"] == persisted
         assert stats["key_loads"] == 0
         assert stats["tickets"] == 0
         assert not reloaded.tickets_resident()
@@ -269,13 +279,15 @@ class TestPersistence:
         stats = reloaded.stats()
         assert stats["key_loads"] == 1
         assert stats["tickets"] == 1
-        assert reloaded.tickets_resident() and reloaded.tickets_resident([kid])
+        assert reloaded.tickets_resident([kid])
+        # Every other persisted key stays cold until its own first touch.
+        assert reloaded.tickets_resident() is (persisted == 1)
         reloaded.active_keys([kid])
         assert reloaded.stats()["key_loads"] == 1
-        # Revocation drops the ticket: no active key is cold, and the revoked
-        # id is left to active_keys to refuse.
+        # Revocation drops the ticket (so with one key no active key is
+        # cold), and the revoked id is left to active_keys to refuse.
         reloaded.revoke(kid)
-        assert reloaded.tickets_resident()
+        assert reloaded.tickets_resident() is (persisted == 1)
         assert not reloaded.tickets_resident([kid])
         assert not reloaded.tickets_resident(["no-such-key"])
 
