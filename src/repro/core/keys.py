@@ -5,7 +5,12 @@ sequence ``B``; (ii) the random seed ``d``, the original quantized weight
 ``W``, full-precision activation ``A_f``, and α, β coefficients for location
 ``L`` reproduction."  :class:`WatermarkKey` bundles exactly these pieces, plus
 the metadata needed to interpret them (layer order, bits per layer, the
-quantization method/precision of the model the key belongs to).
+quantization method/precision of the model the key belongs to).  Of the
+calibration statistics only ``A_f`` itself — the per-input-channel mean
+``|activation|`` of each key layer — is kept: it is all location
+reproduction reads.  The RMS, maxima and Gram matrices that some quantizers
+consume at quantization time never enter a key, and the copies that older
+archives carry are ignored on load.
 
 The key is what makes the scheme confidential: an adversary holding the
 deployed model but not the key cannot reproduce the scores (no ``A_f``), the
@@ -98,7 +103,9 @@ class WatermarkKey:
         Snapshot of the *original* (pre-watermark) integer weights ``W`` per
         layer; extraction compares the suspect model against these.
     activations:
-        The full-precision activation statistics ``A_f`` used for scoring.
+        The full-precision activation saliency ``A_f`` used for scoring:
+        an :class:`~repro.models.activations.ActivationStats` holding
+        ``mean_abs`` for every layer in ``layer_names`` and nothing else.
     layer_names:
         Quantization layers in the canonical order the signature was split
         over.
@@ -135,6 +142,46 @@ class WatermarkKey:
         missing = [name for name in self.layer_names if name not in self.reference_weights]
         if missing:
             raise ValueError(f"reference weights missing for layers: {missing[:4]}")
+        for name in self.layer_names:
+            self._check_saliency(name)
+        self._check_occupied_slots()
+
+    def _check_saliency(self, name: str) -> None:
+        """``A_f`` of ``name``: 1-D, finite, one entry per input channel."""
+        shape = np.shape(self.reference_weights[name])
+        if len(shape) != 2:
+            raise ValueError(f"reference weights of layer {name!r} must be 2-D, got {shape}")
+        saliency = self.activations.mean_abs.get(name)
+        if saliency is None:
+            raise ValueError(f"activation saliency missing for layer {name!r}")
+        saliency = np.asarray(saliency)
+        if saliency.shape != (shape[1],):
+            raise ValueError(
+                f"activation saliency of layer {name!r} has shape {saliency.shape}, "
+                f"expected ({shape[1]},) input channels"
+            )
+        if saliency.dtype.kind not in "iuf" or not np.all(np.isfinite(saliency)):
+            raise ValueError(f"activation saliency of layer {name!r} is not finite")
+
+    def _check_occupied_slots(self) -> None:
+        """Recorded occupancy: unique in-range integer slots of key layers."""
+        occupied = self.metadata.get("occupied_slots") or {}
+        if not isinstance(occupied, Mapping):
+            raise ValueError("occupied_slots must map layer names to slot lists")
+        for name, slots in occupied.items():
+            if name not in self.layer_names:
+                raise ValueError(f"occupied_slots names layer {name!r} outside the key")
+            if not isinstance(slots, (list, tuple, np.ndarray)) or not all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in slots
+            ):
+                raise ValueError(f"occupied_slots of layer {name!r} must be a list of integers")
+            size = int(np.size(self.reference_weights[name]))
+            if len(slots) and (min(slots) < 0 or max(slots) >= size):
+                raise ValueError(
+                    f"occupied_slots of layer {name!r} fall outside [0, {size})"
+                )
+            if np.unique(np.asarray(slots, dtype=np.int64)).size != len(slots):
+                raise ValueError(f"occupied_slots of layer {name!r} repeat a slot")
 
     @property
     def total_bits(self) -> int:
@@ -257,7 +304,9 @@ class WatermarkKey:
 
         The payload is the single serialization form behind both the on-disk
         directory layout (:meth:`save`) and the service wire format
-        (:mod:`repro.service.codec`).
+        (:mod:`repro.service.codec`).  Its arrays are exactly ``signature``,
+        ``weights/<layer>``, ``outliers/<layer>`` and
+        ``activations/mean_abs/<layer>`` — what extraction reads.
         """
         meta = {
             "config": {
@@ -281,8 +330,8 @@ class WatermarkKey:
             arrays[f"weights/{name}"] = weights
         for name, columns in self.outlier_columns.items():
             arrays[f"outliers/{name}"] = np.asarray(columns, dtype=np.int64)
-        for key, value in self.activations.to_arrays().items():
-            arrays[f"activations/{key}"] = value
+        for name in self.layer_names:
+            arrays[f"activations/mean_abs/{name}"] = self.activations.channel_saliency(name)
         return meta, arrays
 
     @classmethod
@@ -293,24 +342,29 @@ class WatermarkKey:
         try:
             reference_weights: Dict[str, np.ndarray] = {}
             outlier_columns: Dict[str, np.ndarray] = {}
-            activation_arrays: Dict[str, np.ndarray] = {}
+            saliency: Dict[str, np.ndarray] = {}
             # ``widen_int64`` passes int64 inputs through uncopied, so a key
             # loaded from a memory-mapped archive stays zero-copy and
             # read-only; narrowed wire integers widen, non-integers are refused.
+            # Older archives also carry ``activations/{rms,max,gram}/*``;
+            # nothing reads them, so they are skipped, never materialised.
             for key, value in arrays.items():
                 if key.startswith("weights/"):
                     reference_weights[key[len("weights/") :]] = widen_int64(value, key)
                 elif key.startswith("outliers/"):
                     outlier_columns[key[len("outliers/") :]] = widen_int64(value, key)
-                elif key.startswith("activations/"):
-                    activation_arrays[key[len("activations/") :]] = value
+                elif key.startswith("activations/mean_abs/"):
+                    saliency[key[len("activations/mean_abs/") :]] = value
             config = EmMarkConfig(**meta["config"])
+            layer_names = list(meta["layer_names"])
             return cls(
                 signature=widen_int64(arrays["signature"], "signature"),
                 config=config,
                 reference_weights=reference_weights,
-                activations=ActivationStats.from_arrays(activation_arrays),
-                layer_names=list(meta["layer_names"]),
+                activations=ActivationStats(
+                    mean_abs={name: saliency[name] for name in layer_names if name in saliency}
+                ),
+                layer_names=layer_names,
                 method=meta.get("method", ""),
                 bits=int(meta.get("bits", 0)),
                 model_name=meta.get("model_name", ""),
@@ -324,7 +378,8 @@ class WatermarkKey:
         """Persist the key into ``directory`` (two files: JSON + NPZ).
 
         The JSON file holds the scalar metadata and configuration, the NPZ
-        archive holds the signature, reference weights and activations.
+        archive holds the signature, reference weights, outlier columns and
+        the per-layer saliency ``A_f`` (``activations/mean_abs/<layer>``).
         ``compressed=False`` writes the archive with ``ZIP_STORED`` members so
         later loads can memory-map the arrays (see ``mmap`` on :meth:`load`) —
         the layout the lazy key registry persists.

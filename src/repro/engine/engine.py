@@ -625,7 +625,11 @@ class WatermarkEngine:
             signature=signature,
             config=config,
             reference_weights=reference_weights,
-            activations=activations,
+            # A_f of the planned layers is all extraction reads; the rest of
+            # the calibration statistics (RMS, maxima, Gram) stays out.
+            activations=ActivationStats(
+                mean_abs={name: activations.channel_saliency(name) for name in layer_names}
+            ),
             layer_names=layer_names,
             method=model.method,
             bits=model.bits,

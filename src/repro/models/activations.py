@@ -125,38 +125,6 @@ class ActivationStats:
         count = max(1, int(round(saliency.size * fraction)))
         return np.argsort(saliency)[::-1][:count]
 
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten to a dict of arrays for ``.npz`` serialization."""
-        out: Dict[str, np.ndarray] = {}
-        for name, value in self.mean_abs.items():
-            out[f"mean_abs/{name}"] = value
-        for name, value in self.rms.items():
-            out[f"rms/{name}"] = value
-        for name, value in self.maximum.items():
-            out[f"max/{name}"] = value
-        for name, value in self.gram.items():
-            out[f"gram/{name}"] = value
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "ActivationStats":
-        """Inverse of :meth:`to_arrays`."""
-        mean_abs: Dict[str, np.ndarray] = {}
-        rms: Dict[str, np.ndarray] = {}
-        maximum: Dict[str, np.ndarray] = {}
-        gram: Dict[str, np.ndarray] = {}
-        for key, value in arrays.items():
-            kind, _, name = key.partition("/")
-            if kind == "mean_abs":
-                mean_abs[name] = value
-            elif kind == "rms":
-                rms[name] = value
-            elif kind == "max":
-                maximum[name] = value
-            elif kind == "gram":
-                gram[name] = value
-        return cls(mean_abs=mean_abs, rms=rms, maximum=maximum, gram=gram)
-
 
 def collect_activation_stats(
     model: TransformerLM,

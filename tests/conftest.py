@@ -16,6 +16,7 @@ from repro.models.config import ModelConfig
 from repro.models.training import TrainingConfig, train_language_model
 from repro.models.transformer import TransformerLM
 from repro.quant.api import quantize_model
+from repro.utils.serialization import save_json, save_npz
 
 
 TINY_VOCAB = 128
@@ -57,6 +58,79 @@ def make_tiny_llama_config(name: str = "tiny-llama", **overrides) -> ModelConfig
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
+
+
+def legacy_key_payload(key, stats):
+    """``key.to_payload()`` in the older archive layout.
+
+    Keys used to carry every calibration statistic: ``mean_abs`` of every
+    captured layer plus ``activations/{rms,max,gram}/<layer>``.  Archives and
+    clients of that layout still exist; tests build them from a current key
+    and the calibration ``stats`` it was planned from.
+    """
+    meta, arrays = key.to_payload()
+    for kind, values in (
+        ("mean_abs", stats.mean_abs),
+        ("rms", stats.rms),
+        ("max", stats.maximum),
+        ("gram", stats.gram),
+    ):
+        for name, value in values.items():
+            arrays[f"activations/{kind}/{name}"] = value
+    return meta, arrays
+
+
+def save_legacy_key(key, stats, directory):
+    """Write ``key`` into ``directory`` the way :meth:`WatermarkKey.save`
+    did for the older layout (uncompressed, as the registry persists it)."""
+    meta, arrays = legacy_key_payload(key, stats)
+    directory.mkdir(parents=True, exist_ok=True)
+    save_json(directory / "watermark_key.json", meta)
+    save_npz(directory / "watermark_key.npz", arrays, compressed=False)
+    return directory
+
+
+MALFORMED_KEY_CASES = (
+    "saliency missing",
+    "saliency wrong length",
+    "saliency 2-d",
+    "saliency nan",
+    "slot out of range",
+    "negative slot",
+    "slot in unknown layer",
+    "repeated slot",
+    "non-integer slot",
+)
+
+
+def malformed_key_payload(key, case):
+    """``key.to_payload()`` with its first layer broken as ``case`` names
+    (one of :data:`MALFORMED_KEY_CASES`)."""
+    meta, arrays = key.to_payload()
+    meta = dict(meta, metadata=dict(meta["metadata"]))
+    layer = key.layer_names[0]
+    member = f"activations/mean_abs/{layer}"
+    channels = key.reference_weights[layer].shape[1]
+    size = key.reference_weights[layer].size
+    saliency = {
+        "saliency wrong length": np.ones(channels - 1),
+        "saliency 2-d": np.ones((1, channels)),
+        "saliency nan": np.full(channels, np.nan),
+    }
+    slots = {
+        "slot out of range": {layer: [size]},
+        "negative slot": {layer: [-1]},
+        "slot in unknown layer": {"blocks.99.attn.q_proj": [0]},
+        "repeated slot": {layer: [3, 3]},
+        "non-integer slot": {layer: [1.5]},
+    }
+    if case == "saliency missing":
+        del arrays[member]
+    elif case in saliency:
+        arrays[member] = saliency[case]
+    else:
+        meta["metadata"]["occupied_slots"] = slots[case]
+    return meta, arrays
 
 
 @pytest.fixture(scope="session")

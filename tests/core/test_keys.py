@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import EmMarkConfig
 from repro.core.keys import WatermarkKey, layer_shapes_fingerprint, model_fingerprint
 from repro.engine import WatermarkEngine
+from tests.conftest import save_legacy_key
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +215,48 @@ class TestFingerprints:
         assert same != layer_shapes_fingerprint("m", "awq", 4, {"a": (8, 4)})
         assert same != layer_shapes_fingerprint("m", "awq", 8, base)
         assert same != layer_shapes_fingerprint("other", "awq", 4, base)
+
+
+class TestPayloadMembers:
+    def test_payload_holds_exactly_what_extraction_reads(
+        self, trained_model, activation_stats
+    ):
+        """Signature, weights, outliers and per-layer ``A_f`` — no other
+        calibration statistic, though the insertion was handed all of them."""
+        from repro.quant.api import quantize_model
+
+        int8 = quantize_model(trained_model, "llm_int8", bits=8, activations=activation_stats)
+        _, key, _ = WatermarkEngine().insert(int8, activation_stats)
+        _, arrays = key.to_payload()
+        families = {name.rsplit("/", 1)[0] for name in arrays}
+        assert families == {"signature", "weights", "outliers", "activations/mean_abs"}
+        assert {name for name in arrays if name.startswith("activations/")} == {
+            f"activations/mean_abs/{name}" for name in key.layer_names
+        }
+        assert activation_stats.gram and activation_stats.maximum
+        assert not (key.activations.rms or key.activations.maximum or key.activations.gram)
+
+
+class TestLegacyArchive:
+    """Archives written with every calibration statistic still load: the
+    ``activations/{rms,max,gram}`` members are ignored, never rewritten."""
+
+    def test_mmap_load_gives_the_same_id_locations_and_verdict(
+        self, inserted, activation_stats, tmp_path
+    ):
+        watermarked, key = inserted
+        entry = save_legacy_key(key, activation_stats, tmp_path / "legacy")
+        archive = (entry / "watermark_key.npz").read_bytes()
+        loaded = WatermarkKey.load(entry, mmap=True)
+        assert (entry / "watermark_key.npz").read_bytes() == archive
+        assert loaded.fingerprint() == key.fingerprint()
+        assert set(loaded.activations.mean_abs) == set(key.layer_names)
+        assert not (loaded.activations.rms or loaded.activations.maximum or loaded.activations.gram)
+        engine = WatermarkEngine()
+        expected = engine.ticket_for(key)
+        ticket = engine.ticket_for(loaded)
+        assert [layer.name for layer in ticket.layers] == key.layer_names
+        for got, want in zip(ticket.layers, expected.layers):
+            np.testing.assert_array_equal(got.locations, want.locations)
+            np.testing.assert_array_equal(got.reference, want.reference)
+        assert engine.verify(watermarked, loaded) is engine.verify(watermarked, key) is True

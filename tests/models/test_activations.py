@@ -61,18 +61,6 @@ class TestActivationStats:
         stats = ActivationStats(mean_abs={"x": np.array([0.1, 5.0])})
         assert stats.top_channels("x", fraction=0.01).size == 1
 
-    def test_array_round_trip(self):
-        stats = ActivationStats(
-            mean_abs={"x": np.array([1.0, 2.0])},
-            rms={"x": np.array([1.5, 2.5])},
-            maximum={"x": np.array([3.0, 4.0])},
-            gram={"x": np.eye(2)},
-        )
-        restored = ActivationStats.from_arrays(stats.to_arrays())
-        np.testing.assert_allclose(restored.mean_abs["x"], stats.mean_abs["x"])
-        np.testing.assert_allclose(restored.gram["x"], stats.gram["x"])
-        np.testing.assert_allclose(restored.maximum["x"], stats.maximum["x"])
-
 
 class TestCollectActivationStats:
     def test_covers_every_linear_layer(self, trained_model, small_dataset):

@@ -58,6 +58,14 @@ def _compressed_int64_wire(meta, arrays):
     return {"meta": to_jsonable(meta), "arrays": base64.b64encode(buffer.getvalue()).decode("ascii")}
 
 
+def _reference_with(key, layer, values):
+    """``layer``'s reference weights zeroed, then led by ``values`` — a
+    well-formed key layer holding exactly the integers under test."""
+    weights = np.zeros_like(key.reference_weights[layer])
+    weights.flat[: len(values)] = values
+    return weights
+
+
 class TestArrayTransport:
     def test_round_trip(self):
         arrays = {
@@ -168,7 +176,7 @@ class TestIntegerNarrowing:
     def test_key_integers_round_trip_as_int64(self, watermarked_and_key, values, columns):
         _, key = watermarked_and_key
         layer = key.layer_names[0]
-        weights = np.asarray(values, dtype=np.int64)
+        weights = _reference_with(key, layer, values)
         outliers = np.asarray(columns, dtype=np.int64)
         probe = dataclasses.replace(
             key,
@@ -194,7 +202,7 @@ class TestIntegerNarrowing:
         layer = key.layer_names[0]
         probe = dataclasses.replace(
             key,
-            reference_weights={**key.reference_weights, layer: np.asarray([0, value], dtype=np.int64)},
+            reference_weights={**key.reference_weights, layer: _reference_with(key, layer, [0, value])},
         )
         sent = b64_to_arrays(key_to_wire(probe)["arrays"])
         assert sent[f"weights/{layer}"].dtype == dtype

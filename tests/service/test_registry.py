@@ -315,8 +315,8 @@ class TestPersistence:
     def test_ticket_verdicts_match_a_parent_layout_registry(
         self, watermarked_and_key, tmp_path
     ):
-        """A registry read back from disk (the on-disk layout is unchanged)
-        derives tickets whose verdicts equal the key's own."""
+        """A registry read back from disk derives tickets whose verdicts
+        equal the key's own (older archive layouts: the legacy test below)."""
         from repro.engine import WatermarkEngine
 
         watermarked, key = watermarked_and_key
@@ -331,3 +331,35 @@ class TestPersistence:
         want.pop("seconds")
         assert got == want
         assert got["wer_percent"] == 100.0
+
+    def test_legacy_layout_entries_reopen_and_verify_identically(
+        self, watermarked_and_key, second_key, activation_stats, tmp_path
+    ):
+        """Entries whose archives still carry ``activations/{rms,max,gram}``
+        reopen under their ids, verify like the keys themselves, and are
+        never rewritten."""
+        from repro.engine import WatermarkEngine
+        from tests.conftest import save_legacy_key
+
+        watermarked, key = watermarked_and_key
+        keys = {k.fingerprint(): k for k in (key, second_key)}
+        writer = KeyRegistry(tmp_path / "reg")
+        for k in keys.values():
+            writer.register(k, owner="acme")
+        archives = {}
+        for kid, k in keys.items():
+            entry = save_legacy_key(k, activation_stats, tmp_path / "reg" / kid)
+            archives[kid] = (entry / "watermark_key.npz").read_bytes()
+
+        reloaded = KeyRegistry(tmp_path / "reg")
+        engine = WatermarkEngine()
+        from_tickets = engine.verify_fleet({"s": watermarked}, reloaded.active_keys())
+        from_keys = engine.verify_fleet({"s": watermarked}, keys)
+        assert [dict(p.to_dict(), seconds=None) for p in from_tickets.pairs] == [
+            dict(p.to_dict(), seconds=None) for p in from_keys.pairs
+        ]
+        for kid in keys:
+            assert reloaded.get_key(kid).fingerprint() == kid
+            archive = tmp_path / "reg" / kid / "watermark_key.npz"
+            assert archive.read_bytes() == archives[kid]
+        assert reloaded.stats()["quarantined"] == 0

@@ -23,6 +23,8 @@ from repro.service import (
     run_in_background,
 )
 from repro.service.codec import arrays_to_b64, b64_to_arrays, key_to_wire, model_to_wire
+from repro.utils.serialization import to_jsonable
+from tests.conftest import MALFORMED_KEY_CASES, legacy_key_payload, malformed_key_payload
 
 
 class TestBasicEndpoints:
@@ -92,6 +94,58 @@ class TestIntegerFieldsRejected:
             model_to_wire(watermarked), f"weight_int/{watermarked.layer_names()[0]}"
         )
         self._assert_rejected(client, "/v1/verify", {"model": wire})
+
+
+@pytest.fixture()
+def persistent_client(tmp_path):
+    """(client, registry root) of a server persisting keys under ``tmp_path``."""
+    from repro.service.registry import KeyRegistry
+
+    engine = WatermarkEngine(EngineConfig())
+    root = tmp_path / "reg"
+    server = VerificationServer(
+        engine=engine,
+        registry=KeyRegistry(root, engine=engine),
+        config=ServiceConfig(port=0),
+    )
+    with run_in_background(server) as handle:
+        with VerificationClient(port=handle.port) as active:
+            yield active, root
+
+
+def _key_body(meta, arrays):
+    return {"owner": "x", "key": {"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)}}
+
+
+class TestKeyMaterialValidated:
+    """Key material whose plan could not reproduce its insertion is a 400
+    that leaves the registry directory untouched."""
+
+    @pytest.mark.parametrize("case", MALFORMED_KEY_CASES)
+    def test_malformed_key_is_400(self, persistent_client, watermarked_and_key, case):
+        client, root = persistent_client
+        _, key = watermarked_and_key
+        body = _key_body(*malformed_key_payload(key, case))
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/register", body)
+        assert excinfo.value.status == 400
+        assert "invalid key payload" in str(excinfo.value)
+        assert list(root.iterdir()) == []
+        assert client.keys() == []
+
+    def test_legacy_wire_payload_registers_under_the_same_id(
+        self, persistent_client, watermarked_and_key, activation_stats
+    ):
+        client, root = persistent_client
+        _, key = watermarked_and_key
+        meta, arrays = legacy_key_payload(key, activation_stats)
+        assert any(name.startswith("activations/gram/") for name in arrays)
+        record = client._request("POST", "/v1/register", _key_body(meta, arrays))["registered"]
+        assert record["key_id"] == key.fingerprint()
+        with np.load(root / record["key_id"] / "watermark_key.npz") as stored:
+            members = set(stored.files)
+        assert members == set(key.to_payload()[1])
+        assert not any(name.startswith("activations/gram/") for name in members)
 
 
 class TestVerification:
