@@ -13,6 +13,12 @@ Determinism is guaranteed by construction: cached and uncached lookups run
 the identical code path, and the fingerprint covers every input that can
 influence the outcome (integer weights, grid, outlier columns, activation
 vector, α/β, the secret seed ``d``, pool sizing and the per-layer payload).
+
+The integer weights enter the fingerprint as their :func:`weights_digest`,
+which is memoized per read-only array: layer weights are immutable (see
+:mod:`repro.quant.base`), so re-planning an unchanged subject — every
+gauntlet cell re-watermarks one — hashes its weights once, not per call.
+Fingerprints are process-local cache keys; nothing persists them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["LocationPlan", "plan_fingerprint"]
+from repro.utils.memo import ReadOnlyArrayMemo
+
+__all__ = ["LocationPlan", "plan_fingerprint", "weights_digest"]
 
 
 def _hash_array(hasher: "hashlib._Hash", array: Optional[np.ndarray]) -> None:
@@ -35,6 +43,24 @@ def _hash_array(hasher: "hashlib._Hash", array: Optional[np.ndarray]) -> None:
     hasher.update(str(array.dtype).encode())
     hasher.update(np.asarray(array.shape, dtype=np.int64).tobytes())
     hasher.update(array.tobytes())
+
+
+def _int64_digest(array: np.ndarray) -> bytes:
+    hasher = hashlib.blake2b(digest_size=16)
+    _hash_array(hasher, np.asarray(array, dtype=np.int64))
+    return hasher.digest()
+
+
+_weights_digest = ReadOnlyArrayMemo(_int64_digest)
+
+
+def weights_digest(weight_int: np.ndarray) -> bytes:
+    """Content digest of integer weights: blake2b over dtype, shape and int64 bytes.
+
+    Memoized per read-only array (by identity, dropped when the array
+    dies); a writable array is hashed afresh on every call.
+    """
+    return _weights_digest(np.asarray(weight_int))
 
 
 def plan_fingerprint(
@@ -64,13 +90,16 @@ def plan_fingerprint(
     absent occupancy contributes nothing to the digest — a plan computed
     against a virgin model keeps the exact fingerprint it had before the
     allocator existed, so single-owner cache entries stay valid and shared.
+
+    ``weight_int`` contributes its :func:`weights_digest`, so an unchanged
+    read-only weight array is hashed once however often it is planned.
     """
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(layer_name.encode("utf-8"))
     hasher.update(np.asarray([grid_bits, seed, pool_size, bits_needed], dtype=np.int64).tobytes())
     hasher.update(np.asarray([alpha, beta], dtype=np.float64).tobytes())
     hasher.update(b"1" if exclude_saturated else b"0")
-    _hash_array(hasher, weight_int)
+    hasher.update(weights_digest(weight_int))
     _hash_array(hasher, outlier_columns)
     _hash_array(hasher, np.asarray(channel_activations, dtype=np.float64))
     if occupied is not None and occupied.size:

@@ -303,8 +303,9 @@ class SharedModelHandle:
         state = {
             key: view.array(f"{self.prefix}/state/{key}") for key in self.state_keys
         }
-        # Every array above is already a read-only arena view; freeze() is an
-        # idempotent belt-and-braces pass that keeps the invariant explicit.
+        # Every array above is already a read-only arena view; freeze() also
+        # marks the layers frozen, so they refuse even copy-on-write edits
+        # (add_to_weights, weight replacement) until the model is cloned.
         return QuantizedModel(
             config=self.config,
             layers=layers,

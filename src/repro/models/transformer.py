@@ -41,6 +41,20 @@ from repro.utils.rng import new_rng
 __all__ = ["TransformerLM"]
 
 
+class _Unsampled:
+    """Stands in for the init RNG when every parameter is loaded right after.
+
+    The layers draw their initial weights with ``rng.normal``; this returns
+    uninitialised storage of the right shape instead of sampling it.  Only
+    :meth:`TransformerLM.from_state` uses it, and it strict-loads every
+    parameter before returning the model.
+    """
+
+    @staticmethod
+    def normal(loc: float, scale: float, size) -> np.ndarray:
+        return np.empty(size)
+
+
 class TransformerLM(ParameterModule):
     """Decoder-only transformer language model backed by NumPy.
 
@@ -54,12 +68,33 @@ class TransformerLM(ParameterModule):
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0) -> None:
+        self._build(config, seed, sample_weights=True)
+
+    @classmethod
+    def from_state(
+        cls, config: ModelConfig, seed: int, state: Dict[str, np.ndarray]
+    ) -> "TransformerLM":
+        """The model of ``config``/``seed`` holding the parameters in ``state``.
+
+        The structural outlier channels are drawn from ``seed`` exactly as
+        in ``__init__``; the random weight initialisation is skipped, since
+        ``state`` is loaded strictly over every parameter (a missing or
+        unexpected entry raises :class:`KeyError`).
+        """
+        model = cls.__new__(cls)
+        model._build(config, seed, sample_weights=False)
+        model.load_state_dict(state)
+        return model
+
+    def _build(self, config: ModelConfig, seed: int, sample_weights: bool) -> None:
         self.config = config
         self.seed = int(seed)
         rng = new_rng(seed, "model-init", config.name)
         outlier_count = max(1, int(round(config.d_model * config.outlier_channel_fraction)))
         outlier_channels = rng.choice(config.d_model, size=outlier_count, replace=False)
         self.outlier_channels = np.sort(outlier_channels)
+        if not sample_weights:
+            rng = _Unsampled()
 
         self.token_embedding = Embedding(config.vocab_size, config.d_model, rng, config.init_std)
         self.uses_positional_embedding = config.family != "llama2"
@@ -284,9 +319,7 @@ class TransformerLM(ParameterModule):
     # ------------------------------------------------------------------
     def clone(self) -> "TransformerLM":
         """Deep copy of the model (same config/seed, copied weights)."""
-        other = TransformerLM(self.config, seed=self.seed)
-        other.load_state_dict(self.state_dict())
-        return other
+        return TransformerLM.from_state(self.config, self.seed, self.state_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"TransformerLM({self.config.describe()})"

@@ -12,6 +12,15 @@ Everything the watermarking layer touches lives here:
   plus its remaining full-precision state, able to *materialize* an
   evaluation-ready :class:`~repro.models.transformer.TransformerLM` with the
   dequantized effective weights.
+
+A layer's integer weights are an immutable value: ``weight_int`` is always a
+read-only, C-contiguous int64 array.  Writers never edit it in place; they
+assign a new array (``layer.weight_int = new``), which is validated against
+the grid and frozen, or call :meth:`QuantizedLinear.add_to_weights`, which
+does the same copy-on-write.  Because nothing writes them, clones, key
+snapshots and shared-memory views share one weight array, and per-array
+work — the grid check here, the content digest in
+:mod:`repro.engine.plan` — runs once per array.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import numpy as np
 
 from repro.models.config import ModelConfig
 from repro.models.transformer import TransformerLM
+from repro.utils.memo import ReadOnlyArrayMemo
 
 __all__ = [
     "QuantizationGrid",
@@ -115,6 +125,37 @@ def dequantize_tensor(weight_int: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.asarray(weight_int, dtype=np.float64) * np.asarray(scale, dtype=np.float64)
 
 
+def _value_range(array: np.ndarray) -> Tuple[int, int]:
+    """``(min, max)`` of an integer array (``(0, 0)`` when empty)."""
+    if array.size == 0:
+        return 0, 0
+    return int(array.min()), int(array.max())
+
+
+#: Value range of every live read-only weight array, scanned once per array:
+#: a clone or key view of a validated layer checks its grid without a scan.
+_weight_range = ReadOnlyArrayMemo(_value_range)
+
+
+def _immutable_int64(array) -> np.ndarray:
+    """``array`` as a read-only, C-contiguous int64 array nobody else writes.
+
+    An int64, C-contiguous array that owns its data is frozen in place (no
+    copy); an already read-only one is adopted as is (shared-memory views,
+    another layer's weights).  A writable view, a non-contiguous array or
+    another dtype is copied first, so no outside alias can write the result.
+    """
+    array = np.asarray(array)
+    if not (
+        array.dtype == np.int64
+        and array.flags.c_contiguous
+        and (array.flags.owndata or not array.flags.writeable)
+    ):
+        array = np.array(array, dtype=np.int64, order="C")
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class QuantizedLinear:
     """One quantized linear ("quantization") layer.
@@ -125,7 +166,11 @@ class QuantizedLinear:
         Dotted name of the layer inside the model (e.g.
         ``"blocks.0.attn.q_proj"``).
     weight_int:
-        Integer weight levels, shape ``(out_features, in_features)``.
+        Integer weight levels, shape ``(out_features, in_features)``: always
+        a read-only int64 array.  Assigning a new array replaces it through
+        the one validated path (grid-checked, then frozen); an out-of-grid
+        replacement raises :class:`ValueError` and leaves the layer
+        unchanged.
     scale:
         Per-output-channel step sizes, shape ``(out_features, 1)``.
     grid:
@@ -154,9 +199,34 @@ class QuantizedLinear:
     input_smoothing: Optional[np.ndarray] = None
     outlier_columns: Optional[np.ndarray] = None
     outlier_weight: Optional[np.ndarray] = None
+    _frozen: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "weight_int":
+            if self.__dict__.get("_frozen"):
+                # Frozen layers (e.g. zero-copy shared-memory views in
+                # process-pool workers) are never edited, not even by
+                # replacement: a missed clone() fails loudly, naming the layer.
+                raise ValueError(
+                    f"layer {self.name!r} holds read-only weights (a frozen/shared "
+                    "view); clone the model before mutating it"
+                )
+            value = _immutable_int64(value)
+            # During construction the grid is not set yet; __post_init__
+            # checks the constructor's array once every field is in place.
+            if "grid" in self.__dict__:
+                self._check_grid(value)
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state) -> None:
+        # Pickle rebuilds arrays writable: restore the immutable weights (and
+        # a frozen layer's read-only arrays) in the receiving process.
+        self.__dict__.update(state)
+        self.weight_int.flags.writeable = False
+        if self._frozen:
+            self.freeze()
 
     def __post_init__(self) -> None:
-        self.weight_int = np.asarray(self.weight_int, dtype=np.int64)
         self.scale = np.asarray(self.scale, dtype=np.float64)
         if self.weight_int.ndim != 2:
             raise ValueError("weight_int must be 2-D")
@@ -176,8 +246,12 @@ class QuantizedLinear:
                 self.outlier_columns.size,
             ):
                 raise ValueError("outlier_weight shape must be (out_features, n_outliers)")
-        out_of_grid = (self.weight_int < self.grid.qmin) | (self.weight_int > self.grid.qmax)
-        if np.any(out_of_grid):
+        self._check_grid(self.weight_int)
+
+    def _check_grid(self, weight_int: np.ndarray) -> None:
+        """Refuse levels outside the grid (one scan per read-only array)."""
+        low, high = _weight_range(weight_int)
+        if low < self.grid.qmin or high > self.grid.qmax:
             raise ValueError("weight_int contains values outside the quantization grid")
 
     # -- geometry ----------------------------------------------------------
@@ -242,47 +316,31 @@ class QuantizedLinear:
 
         This is the single mutation primitive shared by watermark insertion
         and by the perturbation attacks, so grid-overflow handling is
-        identical everywhere.
+        identical everywhere.  It is copy-on-write: the edited copy replaces
+        ``weight_int``, so clones and keys sharing the old array keep it.
         """
         flat_indices = np.asarray(flat_indices, dtype=np.int64)
         deltas = np.asarray(deltas, dtype=np.int64)
         if flat_indices.shape != deltas.shape:
             raise ValueError("flat_indices and deltas must have the same shape")
-        if not self.weight_int.flags.writeable:
-            # Frozen layers (e.g. zero-copy shared-memory views in
-            # process-pool workers) are strictly read-only; numpy would raise
-            # on the write below, but without naming the offending layer.
-            raise ValueError(
-                f"layer {self.name!r} holds read-only weights (a frozen/shared "
-                "view); clone the model before mutating it"
-            )
-        flat = self.flat_weight_view()
+        updated = self.weight_int.copy()
+        flat = updated.reshape(-1)
         flat[flat_indices] = self.grid.clip(flat[flat_indices] + deltas)
-
-    def flat_weight_view(self) -> np.ndarray:
-        """A writable 1-D view of ``weight_int``.
-
-        ``reshape(-1)`` on a non-contiguous tensor silently returns a copy,
-        so writes through it would be lost; this helper re-materializes the
-        weights contiguously first when needed, guaranteeing the returned
-        array aliases ``self.weight_int``.
-        """
-        if not self.weight_int.flags["C_CONTIGUOUS"]:
-            self.weight_int = np.ascontiguousarray(self.weight_int)
-        return self.weight_int.reshape(-1)
+        self.weight_int = updated
 
     def freeze(self) -> "QuantizedLinear":
         """Mark every array of the layer read-only (in place; returns self).
 
         Writes through any alias raise instead of silently corrupting shared
         state — the safety contract of the zero-copy shared-memory views the
-        process-pool gauntlet hands its workers.  ``copy()`` of a frozen
-        layer is writable again (``np.ndarray.copy`` never inherits the
-        read-only flag), so the attack pipeline's clone-then-mutate pattern
+        process-pool gauntlet hands its workers — and the layer refuses new
+        weights, from :meth:`add_to_weights` or by assignment.  ``copy()`` of a frozen layer is not frozen: it
+        shares the (always read-only) weights and holds writable copies of
+        the other arrays, so the attack pipeline's clone-then-mutate pattern
         is unaffected.
         """
+        self._frozen = True
         for array in (
-            self.weight_int,
             self.scale,
             self.bias,
             self.input_smoothing,
@@ -294,10 +352,14 @@ class QuantizedLinear:
         return self
 
     def copy(self) -> "QuantizedLinear":
-        """Deep copy of the layer."""
+        """Copy of the layer that shares the immutable integer weights.
+
+        The other arrays are copied: scale tampering and outlier rewriting
+        edit them in place.
+        """
         return QuantizedLinear(
             name=self.name,
-            weight_int=self.weight_int.copy(),
+            weight_int=self.weight_int,
             scale=self.scale.copy(),
             grid=self.grid,
             bias=None if self.bias is None else self.bias.copy(),
@@ -342,6 +404,14 @@ class QuantizedModel:
     bits: int
     base_seed: int = 0
     metadata: Dict[str, object] = field(default_factory=dict)
+    _frozen: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __setstate__(self, state) -> None:
+        # The layers restore their own invariants; a frozen model also
+        # re-freezes its full-precision state, which pickle made writable.
+        self.__dict__.update(state)
+        if self._frozen:
+            self.freeze()
 
     # -- structure ------------------------------------------------------------
     def layer_names(self) -> List[str]:
@@ -384,11 +454,15 @@ class QuantizedModel:
         zero-filled matrices of the original shape — a removed output row
         contributes exactly nothing, which is the function a structurally
         pruned network computes.
+
+        The model's state comes from ``full_precision_state`` and the layers
+        alone, loaded strictly: a parameter neither provides raises
+        :class:`KeyError` rather than keeping an arbitrary value.
         """
-        model = TransformerLM(self.config, seed=self.base_seed)
-        state = model.state_dict()
-        for key, value in self.full_precision_state.items():
-            state[key] = np.asarray(value, dtype=np.float64)
+        state = {
+            key: np.asarray(value, dtype=np.float64)
+            for key, value in self.full_precision_state.items()
+        }
         pruned_rows = self.metadata.get("pruned_rows") or {}
         for name, layer in self.layers.items():
             weight = layer.effective_weight()
@@ -412,15 +486,15 @@ class QuantizedModel:
             state[f"{name}.weight"] = weight
             if bias is not None:
                 state[f"{name}.bias"] = bias
-        model.load_state_dict(state)
-        return model
+        return TransformerLM.from_state(self.config, self.base_seed, state)
 
     def freeze(self) -> "QuantizedModel":
         """Mark every layer and state array read-only (in place; returns self).
 
         See :meth:`QuantizedLinear.freeze`; :meth:`clone` of a frozen model
-        yields a fully writable deep copy.
+        is not frozen.
         """
+        self._frozen = True
         for layer in self.iter_layers():
             layer.freeze()
         for array in self.full_precision_state.values():
@@ -429,7 +503,11 @@ class QuantizedModel:
 
     # -- copying ---------------------------------------------------------------
     def clone(self) -> "QuantizedModel":
-        """Deep copy (used before watermarking / attacking)."""
+        """Independent copy (used before watermarking / attacking).
+
+        The layers share their immutable integer weights with this model
+        (see :meth:`QuantizedLinear.copy`); every other array is copied.
+        """
         return QuantizedModel(
             config=self.config,
             layers={name: layer.copy() for name, layer in self.layers.items()},
@@ -443,12 +521,14 @@ class QuantizedModel:
         )
 
     def integer_weight_snapshot(self) -> Dict[str, np.ndarray]:
-        """Copy of every layer's integer weights, keyed by layer name.
+        """Every layer's integer weights, keyed by layer name.
 
-        Watermark keys store this snapshot as the reference ``W`` used during
-        extraction (Equation 6: ``ΔW = W' − W``).
+        The arrays are the layers' own immutable ones, shared rather than
+        copied: later edits replace a layer's array and leave the snapshot
+        as it was.  Watermark keys store this snapshot as the reference
+        ``W`` used during extraction (Equation 6: ``ΔW = W' − W``).
         """
-        return {name: layer.weight_int.copy() for name, layer in self.layers.items()}
+        return {name: layer.weight_int for name, layer in self.layers.items()}
 
     def weight_difference(self, other: "QuantizedModel") -> Dict[str, np.ndarray]:
         """Element-wise integer difference ``self − other`` per layer."""

@@ -54,8 +54,8 @@ def rewrite_outlier_entries(
             "(a frozen/shared view); clone the model before attacking it"
         )
     if not layer.outlier_weight.flags["C_CONTIGUOUS"]:
-        # Same hazard flat_weight_view() guards: reshape(-1) on a
-        # non-contiguous tensor is a copy and the writes below would be lost.
+        # reshape(-1) on a non-contiguous tensor is a copy and the writes
+        # below would be lost.
         layer.outlier_weight = np.ascontiguousarray(layer.outlier_weight)
     flat = layer.outlier_weight.reshape(-1)
     count = int(round(flat.size * fraction))

@@ -507,16 +507,15 @@ class PruningAttack(AttackSpec):
         if sparsity == 0.0:
             return AttackOutcome(model=attacked)
         for layer in attacked.iter_layers():
-            # flat_weight_view guarantees a real view: reshape(-1) on a
-            # non-contiguous tensor returns a copy and the zeroing below
-            # would be silently discarded.
-            flat = layer.flat_weight_view()
-            count = int(round(flat.size * sparsity))
+            count = int(round(layer.num_weights * sparsity))
             if count == 0:
                 continue
+            pruned = layer.weight_int.copy()
+            flat = pruned.reshape(-1)
             # O(n + k log k) top-k, bit-identical to a stable full argsort
             # (ties admitted in index order).
             flat[topk_argsort_stable(np.abs(flat), count)] = 0
+            layer.weight_int = pruned
         return AttackOutcome(model=attacked)
 
 
@@ -823,7 +822,7 @@ def _remove_rows(layer: QuantizedLinear, kept: np.ndarray) -> QuantizedLinear:
     """A copy of ``layer`` keeping only the output rows in ``kept``."""
     return QuantizedLinear(
         name=layer.name,
-        weight_int=layer.weight_int[kept].copy(),
+        weight_int=layer.weight_int[kept],
         scale=layer.scale[kept].copy(),
         grid=layer.grid,
         bias=None if layer.bias is None else layer.bias[kept].copy(),

@@ -180,8 +180,10 @@ class TestExtraction:
         # Undo the watermark in half the layers.
         for name in key.layer_names[: len(key.layer_names) // 2]:
             layer = damaged.get_layer(name)
-            flat = layer.weight_int.reshape(-1)
+            restored = layer.weight_int.copy()
+            flat = restored.reshape(-1)
             flat[locations[name]] = key.reference_weights[name].reshape(-1)[locations[name]]
+            layer.weight_int = restored
         result = extract_watermark(damaged, key)
         assert 0.0 < result.wer_percent < 100.0
 

@@ -1,11 +1,14 @@
 """Tests for the LRU plan cache and the plan fingerprinting."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core.config import EmMarkConfig
 from repro.engine.cache import PlanCache
-from repro.engine.plan import LocationPlan, plan_fingerprint
+from repro.engine.plan import LocationPlan, plan_fingerprint, weights_digest
+from repro.engine.plan import _weights_digest as _weights_digest_memo
 from repro.quant.base import QuantizationGrid, QuantizedLinear
 
 
@@ -162,3 +165,86 @@ class TestPlanFingerprint:
         assert base == fingerprint_of(
             self.layer, self.activations, self.config.with_overrides(signature_seed=999)
         )
+
+
+class TestWeightsDigest:
+    """The per-array digest memo behind :func:`plan_fingerprint`."""
+
+    @staticmethod
+    def _frozen(array):
+        array = np.array(array, dtype=np.int64)
+        array.flags.writeable = False
+        return array
+
+    def test_equal_content_in_distinct_arrays_digests_equal(self):
+        first = self._frozen(np.arange(12).reshape(3, 4))
+        second = self._frozen(np.arange(12).reshape(3, 4))
+        writable = np.arange(12).reshape(3, 4)
+        assert first is not second
+        assert weights_digest(first) == weights_digest(second) == weights_digest(writable)
+
+    def test_digest_covers_shape(self):
+        flat = self._frozen(np.arange(12))
+        assert weights_digest(flat) != weights_digest(self._frozen(flat.reshape(3, 4)))
+
+    def test_replaced_array_gets_a_new_digest(self):
+        layer = QuantizedLinear(
+            name="probe",
+            weight_int=np.zeros((2, 3), dtype=np.int64),
+            scale=np.ones((2, 1)),
+            grid=QuantizationGrid(4),
+        )
+        before = weights_digest(layer.weight_int)
+        layer.add_to_weights(np.array([4]), np.array([1]))
+        assert weights_digest(layer.weight_int) != before
+        layer.weight_int = np.zeros((2, 3), dtype=np.int64)
+        assert weights_digest(layer.weight_int) == before
+
+    def test_writable_array_is_rehashed_after_each_change(self):
+        weights = np.zeros((2, 3), dtype=np.int64)
+        digests = {weights_digest(weights)}
+        for step in range(1, 4):
+            weights[0, 0] = step
+            digests.add(weights_digest(weights))
+        assert len(digests) == 4
+        assert _weights_digest_memo._entries.get(id(weights)) is None
+
+    def test_array_made_writable_again_is_not_served_stale(self):
+        weights = self._frozen(np.zeros((2, 3)))
+        before = weights_digest(weights)
+        weights.flags.writeable = True
+        weights[0, 0] = 1
+        changed = weights_digest(weights)
+        weights.flags.writeable = False
+        assert changed != before
+        assert weights_digest(weights) == changed
+
+    def test_dead_array_leaves_the_memo(self):
+        baseline = len(_weights_digest_memo)
+        arrays = [self._frozen(np.full((2, 2), value)) for value in range(5)]
+        digests = [weights_digest(array) for array in arrays]
+        assert len(_weights_digest_memo) == baseline + 5
+        del arrays
+        gc.collect()
+        assert len(_weights_digest_memo) == baseline
+        # Fresh arrays (which may reuse the dead ids) get their own digests.
+        for value, digest in enumerate(digests):
+            fresh = self._frozen(np.full((2, 2), value + 10))
+            assert weights_digest(fresh) != digest
+            assert weights_digest(fresh) == weights_digest(np.full((2, 2), value + 10))
+
+    def test_fingerprint_follows_a_replaced_weight_array(self):
+        config = EmMarkConfig(bits_per_layer=2)
+        activations = np.ones(3)
+        layer = QuantizedLinear(
+            name="probe",
+            weight_int=np.zeros((2, 3), dtype=np.int64),
+            scale=np.ones((2, 1)),
+            grid=QuantizationGrid(4),
+        )
+        before = fingerprint_of(layer, activations, config)
+        clone = layer.copy()
+        assert fingerprint_of(clone, activations, config) == before
+        clone.add_to_weights(np.array([0]), np.array([1]))
+        assert fingerprint_of(clone, activations, config) != before
+        assert fingerprint_of(layer, activations, config) == before

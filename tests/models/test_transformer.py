@@ -162,6 +162,20 @@ class TestCloneAndState:
         clone = untrained_model.clone()
         np.testing.assert_allclose(untrained_model.forward(tokens), clone.forward(tokens))
 
+    def test_clone_is_bit_identical(self, trained_model):
+        clone = trained_model.clone()
+        np.testing.assert_array_equal(clone.outlier_channels, trained_model.outlier_channels)
+        ours, theirs = clone.state_dict(), trained_model.state_dict()
+        assert list(ours) == list(theirs)
+        for name, value in theirs.items():
+            assert ours[name].tobytes() == value.tobytes(), name
+
+    def test_from_state_needs_every_parameter(self, untrained_model):
+        state = untrained_model.state_dict()
+        del state["final_norm.gamma"]
+        with pytest.raises(KeyError, match="final_norm.gamma"):
+            TransformerLM.from_state(untrained_model.config, untrained_model.seed, state)
+
     def test_clone_is_independent(self, untrained_model):
         clone = untrained_model.clone()
         clone.lm_head.weight.value[...] = 0.0

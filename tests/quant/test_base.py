@@ -1,5 +1,7 @@
 """Tests for the quantization data structures."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,11 @@ def _make_layer(weight_int, bits=4, **kwargs):
     )
 
 
+def _unsaturated_index(layer):
+    """A flat index where ``+1`` stays on ``layer``'s grid."""
+    return int(np.flatnonzero(~layer.saturated_mask().reshape(-1))[0])
+
+
 class TestQuantizedLinear:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -139,8 +146,12 @@ class TestQuantizedLinear:
     def test_copy_is_deep(self):
         layer = _make_layer([[1, 2]])
         clone = layer.copy()
-        clone.weight_int[0, 0] = 5
-        assert layer.weight_int[0, 0] == 1
+        with pytest.raises(ValueError):
+            clone.weight_int[0, 0] = 5
+        clone.add_to_weights(np.array([0]), np.array([4]))
+        clone.weight_int = np.array([[5, -2]])
+        assert clone.weight_int.tolist() == [[5, -2]]
+        assert layer.weight_int.tolist() == [[1, 2]]
 
     def test_outlier_fields_must_be_paired(self):
         with pytest.raises(ValueError):
@@ -169,7 +180,10 @@ class TestQuantizedModel:
     def test_clone_independent(self, quantized_awq4):
         clone = quantized_awq4.clone()
         name = clone.layer_names()[0]
-        clone.get_layer(name).weight_int[0, 0] += 1
+        with pytest.raises(ValueError):
+            clone.get_layer(name).weight_int[0, 0] += 1
+        index = _unsaturated_index(clone.get_layer(name))
+        clone.get_layer(name).add_to_weights(np.array([index]), np.array([1]))
         assert not np.array_equal(
             clone.get_layer(name).weight_int, quantized_awq4.get_layer(name).weight_int
         )
@@ -177,15 +191,26 @@ class TestQuantizedModel:
     def test_integer_weight_snapshot_is_copy(self, quantized_awq4):
         snapshot = quantized_awq4.integer_weight_snapshot()
         name = quantized_awq4.layer_names()[0]
-        snapshot[name][0, 0] += 5
-        assert not np.array_equal(snapshot[name], quantized_awq4.get_layer(name).weight_int)
+        with pytest.raises(ValueError):
+            snapshot[name][0, 0] += 5
+        # Editing the model replaces its array; the snapshot keeps the old one.
+        clone = quantized_awq4.clone()
+        snapshot = clone.integer_weight_snapshot()
+        before = snapshot[name].copy()
+        index = _unsaturated_index(clone.get_layer(name))
+        clone.get_layer(name).add_to_weights(np.array([index]), np.array([1]))
+        np.testing.assert_array_equal(snapshot[name], before)
+        assert not np.array_equal(snapshot[name], clone.get_layer(name).weight_int)
 
     def test_weight_difference(self, quantized_awq4):
         clone = quantized_awq4.clone()
         name = clone.layer_names()[0]
-        clone.get_layer(name).weight_int[0, 0] += 1
+        index = _unsaturated_index(clone.get_layer(name))
+        edited = clone.get_layer(name).weight_int.copy()
+        edited.reshape(-1)[index] += 1
+        clone.get_layer(name).weight_int = edited
         diff = clone.weight_difference(quantized_awq4)
-        assert diff[name][0, 0] == 1
+        assert diff[name].reshape(-1)[index] == 1
         assert np.sum(np.abs(diff[name])) == 1
 
     def test_get_layer_unknown(self, quantized_awq4):
@@ -198,3 +223,152 @@ class TestQuantizedModel:
     def test_total_quantized_weights(self, quantized_awq4):
         expected = sum(layer.num_weights for layer in quantized_awq4.iter_layers())
         assert quantized_awq4.total_quantized_weights() == expected
+
+
+class TestImmutableWeights:
+    """``weight_int`` is a read-only value replaced through one validated path."""
+
+    def test_owned_int64_array_is_frozen_in_place(self):
+        weights = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        layer = _make_layer(weights)
+        assert layer.weight_int is weights
+        assert not weights.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda base: base[:1],  # writable, contiguous view
+            lambda base: base[:, ::2],  # non-contiguous
+            lambda base: base.astype(np.int32),  # other dtype
+        ],
+    )
+    def test_views_and_other_dtypes_are_copied(self, make):
+        base = np.arange(8, dtype=np.int64).reshape(2, 4) % 7
+        given = make(base)
+        layer = _make_layer(given)
+        assert layer.weight_int is not given
+        assert layer.weight_int.dtype == np.int64
+        assert layer.weight_int.flags.c_contiguous and not layer.weight_int.flags.writeable
+        np.testing.assert_array_equal(layer.weight_int, given)
+        base[0, 0] = 6  # the caller's array stays writable and detached
+        assert layer.weight_int[0, 0] == 0
+
+    def test_in_place_write_raises(self):
+        layer = _make_layer([[1, 2]])
+        with pytest.raises(ValueError):
+            layer.weight_int[0, 0] = 3
+        with pytest.raises(ValueError):
+            layer.weight_int.reshape(-1)[0] = 3
+
+    def test_out_of_grid_replacement_raises_and_leaves_layer(self):
+        layer = _make_layer([[1, 2], [3, 4]])
+        before = layer.weight_int
+        with pytest.raises(ValueError, match="outside the quantization grid"):
+            layer.weight_int = np.full((2, 2), 999)
+        assert layer.weight_int is before
+        assert layer.weight_int.tolist() == [[1, 2], [3, 4]]
+
+    def test_in_grid_replacement_is_frozen(self):
+        layer = _make_layer([[1, 2]])
+        layer.weight_int = np.array([[-7, 7]])
+        assert layer.weight_int.tolist() == [[-7, 7]]
+        assert not layer.weight_int.flags.writeable
+
+    def test_validated_values_are_rechecked_on_a_narrower_grid(self):
+        wide = _make_layer([[100, -100]], bits=8)
+        with pytest.raises(ValueError, match="outside the quantization grid"):
+            _make_layer(wide.weight_int, bits=4)
+        with pytest.raises(ValueError, match="outside the quantization grid"):
+            wide.weight_int = wide.weight_int * 2
+
+    def test_grid_scan_runs_once_per_array(self, monkeypatch):
+        from repro.quant import base
+
+        scans = []
+        scan = base._weight_range._compute
+        monkeypatch.setattr(
+            base._weight_range, "_compute", lambda array: scans.append(1) or scan(array)
+        )
+        layer = _make_layer(np.arange(6).reshape(2, 3))
+        assert len(scans) == 1
+        layer.copy().copy()
+        assert len(scans) == 1
+        layer.add_to_weights(np.array([0]), np.array([1]))
+        assert len(scans) == 2
+
+    def test_add_to_weights_is_copy_on_write(self):
+        layer = _make_layer([[1, 2]])
+        shared = layer.weight_int
+        clone = layer.copy()
+        assert clone.weight_int is shared
+        clone.add_to_weights(np.array([1]), np.array([3]))
+        assert clone.weight_int.tolist() == [[1, 5]]
+        assert shared.tolist() == [[1, 2]] and layer.weight_int is shared
+
+    def test_copy_shares_weights_and_copies_the_rest(self):
+        layer = _make_layer(
+            [[0, 3]],
+            input_smoothing=np.array([1.0, 2.0]),
+            outlier_columns=np.array([0]),
+            outlier_weight=np.array([[1.5]]),
+        )
+        clone = layer.copy()
+        assert clone.weight_int is layer.weight_int
+        for field in ("scale", "input_smoothing", "outlier_columns", "outlier_weight"):
+            assert not np.shares_memory(getattr(clone, field), getattr(layer, field))
+            assert getattr(clone, field).flags.writeable
+
+    def test_frozen_layer_refuses_new_weights(self):
+        layer = _make_layer([[1, 2]]).freeze()
+        with pytest.raises(ValueError, match="'probe' holds read-only weights"):
+            layer.add_to_weights(np.array([0]), np.array([1]))
+        with pytest.raises(ValueError, match="'probe' holds read-only weights"):
+            layer.weight_int = np.array([[0, 0]])
+        assert not layer.scale.flags.writeable
+        clone = layer.copy()
+        clone.add_to_weights(np.array([0]), np.array([1]))
+        assert clone.scale.flags.writeable
+        assert clone.weight_int.tolist() == [[2, 2]]
+
+    def test_unpickled_layer_keeps_read_only_weights(self):
+        layer = pickle.loads(pickle.dumps(_make_layer([[1, 2]])))
+        assert not layer.weight_int.flags.writeable
+        assert layer.scale.flags.writeable
+        layer.add_to_weights(np.array([0]), np.array([1]))
+        assert layer.weight_int.tolist() == [[2, 2]]
+
+    def test_unpickled_frozen_layer_stays_frozen(self):
+        layer = pickle.loads(pickle.dumps(_make_layer([[1, 2]]).freeze()))
+        assert not layer.weight_int.flags.writeable and not layer.scale.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            layer.add_to_weights(np.array([0]), np.array([1]))
+
+
+class TestSharedModelWeights:
+    def test_clone_shares_weights_and_copies_state(self, quantized_awq4):
+        clone = quantized_awq4.clone()
+        for name, layer in clone.layers.items():
+            assert layer.weight_int is quantized_awq4.layers[name].weight_int
+        for key, value in clone.full_precision_state.items():
+            assert not np.shares_memory(value, quantized_awq4.full_precision_state[key])
+
+    def test_snapshot_is_the_models_own_arrays(self, quantized_awq4):
+        snapshot = quantized_awq4.integer_weight_snapshot()
+        for name, weights in snapshot.items():
+            assert weights is quantized_awq4.layers[name].weight_int
+
+    def test_unpickled_model_keeps_read_only_weights(self, quantized_awq4):
+        restored = pickle.loads(pickle.dumps(quantized_awq4))
+        for name, layer in restored.layers.items():
+            assert not layer.weight_int.flags.writeable
+            np.testing.assert_array_equal(layer.weight_int, quantized_awq4.layers[name].weight_int)
+        assert all(value.flags.writeable for value in restored.full_precision_state.values())
+
+    def test_unpickled_frozen_model_stays_frozen(self, quantized_awq4):
+        restored = pickle.loads(pickle.dumps(quantized_awq4.clone().freeze()))
+        assert not any(value.flags.writeable for value in restored.full_precision_state.values())
+        layer = next(restored.iter_layers())
+        with pytest.raises(ValueError, match="read-only"):
+            layer.add_to_weights(np.array([0]), np.array([1]))
+        clone = restored.clone()
+        next(clone.iter_layers()).add_to_weights(np.array([0]), np.array([1]))

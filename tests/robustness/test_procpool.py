@@ -93,6 +93,25 @@ class TestDigestEquality:
             assert ours.perplexity == theirs.perplexity
             assert ours.zero_shot_accuracy == theirs.zero_shot_accuracy
 
+    def test_soup_cell_in_spawned_workers(self, awq_subject, quantized_awq4, activation_stats):
+        """Soup's base model rides in its pickled spec; spawned workers unpickle
+        it with read-only weights and must still produce the serial verdict."""
+        subjects = {"awq": awq_subject}
+        attacks = [build_attack("soup", base_model=quantized_awq4,
+                                base_activations=activation_stats)]
+        strengths = {"soup": (0.5,)}
+        serial = run_gauntlet(
+            subjects, attacks, strengths, max_workers=1, seed=13, evaluate_quality=False
+        )
+        process = run_gauntlet(
+            subjects, attacks, strengths, max_workers=1, seed=13, evaluate_quality=False,
+            executor="process", start_method="spawn",
+        )
+        assert process.executor == "process" and process.start_method == "spawn"
+        assert process.decision_digest() == serial.decision_digest()
+        assert process.cells[0].attacker_wer_percent == serial.cells[0].attacker_wer_percent
+        assert 25.0 < process.cells[0].attacker_wer_percent < 75.0
+
     def test_multi_owner_co_keys_verified_in_workers(self, multi_owner_subject):
         subjects = {"multi": multi_owner_subject}
         attacks = [build_attack("overwrite"), build_attack("pruning")]
