@@ -15,9 +15,9 @@ Everything the watermarking layer touches lives here:
 
 A layer's integer weights are an immutable value: ``weight_int`` is always a
 read-only, C-contiguous int64 array.  Writers never edit it in place; they
-assign a new array (``layer.weight_int = new``), which is validated against
-the grid and frozen, or call :meth:`QuantizedLinear.add_to_weights`, which
-does the same copy-on-write.  Because nothing writes them, clones, key
+assign a new array of the same shape (``layer.weight_int = new``), which is
+validated against the grid and frozen, or call
+:meth:`QuantizedLinear.add_to_weights`, which does the same copy-on-write.  Because nothing writes them, clones, key
 snapshots and shared-memory views share one weight array, and per-array
 work — the grid check here, the content digest in
 :mod:`repro.engine.plan` — runs once per array.
@@ -168,9 +168,9 @@ class QuantizedLinear:
     weight_int:
         Integer weight levels, shape ``(out_features, in_features)``: always
         a read-only int64 array.  Assigning a new array replaces it through
-        the one validated path (grid-checked, then frozen); an out-of-grid
-        replacement raises :class:`ValueError` and leaves the layer
-        unchanged.
+        the one validated path (shape- and grid-checked, then frozen); a
+        replacement of another shape or with out-of-grid levels raises
+        :class:`ValueError` and leaves the layer unchanged.
     scale:
         Per-output-channel step sizes, shape ``(out_features, 1)``.
     grid:
@@ -215,6 +215,14 @@ class QuantizedLinear:
             # During construction the grid is not set yet; __post_init__
             # checks the constructor's array once every field is in place.
             if "grid" in self.__dict__:
+                if value.shape != self.weight_int.shape:
+                    # scale, input_smoothing and outlier_weight are sized
+                    # for the current shape; a reshaped layer is a new layer.
+                    raise ValueError(
+                        f"layer {self.name!r} holds weights of shape "
+                        f"{self.weight_int.shape}; a replacement must keep it, "
+                        f"got shape {value.shape}"
+                    )
                 self._check_grid(value)
         object.__setattr__(self, name, value)
 

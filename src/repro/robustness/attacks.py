@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.config import EmMarkConfig
 from repro.core.insertion import insert_watermark
-from repro.core.scoring import topk_argsort_stable
 from repro.quant.base import QuantizedLinear, QuantizedModel
 from repro.quant.llm_int8 import rewrite_outlier_entries
 from repro.utils.rng import new_rng
@@ -493,6 +492,14 @@ class PruningAttack(AttackSpec):
     already-compressed model: pruning hard enough to disturb the watermark
     (which sits on large-magnitude weights, pruned *last*) destroys the
     model's perplexity first.
+
+    A layer of ``n`` weights loses ``k = round(n * sparsity)`` of them.  The
+    threshold level ``t`` is the smallest ``|w|`` whose cumulative level
+    count reaches ``k``; every weight with ``|w| < t`` is zeroed, and ties at
+    the threshold level are admitted in index order until ``k`` are zeroed —
+    exactly the set a stable ascending argsort of ``|w|`` puts first.  The
+    magnitudes are integers in ``[0, qmax]``, so counting levels finds that
+    set in O(n) per layer, with no sort.
     """
 
     name = "pruning"
@@ -510,11 +517,12 @@ class PruningAttack(AttackSpec):
             count = int(round(layer.num_weights * sparsity))
             if count == 0:
                 continue
-            pruned = layer.weight_int.copy()
-            flat = pruned.reshape(-1)
-            # O(n + k log k) top-k, bit-identical to a stable full argsort
-            # (ties admitted in index order).
-            flat[topk_argsort_stable(np.abs(flat), count)] = 0
+            magnitude = np.abs(layer.weight_int)
+            cumulative = np.cumsum(np.bincount(magnitude.reshape(-1)))
+            threshold = int(np.searchsorted(cumulative, count))
+            pruned = layer.weight_int * (magnitude >= threshold)
+            admitted = count - (int(cumulative[threshold - 1]) if threshold else 0)
+            pruned.reshape(-1)[np.flatnonzero(magnitude == threshold)[:admitted]] = 0
             layer.weight_int = pruned
         return AttackOutcome(model=attacked)
 

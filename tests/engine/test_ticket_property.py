@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import EmMarkConfig
 from repro.engine import EngineConfig, WatermarkEngine
 from repro.quant.api import quantize_model
+from repro.quant.base import QuantizedLinear
 from repro.robustness import build_attack
 
 
@@ -80,6 +81,27 @@ def definition(engine, suspect, key):
     return matched, per_layer, locations
 
 
+def without_last_column(layer):
+    """A new layer one input channel narrower, every per-channel array sliced."""
+    width = layer.in_features - 1
+    columns, outliers = layer.outlier_columns, layer.outlier_weight
+    if columns is not None:
+        kept = columns < width
+        columns, outliers = columns[kept], outliers[:, kept]
+    return QuantizedLinear(
+        name=layer.name,
+        weight_int=layer.weight_int[:, :width],
+        scale=layer.scale.copy(),
+        grid=layer.grid,
+        bias=None if layer.bias is None else layer.bias.copy(),
+        input_smoothing=(
+            None if layer.input_smoothing is None else layer.input_smoothing[:width].copy()
+        ),
+        outlier_columns=None if columns is None else columns.copy(),
+        outlier_weight=None if outliers is None else outliers.copy(),
+    )
+
+
 NAMES = ["single", "owner-0", "owner-1", "int8"]
 
 
@@ -110,7 +132,7 @@ def test_ticket_match_equals_definition(
     if layout == "missing":
         del suspect.layers[victim]
     elif layout == "reshaped":
-        suspect.layers[victim].weight_int = suspect.layers[victim].weight_int[:, :-1]
+        suspect.layers[victim] = without_last_column(suspect.layers[victim])
 
     matched, per_layer, locations = definition(engine, suspect, key)
     ticket = tickets[key_name]

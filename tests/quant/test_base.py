@@ -1,6 +1,7 @@
 """Tests for the quantization data structures."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,16 @@ class TestImmutableWeights:
             layer.weight_int = np.full((2, 2), 999)
         assert layer.weight_int is before
         assert layer.weight_int.tolist() == [[1, 2], [3, 4]]
+
+    def test_reshaped_replacement_raises_and_leaves_layer(self):
+        layer = _make_layer([[1, 2, 3], [4, 5, 6]], input_smoothing=np.ones(3))
+        before, scale = layer.weight_int, layer.scale.copy()
+        for shape in [(2, 2), (3, 3), (6,), (1, 6)]:
+            with pytest.raises(ValueError, match=rf"'probe'.*\(2, 3\).*{re.escape(str(shape))}"):
+                layer.weight_int = np.zeros(shape, dtype=np.int64)
+        assert layer.weight_int is before
+        assert layer.weight_int.tolist() == [[1, 2, 3], [4, 5, 6]]
+        np.testing.assert_array_equal(layer.scale, scale)
 
     def test_in_grid_replacement_is_frozen(self):
         layer = _make_layer([[1, 2]])
