@@ -110,15 +110,22 @@ class VerificationClient:
             self.close()
             raise
         try:
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
+            parsed = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            parsed = {"error": raw.decode("utf-8", "replace")}
-        if response.status == 429:
-            raise RateLimitedError(response.status, parsed)
-        if response.status == 503:
-            raise ServiceUnavailableError(response.status, parsed)
+            parsed = None
         if response.status >= 400:
-            raise ServiceError(response.status, parsed)
+            error = {429: RateLimitedError, 503: ServiceUnavailableError}.get(
+                response.status, ServiceError
+            )
+            if parsed is None:
+                parsed = {"error": raw.decode("utf-8", "replace")}
+            raise error(response.status, parsed)
+        if not isinstance(parsed, dict):
+            # Callers index into results: a success reply that is not a JSON
+            # object (say, a proxy's text page) fails here, not as a KeyError.
+            raise ServiceError(
+                response.status, {"error": f"reply is not a JSON object: {raw[:200]!r}"}
+            )
         return parsed
 
     def _request_text(self, method: str, path: str) -> str:

@@ -7,6 +7,15 @@ are mostly bulk numeric state.  The codec therefore uses a two-part envelope:
 * ``arrays`` — every NumPy array packed into one ``.npz`` archive with
   uncompressed (``ZIP_STORED``) members, transported as base64 text.
 
+The archive holds one member per distinct dtype, named by the dtype
+(``|i1``, ``<f8``, …): the arrays of that dtype flattened and concatenated
+in order.  A ``layout`` member (JSON ``[[name, dtype, shape], …]`` stored
+as uint8 bytes) says how to split them back, so a model travels as three
+members instead of one per array.  Decoding checks the layout strictly and
+returns each array as a view into its member.  An archive without a
+``layout`` member is an older one-member-per-array archive and decodes as
+it is.
+
 Integer fields (quantized weights, reference weights, outlier columns, the
 signature) are written in the smallest signed dtype that holds their values
 and widened back to int64 on decode, so decoded models and keys — and every
@@ -17,9 +26,10 @@ the same way.
 
 The same ``(meta, arrays)`` payload backs the on-disk directory form used by
 the ``repro verify`` CLI (``model.json`` + ``model.npz``), mirroring the
-layout :meth:`repro.core.keys.WatermarkKey.save` uses for keys.  Keys saved
-by :meth:`~repro.core.keys.WatermarkKey.save` (and so the registry) stay
-int64: the registry memory-maps them.
+layout :meth:`repro.core.keys.WatermarkKey.save` uses for keys.  Both disk
+forms keep one member per array, and keys saved by
+:meth:`~repro.core.keys.WatermarkKey.save` (and so the registry) stay int64:
+the registry memory-maps them.
 
 Nothing here is pickled: NPZ archives are loaded with ``allow_pickle=False``,
 so a malicious payload can at worst fail to parse.
@@ -29,9 +39,11 @@ from __future__ import annotations
 
 import base64
 import io
+import json
+import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -66,22 +78,41 @@ PathLike = Union[str, Path]
 #: (and refused unless integer-typed) on decode.
 _INTEGER_FIELDS = ("weight_int/", "outlier_columns/", "weights/", "outliers/", "signature")
 
+#: Per-layer array kinds of a model payload (``<kind>/<layer>``).
+_LAYER_FIELDS = ("weight_int", "scale", "bias", "smoothing", "outlier_columns", "outlier_weight")
+
+#: Name of the packed archive's layout member (never a dtype string).
+_LAYOUT = "layout"
+
 
 # ----------------------------------------------------------------------
 # Array transport
 # ----------------------------------------------------------------------
 def arrays_to_b64(arrays: Dict[str, np.ndarray]) -> str:
-    """Pack named arrays into one stored (uncompressed) NPZ archive, base64-encoded."""
+    """Pack named arrays into one stored NPZ archive, base64-encoded.
+
+    The archive holds one flat member per distinct dtype plus the ``layout``
+    member that :func:`b64_to_arrays` splits them back by.
+    """
+    groups: Dict[str, List[np.ndarray]] = {}
+    layout = []
+    for name, value in arrays.items():
+        value = np.asarray(value)
+        groups.setdefault(value.dtype.str, []).append(value.ravel())
+        layout.append([name, value.dtype.str, list(value.shape)])
+    members = {dtype: np.concatenate(parts) for dtype, parts in groups.items()}
+    members[_LAYOUT] = np.frombuffer(json.dumps(layout).encode("utf-8"), dtype=np.uint8)
     buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
+    np.savez(buffer, **members)
     return base64.b64encode(buffer.getvalue()).decode("ascii")
 
 
 def b64_to_arrays(encoded: str) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`arrays_to_b64`.
+    """Inverse of :func:`arrays_to_b64`: ``{name: array}`` in layout order.
 
     Raises :class:`ValueError` on anything that is not a valid base64 NPZ
-    archive (truncated upload, wrong encoding, pickled payload).
+    archive (truncated upload, wrong encoding, pickled payload) or whose
+    layout does not split its members exactly.
     """
     if not isinstance(encoded, str):
         raise ValueError(f"array payload must be a base64 string, got {type(encoded).__name__}")
@@ -91,9 +122,60 @@ def b64_to_arrays(encoded: str) -> Dict[str, np.ndarray]:
         raise ValueError(f"payload is not valid base64: {exc}") from exc
     try:
         with np.load(io.BytesIO(raw), allow_pickle=False) as handle:
-            return {name: handle[name] for name in handle.files}
+            members = {name: handle[name] for name in handle.files}
     except Exception as exc:
         raise ValueError(f"payload is not a valid npz archive: {exc}") from exc
+    if _LAYOUT not in members:
+        return members  # an older archive: one member per array
+    return _unpack(members.pop(_LAYOUT), members)
+
+
+def _unpack(layout_bytes: np.ndarray, members: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Split the dtype ``members`` into named views as ``layout_bytes`` says.
+
+    Every entry must name an existing member and carry a unique name and
+    non-negative integer dims, and together the entries must consume every
+    member exactly; anything else is a :class:`ValueError`.
+    """
+    if layout_bytes.dtype != np.uint8 or layout_bytes.ndim != 1:
+        raise ValueError("wire layout must be a flat uint8 member")
+    try:
+        layout = json.loads(layout_bytes.tobytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"wire layout is not JSON: {exc}") from exc
+    if not isinstance(layout, list):
+        raise ValueError("wire layout must be a list of [name, dtype, shape] entries")
+    for dtype, member in members.items():
+        if member.ndim != 1 or member.dtype.str != dtype:
+            raise ValueError(f"wire member {dtype!r} is not a flat {dtype} array")
+    used = dict.fromkeys(members, 0)
+    arrays: Dict[str, np.ndarray] = {}
+    for entry in layout:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"wire layout entry {entry!r} is not [name, dtype, shape]")
+        name, dtype, shape = entry
+        if not isinstance(name, str) or name in arrays:
+            raise ValueError(f"wire layout names {name!r} twice or not as a string")
+        if not isinstance(dtype, str) or dtype not in members:
+            raise ValueError(f"wire layout entry {name!r} names no member {dtype!r}")
+        # ``type(...) is int`` also refuses bools, which JSON keeps distinct.
+        if not isinstance(shape, list) or any(type(dim) is not int or dim < 0 for dim in shape):
+            raise ValueError(f"wire layout entry {name!r} has shape {shape!r}")
+        start = used[dtype]
+        end = start + math.prod(shape)
+        if end > members[dtype].size:
+            raise ValueError(f"wire layout entry {name!r} runs past member {dtype!r}")
+        try:
+            arrays[name] = members[dtype][start:end].reshape(shape)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"wire layout entry {name!r} has shape {shape!r}: {exc}") from exc
+        used[dtype] = end
+    for dtype, end in used.items():
+        if end != members[dtype].size:
+            raise ValueError(
+                f"wire member {dtype!r} holds {members[dtype].size - end} values no layout entry names"
+            )
+    return arrays
 
 
 def _narrow_integers(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -167,7 +249,11 @@ def model_to_payload(model: QuantizedModel) -> Tuple[Dict[str, object], Dict[str
 def model_from_payload(
     meta: Dict[str, object], arrays: Dict[str, np.ndarray]
 ) -> QuantizedModel:
-    """Rebuild a :class:`QuantizedModel` from :func:`model_to_payload` output."""
+    """Rebuild a :class:`QuantizedModel` from :func:`model_to_payload` output.
+
+    An array of an unknown kind, or of a layer missing from ``layer_order``,
+    is a :class:`ValueError`, never silently dropped.
+    """
     try:
         config_dict = dict(meta["config"])
         config = ModelConfig(**config_dict)
@@ -177,12 +263,18 @@ def model_from_payload(
             kind, _, name = key.partition("/")
             if kind == "state":
                 full_precision_state[name] = value
-            else:
+            elif kind in _LAYER_FIELDS:
                 if key.startswith(_INTEGER_FIELDS):
                     value = widen_int64(value, key)
                 grouped.setdefault(name, {})[kind] = value
+            else:
+                raise ValueError(f"unknown model array {key!r}")
+        layer_order = list(meta["layer_order"])
+        unlisted = sorted(set(grouped) - set(layer_order))
+        if unlisted:
+            raise ValueError(f"arrays for layers missing from layer_order: {unlisted}")
         layers: Dict[str, QuantizedLinear] = {}
-        for name in meta["layer_order"]:
+        for name in layer_order:
             parts = grouped[name]
             grid = QuantizationGrid(int(meta["layers"][name]["grid_bits"]))
             layers[name] = QuantizedLinear(

@@ -7,6 +7,13 @@ always work on clones, so sharing is safe.
 
 from __future__ import annotations
 
+import base64
+import contextlib
+import io
+import json
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -60,6 +67,33 @@ def make_tiny_llama_config(name: str = "tiny-llama", **overrides) -> ModelConfig
     return ModelConfig(**defaults)
 
 
+@contextlib.contextmanager
+def one_shot_server(reply):
+    """A listener that answers its first connection with ``reply`` and
+    closes; yields its port."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(10)
+
+    def serve():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            conn.recv(65536)
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+
+
 def legacy_key_payload(key, stats):
     """``key.to_payload()`` in the older archive layout.
 
@@ -101,6 +135,54 @@ MALFORMED_KEY_CASES = (
     "repeated slot",
     "non-integer slot",
 )
+
+
+MALFORMED_LAYOUT_CASES = (
+    "layout not json",
+    "layout nested too deep",
+    "layout not a list",
+    "entry not a triple",
+    "unknown member",
+    "negative dim",
+    "bool dim",
+    "float dim",
+    "duplicate name",
+    "entry runs past member",
+    "values left over",
+    "stray member",
+    "member of another dtype",
+)
+
+
+def malformed_layout_archive(encoded, case):
+    """The packed wire archive ``encoded`` (base64) re-packed with its layout
+    or members broken as ``case`` names (one of
+    :data:`MALFORMED_LAYOUT_CASES`); the other entries stay intact."""
+    with np.load(io.BytesIO(base64.b64decode(encoded)), allow_pickle=False) as handle:
+        members = {name: handle[name] for name in handle.files}
+    layout = json.loads(members.pop("layout").tobytes())
+    name, dtype, shape = layout[0]
+    if case == "entry not a triple":
+        layout[0] = [name, dtype]
+    elif case == "unknown member":
+        layout[0][1] = "<c16"
+    elif case in ("negative dim", "bool dim", "float dim", "entry runs past member"):
+        extra = {"negative dim": -1, "bool dim": True, "float dim": 1.0}.get(case, 2)
+        layout[0][2] = shape + [extra]
+    elif case == "duplicate name":
+        layout[1][0] = name
+    elif case == "values left over":
+        members[dtype] = np.concatenate([members[dtype], members[dtype][:1]])
+    elif case == "stray member":
+        members["<c16"] = np.zeros(1, dtype=np.complex128)
+    elif case == "member of another dtype":
+        members[dtype] = members[dtype].astype(np.complex64)
+    text = json.dumps({"entries": layout} if case == "layout not a list" else layout).encode()
+    text = {"layout not json": b"\xff[", "layout nested too deep": b"[" * 100_000}.get(case, text)
+    members["layout"] = np.frombuffer(text, dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez(buffer, **members)
+    return base64.b64encode(buffer.getvalue()).decode("ascii")
 
 
 def malformed_key_payload(key, case):

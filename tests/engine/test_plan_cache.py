@@ -220,13 +220,17 @@ class TestWeightsDigest:
         assert weights_digest(weights) == changed
 
     def test_dead_array_leaves_the_memo(self):
-        baseline = len(_weights_digest_memo)
+        # Collect first: arrays that earlier tests left in reference cycles
+        # would otherwise leave the memo during the collection below.
+        gc.collect()
+        entries = _weights_digest_memo._entries
         arrays = [self._frozen(np.full((2, 2), value)) for value in range(5)]
+        keys = [id(array) for array in arrays]
         digests = [weights_digest(array) for array in arrays]
-        assert len(_weights_digest_memo) == baseline + 5
+        assert all(entries[key][0]() is array for key, array in zip(keys, arrays))
         del arrays
         gc.collect()
-        assert len(_weights_digest_memo) == baseline
+        assert [entries.get(key) for key in keys] == [None] * 5
         # Fresh arrays (which may reuse the dead ids) get their own digests.
         for value, digest in enumerate(digests):
             fresh = self._frozen(np.full((2, 2), value + 10))

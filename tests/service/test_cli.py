@@ -1,12 +1,10 @@
 """CLI smoke tests: ``--help`` for every sub-command plus an offline verify."""
 
-import contextlib
 import json
 import os
 import socket
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +12,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.service.codec import save_model
 from repro.service.registry import KeyRegistry
+from tests.conftest import one_shot_server
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -263,33 +262,6 @@ class TestOfflineVerify:
         assert code == 2
 
 
-@contextlib.contextmanager
-def _one_shot_server(reply):
-    """A listener that answers its first connection with ``reply`` and
-    closes; yields its port."""
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    listener.settimeout(10)
-
-    def serve():
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            return
-        with conn:
-            conn.recv(65536)
-            conn.sendall(reply)
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        yield listener.getsockname()[1]
-    finally:
-        thread.join(timeout=10)
-        listener.close()
-
-
 def _one_error_line(capsys):
     """The single stderr line of a refused command (no traceback)."""
     err = capsys.readouterr().err.strip().splitlines()
@@ -347,7 +319,7 @@ class TestReadOnlyCommandsRefuseBadTargets:
         assert (tmp_path / "reg").read_text() == "not a registry"
 
     def test_audit_of_an_error_response_is_not_a_verdict(self, capsys):
-        with _one_shot_server(
+        with one_shot_server(
             b"HTTP/1.1 500 Internal Server Error\r\nContent-Type: application/json\r\n"
             b"Content-Length: 52\r\nConnection: close\r\n\r\n"
             b'{"error": {"code": "internal", "message": "boom!!"}}'
@@ -357,7 +329,7 @@ class TestReadOnlyCommandsRefuseBadTargets:
         assert f"127.0.0.1:{port}" in line and "boom!!" in line
 
     def test_audit_of_a_non_http_peer_is_not_a_verdict(self, capsys):
-        with _one_shot_server(b"SSH-2.0-OpenSSH\r\n") as port:
+        with one_shot_server(b"SSH-2.0-OpenSSH\r\n") as port:
             assert main(["audit", "--port", str(port), "--json"]) == 2
         assert f"127.0.0.1:{port}" in _one_error_line(capsys)
 

@@ -8,6 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.config import EmMarkConfig
 from repro.core.keys import WatermarkKey, model_fingerprint
@@ -28,6 +29,25 @@ from repro.service.codec import (
 from repro.service.registry import KeyRegistry
 from repro.service.server import _model_content_id
 from repro.utils.serialization import save_json, save_npz, to_jsonable
+from tests.conftest import MALFORMED_LAYOUT_CASES, malformed_layout_archive
+
+#: Every dtype the packed wire is exercised with.
+_WIRE_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint64, np.float32, np.float64, np.bool_)
+
+
+@st.composite
+def _array_dicts(draw):
+    """``{name: array}`` mixing :data:`_WIRE_DTYPES` with 0-d, zero-size,
+    1-D and 2-D shapes (uint64 kept within the int64 range)."""
+    names = draw(st.lists(st.text(min_size=1, max_size=10), max_size=8, unique=True))
+    arrays = {}
+    for name in names:
+        dtype = np.dtype(draw(st.sampled_from(_WIRE_DTYPES)))
+        shape = draw(st.sampled_from([(), (0,), (5,), (2, 3), (0, 4), (3, 0)]))
+        elements = st.integers(0, 2**63 - 1) if dtype == np.uint64 else None
+        arrays[name] = draw(hnp.arrays(dtype, shape, elements=elements))
+    return arrays
+
 
 #: Values at and just past each narrow dtype's range, and ±2**40 past int32.
 _BOUNDARIES = (
@@ -94,6 +114,38 @@ class TestArrayTransport:
             b64_to_arrays(["nested"])
 
 
+class TestPackedArchive:
+    """One stored member per dtype plus the ``layout`` member."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays=_array_dicts())
+    def test_mixed_dicts_round_trip(self, arrays):
+        encoded = arrays_to_b64(arrays)
+        decoded = b64_to_arrays(encoded)
+        assert list(decoded) == list(arrays)
+        for name, value in arrays.items():
+            assert decoded[name].dtype == value.dtype
+            assert decoded[name].shape == value.shape
+            np.testing.assert_array_equal(decoded[name], value)
+        with zipfile.ZipFile(io.BytesIO(base64.b64decode(encoded))) as archive:
+            members = sorted(archive.namelist())
+        dtypes = {value.dtype.str for value in arrays.values()}
+        assert members == sorted(f"{name}.npy" for name in dtypes | {"layout"})
+
+    def test_model_travels_as_three_members(self, subjects):
+        watermarked, _ = subjects["rtn8"]
+        raw = base64.b64decode(model_to_wire(watermarked)["arrays"])
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            assert sorted(archive.namelist()) == ["<f8.npy", "layout.npy", "|i1.npy"]
+
+    @pytest.mark.parametrize("case", MALFORMED_LAYOUT_CASES)
+    def test_malformed_layout_is_refused(self, watermarked_and_key, case):
+        watermarked, _ = watermarked_and_key
+        encoded = malformed_layout_archive(model_to_wire(watermarked)["arrays"], case)
+        with pytest.raises(ValueError, match="wire (layout|member)"):
+            b64_to_arrays(encoded)
+
+
 class TestKeyWire:
     def test_round_trip_preserves_verification(self, watermarked_and_key):
         watermarked, key = watermarked_and_key
@@ -154,6 +206,23 @@ class TestModelCodec:
     def test_rejects_malformed_envelope(self):
         with pytest.raises(ValueError):
             model_from_wire({"arrays": ""})
+
+    @pytest.mark.parametrize(
+        "member, message",
+        [("gradient/{layer}", "unknown model array"), ("orphan", "unknown model array"),
+         ("scale/ghost", "missing from layer_order")],
+    )
+    def test_unplaceable_member_is_refused(self, quantized_awq4, member, message):
+        meta, arrays = model_to_payload(quantized_awq4)
+        arrays[member.format(layer=quantized_awq4.layer_names()[0])] = np.ones((2, 1))
+        with pytest.raises(ValueError, match=message):
+            model_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+
+    def test_layer_left_out_of_layer_order_is_refused(self, quantized_awq4):
+        meta, arrays = model_to_payload(quantized_awq4)
+        meta["layer_order"] = meta["layer_order"][1:]
+        with pytest.raises(ValueError, match="missing from layer_order"):
+            model_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
 
 
 class TestIntegerNarrowing:

@@ -24,7 +24,14 @@ from repro.service import (
 )
 from repro.service.codec import arrays_to_b64, b64_to_arrays, key_to_wire, model_to_wire
 from repro.utils.serialization import to_jsonable
-from tests.conftest import MALFORMED_KEY_CASES, legacy_key_payload, malformed_key_payload
+from tests.conftest import (
+    MALFORMED_KEY_CASES,
+    MALFORMED_LAYOUT_CASES,
+    legacy_key_payload,
+    malformed_key_payload,
+    malformed_layout_archive,
+    one_shot_server,
+)
 
 
 class TestBasicEndpoints:
@@ -94,6 +101,72 @@ class TestIntegerFieldsRejected:
             model_to_wire(watermarked), f"weight_int/{watermarked.layer_names()[0]}"
         )
         self._assert_rejected(client, "/v1/verify", {"model": wire})
+
+
+class TestMalformedWireRejected:
+    """A packed archive whose layout does not split its members exactly, or
+    a model member no layer can hold, is a 400 that stores nothing."""
+
+    @staticmethod
+    def _stored(client):
+        stats = client.stats()
+        return client.keys(), stats["suspects"]["count"], stats["server"]["verifications"]
+
+    def _assert_rejected(self, client, path, body, what):
+        before = self._stored(client)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, body)
+        assert excinfo.value.status == 400
+        assert f"invalid {what} payload" in str(excinfo.value)
+        assert self._stored(client) == before
+
+    @pytest.mark.parametrize("case", MALFORMED_LAYOUT_CASES)
+    @pytest.mark.parametrize("path", ["/v1/verify", "/v1/suspects"])
+    def test_model_layout(self, client, watermarked_and_key, case, path):
+        watermarked, _ = watermarked_and_key
+        wire = model_to_wire(watermarked)
+        wire["arrays"] = malformed_layout_archive(wire["arrays"], case)
+        self._assert_rejected(client, path, {"model": wire, "suspect_id": "bad"}, "model")
+
+    @pytest.mark.parametrize("case", MALFORMED_LAYOUT_CASES)
+    def test_key_layout(self, client, watermarked_and_key, case):
+        _, key = watermarked_and_key
+        wire = key_to_wire(key)
+        wire["arrays"] = malformed_layout_archive(wire["arrays"], case)
+        self._assert_rejected(client, "/v1/register", {"owner": "x", "key": wire}, "key")
+
+    @pytest.mark.parametrize("path", ["/v1/verify", "/v1/suspects"])
+    def test_layer_missing_from_layer_order(self, client, watermarked_and_key, path):
+        watermarked, _ = watermarked_and_key
+        wire = model_to_wire(watermarked)
+        wire["meta"]["layer_order"] = wire["meta"]["layer_order"][1:]
+        self._assert_rejected(client, path, {"model": wire, "suspect_id": "bad"}, "model")
+
+    @pytest.mark.parametrize("path", ["/v1/verify", "/v1/suspects"])
+    def test_unknown_model_member(self, client, watermarked_and_key, path):
+        watermarked, _ = watermarked_and_key
+        wire = model_to_wire(watermarked)
+        arrays = b64_to_arrays(wire["arrays"])
+        arrays[f"gradient/{watermarked.layer_names()[0]}"] = np.ones(3)
+        wire["arrays"] = arrays_to_b64(arrays)
+        self._assert_rejected(client, path, {"model": wire, "suspect_id": "bad"}, "model")
+
+
+class TestClientRefusesNonObjectReplies:
+    """A success reply that is not a JSON object is a ServiceError, never a
+    result for the caller to index into."""
+
+    @pytest.mark.parametrize("body", [b"upstream says hi", b"[1, 2]", b""])
+    def test_plain_text_200(self, body):
+        reply = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body)
+        ) + body
+        with one_shot_server(reply) as port:
+            with VerificationClient(port=port, timeout=10) as client:
+                with pytest.raises(ServiceError, match="not a JSON object") as excinfo:
+                    client.keys()
+        assert excinfo.value.status == 200
 
 
 @pytest.fixture()
