@@ -195,7 +195,6 @@ def test_engine_throughput():
         "bits": quantized.bits,
         "num_layers": num_layers,
         "bits_per_layer": config.bits_per_layer,
-        "workers": engine.workers,
         "repeats": repeats,
         "platform": platform.platform(),
         "seed_roundtrip_seconds": seed_roundtrip,

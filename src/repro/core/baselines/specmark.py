@@ -15,7 +15,7 @@ unchanged.  This module reproduces exactly that behaviour.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy import fft as scipy_fft
@@ -26,9 +26,6 @@ from repro.core.signature import generate_signature, split_signature_per_layer, 
 from repro.models.activations import ActivationStats
 from repro.quant.base import QuantizedModel
 from repro.utils.rng import new_rng
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import WatermarkEngine
 
 __all__ = ["SpecMark"]
 
@@ -52,11 +49,6 @@ class SpecMark(Watermarker):
         Seed for choosing coefficient positions within the band.
     signature_seed:
         Seed for the Rademacher signature when none is supplied.
-    engine:
-        :class:`~repro.engine.WatermarkEngine` supplying the parallel layer
-        executor; the process-wide default is used when omitted.  The DCT /
-        inverse-DCT per layer dominates SpecMark's cost, and SciPy's FFT
-        kernels release the GIL, so concurrent layers give a real speedup.
     """
 
     method_name = "specmark"
@@ -68,7 +60,6 @@ class SpecMark(Watermarker):
         high_frequency_fraction: float = 0.25,
         seed: int = 100,
         signature_seed: int = 1,
-        engine: "Optional[WatermarkEngine]" = None,
     ) -> None:
         if bits_per_layer < 1:
             raise ValueError("bits_per_layer must be >= 1")
@@ -81,7 +72,6 @@ class SpecMark(Watermarker):
         self.high_frequency_fraction = float(high_frequency_fraction)
         self.seed = int(seed)
         self.signature_seed = int(signature_seed)
-        self.engine = engine
 
     # ------------------------------------------------------------------
     # Helpers
@@ -141,7 +131,7 @@ class SpecMark(Watermarker):
 
         reference_coefficients: Dict[str, np.ndarray] = {}
         positions: Dict[str, np.ndarray] = {}
-        for name, layer_positions, reference in self.map_layers(watermark_layer, layer_names):
+        for name, layer_positions, reference in map(watermark_layer, layer_names):
             positions[name] = layer_positions
             reference_coefficients[name] = reference
         record = InsertionRecord(
@@ -181,7 +171,7 @@ class SpecMark(Watermarker):
         matched = 0
         total = 0
         per_layer_wer: Dict[str, float] = {}
-        for name, layer_matched, layer_bits in self.map_layers(match_layer, layer_names):
+        for name, layer_matched, layer_bits in map(match_layer, layer_names):
             total += layer_bits
             if layer_matched < 0:
                 per_layer_wer[name] = 0.0

@@ -16,8 +16,8 @@ Given a suspect deployed model and the owner's
 Since the engine refactor this module is the stable functional facade over
 :class:`repro.engine.WatermarkEngine`: location reproduction is served from
 the engine's memoized plan cache (an extraction against a previously seen
-key performs **zero rescoring**), layers are matched in parallel, and the
-bulk workload lives in :meth:`~repro.engine.WatermarkEngine.verify_fleet`.
+key performs **zero rescoring**), and the bulk workload lives in
+:meth:`~repro.engine.WatermarkEngine.verify_fleet`.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ memory (Table 2).
 Since the engine refactor the heavy lifting lives in
 :class:`repro.engine.WatermarkEngine`: this module is the stable functional
 facade, routing through the process-wide default engine so insertion shares
-its memoized location plans and parallel layer executor with extraction,
-ownership verification and the batch serving APIs.
+its memoized location plans with extraction, ownership verification and the
+batch serving APIs.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ def insert_watermark(
         Modify ``model`` directly instead of watermarking a copy.
     engine:
         Run on a specific :class:`~repro.engine.WatermarkEngine`; the
-        process-wide default engine (shared plan cache, shared thread pool)
-        is used when omitted.
+        process-wide default engine (shared plan cache) is used when omitted.
     occupied:
         Slots already held by co-resident watermarks — a
         :class:`repro.engine.SlotAllocator` or a plain ``{layer: indices}``
@@ -105,7 +104,7 @@ def insert_watermark(
     -------
     (watermarked_model, key, report)
         The watermarked model, the owner's key, and timing information
-        (per-layer CPU cost plus the parallel wall-clock; see
+        (per-layer CPU cost plus the call's wall-clock; see
         :class:`~repro.engine.reports.InsertionReport`).
     """
     return _engine(engine).insert(

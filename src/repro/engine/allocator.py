@@ -58,8 +58,8 @@ class SlotAllocator:
     """Tracks occupied watermark slots of one integer-weight domain.
 
     Thread safety: reads (:meth:`occupied_for`, :meth:`snapshot`) and writes
-    (:meth:`claim`) are lock-guarded, so a parallel layer fan-out may read the
-    occupancy while a sequential multi-owner driver claims between owners.
+    (:meth:`claim`) are lock-guarded, so one caller's insertion may snapshot
+    the occupancy while another caller claims on the same allocator.
 
     Parameters
     ----------

@@ -1,10 +1,9 @@
 """The unified watermarking engine.
 
 :class:`WatermarkEngine` is the single shared execution substrate underneath
-every watermark pipeline in the repository: EmMark insertion and extraction,
-the ownership-verification entry points, the baseline watermarkers' parallel
-layer loops, and the attack/ablation experiment sweeps.  It combines three
-mechanisms:
+every EmMark pipeline in the repository: insertion and extraction, the
+ownership-verification entry points, and the attack/ablation experiment
+sweeps.  It combines three mechanisms:
 
 1. **Cached location plans** — scoring + seeded sub-sampling per layer is a
    pure function of its inputs, so the engine memoizes each
@@ -16,9 +15,12 @@ mechanisms:
    :func:`repro.core.scoring.select_candidates` kernel, which ranks with
    ``np.argpartition`` + a stable pool sort and keeps exclusions as boolean
    masks (see :mod:`repro.core.scoring`).
-3. **A parallel layer executor** — independent layers are scored, inserted
-   and matched concurrently on a configurable thread pool (NumPy releases the
-   GIL inside the heavy kernels).
+3. **A serial per-layer loop** — each call scores, inserts or reproduces its
+   layers one after another, in canonical layer order, on the caller's own
+   thread.  Per-layer NumPy work is too short to release the GIL, so a thread
+   pool would add hand-offs and no parallelism; concurrency lives one level
+   up, in the callers (the gauntlet's cell executors, the service's request
+   threads), which may share one engine and its thread-safe plan cache.
 
 On top of the single-model operations the engine exposes the batch serving
 API used by the "millions of users" verification workload:
@@ -38,9 +40,8 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,9 +89,6 @@ __all__ = [
 
 logger = get_logger("engine")
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 ModelGroup = Union[QuantizedModel, Sequence[QuantizedModel], Mapping[str, QuantizedModel]]
 #: What verification accepts in place of a key: the key itself, or its ticket.
 KeyLike = Union[WatermarkKey, VerificationTicket]
@@ -103,40 +101,15 @@ class EngineConfig:
 
     Attributes
     ----------
-    max_workers:
-        Thread-pool width for the per-layer fan-out.  ``None`` resolves to
-        the ``REPRO_ENGINE_WORKERS`` environment variable, falling back to
-        ``min(8, cpu_count)``; ``1`` forces fully serial execution.
     plan_cache_entries:
         Capacity of the LRU :class:`~repro.engine.cache.PlanCache`.
-    parallel_threshold:
-        Minimum number of independent work items before the thread pool is
-        engaged (tiny models aren't worth the dispatch overhead).
     """
 
-    max_workers: Optional[int] = None
     plan_cache_entries: int = 256
-    parallel_threshold: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1 (or None for auto)")
         if self.plan_cache_entries < 1:
             raise ValueError("plan_cache_entries must be >= 1")
-        if self.parallel_threshold < 2:
-            raise ValueError("parallel_threshold must be >= 2")
-
-    def resolved_workers(self) -> int:
-        """The worker count after applying the environment override."""
-        if self.max_workers is not None:
-            return self.max_workers
-        env = os.environ.get("REPRO_ENGINE_WORKERS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                logger.warning("ignoring non-integer REPRO_ENGINE_WORKERS=%r", env)
-        return max(1, min(8, os.cpu_count() or 1))
 
 
 def _named_items(group, prefix: str) -> List[Tuple[str, object]]:
@@ -312,7 +285,7 @@ class FleetVerificationSession:
 
 
 class WatermarkEngine:
-    """Shared cached + parallel execution engine for watermark pipelines.
+    """Shared cached execution engine for watermark pipelines.
 
     Parameters
     ----------
@@ -333,52 +306,13 @@ class WatermarkEngine:
         self.cache = (
             cache if cache is not None else PlanCache(max_entries=self.config.plan_cache_entries)
         )
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
         _live_engines.add(self)
 
-    # ------------------------------------------------------------------
-    # Parallel infrastructure
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Resolved thread-pool width."""
-        return self.config.resolved_workers()
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="wm-engine"
-                )
-            return self._executor
-
-    def map_layers(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> List[_R]:
-        """Apply ``fn`` to independent work items, in parallel when worthwhile.
-
-        Results preserve input order and the first raised exception propagates
-        unchanged, so callers observe serial semantics.  ``fn`` must not call
-        back into :meth:`map_layers` (nested fan-out on a bounded pool can
-        deadlock); the batch APIs therefore parallelize only at the layer
-        level.
-        """
-        items = list(items)
-        if self.workers <= 1 or len(items) < self.config.parallel_threshold:
-            return [fn(item) for item in items]
-        return list(self._pool().map(fn, items))
-
     def close(self) -> None:
-        """Shut down the thread pool (idempotent; the pool respawns on use)."""
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+        """No-op: an engine holds no threads or handles to release.
 
-    def __enter__(self) -> "WatermarkEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        Kept so callers that close their engines keep working.
+        """
 
     # ------------------------------------------------------------------
     # Location planning (cached)
@@ -504,7 +438,7 @@ class WatermarkEngine:
         occupied: "Optional[Union[SlotAllocator, Mapping[str, np.ndarray]]]" = None,
         owner: Optional[str] = None,
     ) -> Tuple[QuantizedModel, WatermarkKey, InsertionReport]:
-        """Insert an EmMark watermark into ``model`` (layers in parallel).
+        """Insert an EmMark watermark into ``model``, one layer at a time.
 
         Semantically identical to the paper pipeline (Section 4.1); see
         :func:`repro.core.insertion.insert_watermark` for the parameter
@@ -537,9 +471,10 @@ class WatermarkEngine:
             allocator_view = SlotAllocator(occupied=occupied)
         else:
             allocator_view = allocator
-        # Occupancy is snapshotted before planning: the parallel layer
-        # fan-out must see one consistent view, and the key must record the
-        # occupancy its plans were computed under (not the post-claim state).
+        # Occupancy is snapshotted before planning: every layer must see one
+        # consistent view (a concurrent caller may claim on the same
+        # allocator), and the key must record the occupancy its plans were
+        # computed under (not the post-claim state).
         occupancy_snapshot: Dict[str, np.ndarray] = (
             allocator_view.snapshot() if allocator_view is not None else {}
         )
@@ -569,33 +504,32 @@ class WatermarkEngine:
         watermarked = model if in_place else model.clone()
         reference_weights = model.integer_weight_snapshot()
 
-        def watermark_layer(name: str) -> Tuple[LocationPlan, float, int, int]:
-            # thread_time, not perf_counter: with concurrent layers a wall
-            # span would include the other workers' GIL and memory-bandwidth
-            # contention; Table 2's per-layer metric is the layer's own CPU
-            # cost, which must not depend on the worker count.
-            start = time.thread_time()
-            # This thread's own lookups: the engine-wide counters would also
-            # count concurrent insertions sharing the cache.
-            hits, misses = self.cache.thread_lookups()
-            layer = watermarked.get_layer(name)
-            layer_signature = per_layer_signature[name]
-            plan = self.plan_for_layer(
-                layer,
-                activations.channel_saliency(name),
-                layer_signature.size,
-                config,
-                occupied=occupancy_snapshot.get(name),
-            )
-            hits_after, misses_after = self.cache.thread_lookups()
-            layer.add_to_weights(plan.locations, layer_signature)
-            return plan, time.thread_time() - start, hits_after - hits, misses_after - misses
-
+        # This thread's own lookups: the engine-wide counters would also
+        # count concurrent callers' insertions sharing the cache.
+        hits, misses = self.cache.thread_lookups()
+        per_layer_seconds: List[float] = []
+        pool_sizes: Dict[str, int] = {}
+        locations: Dict[str, np.ndarray] = {}
         with span("engine.insert", model=model.config.name, layers=len(layer_names)):
-            results = self.map_layers(watermark_layer, layer_names)
-        per_layer_seconds = [seconds for _, seconds, _, _ in results]
-        pool_sizes = {name: plan.pool_size for name, (plan, *_) in zip(layer_names, results)}
-        locations = {name: plan.locations for name, (plan, *_) in zip(layer_names, results)}
+            for name in layer_names:
+                # thread_time, not perf_counter: a wall span would include
+                # concurrent callers' GIL and memory-bandwidth contention;
+                # Table 2's per-layer metric is the layer's own CPU cost.
+                start = time.thread_time()
+                layer = watermarked.get_layer(name)
+                layer_signature = per_layer_signature[name]
+                plan = self.plan_for_layer(
+                    layer,
+                    activations.channel_saliency(name),
+                    layer_signature.size,
+                    config,
+                    occupied=occupancy_snapshot.get(name),
+                )
+                layer.add_to_weights(plan.locations, layer_signature)
+                per_layer_seconds.append(time.thread_time() - start)
+                pool_sizes[name] = plan.pool_size
+                locations[name] = plan.locations
+        hits_after, misses_after = self.cache.thread_lookups()
 
         metadata: Dict[str, object] = {}
         if occupancy_snapshot:
@@ -646,14 +580,13 @@ class WatermarkEngine:
             per_layer_seconds=per_layer_seconds,
             candidate_pool_sizes=pool_sizes,
             wall_clock_seconds=time.perf_counter() - wall_start,
-            parallel_workers=self.workers,
-            cache_hits=sum(hits for _, _, hits, _ in results),
-            cache_misses=sum(misses for _, _, _, misses in results),
+            cache_hits=hits_after - hits,
+            cache_misses=misses_after - misses,
             ticket=ticket,
         )
         logger.debug(
             "inserted %d bits into %d layers of %s (%s INT%d) in %.3fs wall "
-            "(%.3fs per-layer CPU, %d workers, cache %d/%d hit/miss)",
+            "(%.3fs per-layer CPU, cache %d/%d hit/miss)",
             total_bits,
             len(layer_names),
             model.config.name,
@@ -661,7 +594,6 @@ class WatermarkEngine:
             model.bits,
             report.wall_clock_seconds,
             report.total_seconds,
-            report.parallel_workers,
             report.cache_hits,
             report.cache_misses,
         )
@@ -701,21 +633,18 @@ class WatermarkEngine:
         the insertion that created it) has been seen before.
         """
         occupied_slots = key.metadata.get("occupied_slots") or {}
-
-        def reproduce(name: str) -> Tuple[str, np.ndarray]:
-            layer_view = self._reference_layer_view(key, name)
-            occupied = occupied_slots.get(name)
-            plan = self.plan_for_layer(
-                layer_view,
-                key.activations.channel_saliency(name),
-                key.config.bits_per_layer,
-                key.config,
-                occupied=None if occupied is None else np.asarray(occupied, dtype=np.int64),
-            )
-            return name, plan.locations
-
+        locations: Dict[str, np.ndarray] = {}
         with span("engine.reproduce_locations", layers=len(key.layer_names)):
-            return dict(self.map_layers(reproduce, key.layer_names))
+            for name in key.layer_names:
+                occupied = occupied_slots.get(name)
+                locations[name] = self.plan_for_layer(
+                    self._reference_layer_view(key, name),
+                    key.activations.channel_saliency(name),
+                    key.config.bits_per_layer,
+                    key.config,
+                    occupied=None if occupied is None else np.asarray(occupied, dtype=np.int64),
+                ).locations
+        return locations
 
     def ticket_for(self, key: KeyLike, key_id: Optional[str] = None) -> VerificationTicket:
         """The one derivation of ``key``'s :class:`VerificationTicket` (a
@@ -811,8 +740,8 @@ class WatermarkEngine:
         or its :class:`~repro.engine.ticket.VerificationTicket`.
 
         Per-key work is done at most once: each key is turned into its
-        ticket a single time (cached plans, parallel layers, one fingerprint
-        hash per layer; nothing at all for a ticket), after which every
+        ticket a single time (cached plans, one fingerprint hash per layer;
+        nothing at all for a ticket), after which every
         suspect in the fleet is a pure integer-comparison pass against it.
 
         Parameters
@@ -912,10 +841,9 @@ class WatermarkEngine:
         in_place:
             Watermark the models directly instead of cloning.
 
-        Models are processed sequentially while each model's layers fan out
-        on the engine's thread pool (nesting both levels on one bounded pool
-        could deadlock); identical models sharing activations and config hit
-        the plan cache after the first insertion.
+        Models are processed sequentially, each through :meth:`insert`;
+        identical models sharing activations and config hit the plan cache
+        after the first insertion.
         """
         wall_start = time.perf_counter()
         model_items = _named_items(models, "model")
@@ -1060,7 +988,7 @@ class WatermarkEngine:
 # Fork hygiene
 # ----------------------------------------------------------------------
 #: Every engine ever constructed (weakly held) — forked children must reset
-#: their inherited executor/lock state, see :func:`_reset_engines_after_fork`.
+#: their inherited cache locks, see :func:`_reset_engines_after_fork`.
 _live_engines: "weakref.WeakSet[WatermarkEngine]" = weakref.WeakSet()
 
 
@@ -1068,21 +996,17 @@ def _reset_engines_after_fork() -> None:
     """Repair engine state inherited by a forked child.
 
     A ``fork()``-ed worker inherits every :class:`WatermarkEngine` object of
-    the parent, but none of the parent's threads: an inherited
-    ``ThreadPoolExecutor`` has workers that will never run again, and any
-    lock captured mid-acquire stays held forever.  Attacks running inside
-    process-pool gauntlet workers route through :func:`get_default_engine`
-    (e.g. re-watermarking inserts through it), so without this reset the
-    first engine call in a forked worker could hang.  Executors are dropped
-    (they respawn lazily with live threads) and locks are replaced; the plan
+    the parent, but none of the parent's threads, so any lock captured
+    mid-acquire stays held forever.  Attacks running inside process-pool
+    gauntlet workers route through :func:`get_default_engine` (e.g.
+    re-watermarking inserts through it), so without this reset the first
+    engine call in a forked worker could hang.  Locks are replaced; the plan
     caches' entries are kept — they are pure values, and warm plans are
     exactly what the worker wants.
     """
     global _default_engine_lock
     _default_engine_lock = threading.Lock()
     for engine in list(_live_engines):
-        engine._executor = None
-        engine._executor_lock = threading.Lock()
         engine.cache.reset_lock()
 
 

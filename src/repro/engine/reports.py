@@ -51,19 +51,17 @@ class InsertionReport:
         Number of quantization layers watermarked.
     per_layer_seconds:
         Time spent scoring + inserting each layer, in canonical layer order.
-        Measured with ``time.thread_time`` (the worker thread's own CPU
-        time), so the value is the layer's cost independent of how many
-        other layers ran concurrently; the entries do not sum to the elapsed
-        wall-clock time.
+        Measured with ``time.thread_time`` (the calling thread's own CPU
+        time), so the value is the layer's cost even while other callers
+        share the engine; the entries do not sum to the elapsed wall-clock
+        time.
     candidate_pool_sizes:
         Per-layer candidate pool ``|B_c|``.
     wall_clock_seconds:
-        Elapsed wall-clock time of the whole insertion, including any
-        parallel speedup.  Table 2 reports per-layer cost from
-        ``per_layer_seconds`` (honest regardless of worker count) while this
+        Elapsed wall-clock time of the whole insertion, including the
+        signature, clone and key construction around the layer loop.
+        Table 2 reports per-layer cost from ``per_layer_seconds`` while this
         field carries the actually-observed latency.
-    parallel_workers:
-        Number of executor workers the engine used (1 = serial).
     cache_hits, cache_misses:
         Location-plan lookups this insertion made (one per layer), counted
         apart from any concurrent insertion sharing the cache.
@@ -78,7 +76,6 @@ class InsertionReport:
     per_layer_seconds: List[float]
     candidate_pool_sizes: Dict[str, int]
     wall_clock_seconds: float = 0.0
-    parallel_workers: int = 1
     cache_hits: int = 0
     cache_misses: int = 0
     ticket: Optional[VerificationTicket] = field(
@@ -90,14 +87,9 @@ class InsertionReport:
         """Summed per-layer CPU time spent scoring and inserting.
 
         This is the Table 2 quantity (per-layer cost × layers); see
-        :attr:`wall_clock_seconds` for the elapsed latency under parallelism.
+        :attr:`wall_clock_seconds` for the elapsed latency.
         """
         return float(sum(self.per_layer_seconds))
-
-    @property
-    def cpu_seconds(self) -> float:
-        """Alias of :attr:`total_seconds`, named for contrast with wall clock."""
-        return self.total_seconds
 
     @property
     def mean_seconds_per_layer(self) -> float:
@@ -105,13 +97,6 @@ class InsertionReport:
         if not self.per_layer_seconds:
             return 0.0
         return float(np.mean(self.per_layer_seconds))
-
-    @property
-    def parallel_speedup(self) -> float:
-        """Summed per-layer CPU time divided by elapsed wall-clock time."""
-        if self.wall_clock_seconds <= 0:
-            return 1.0
-        return self.total_seconds / self.wall_clock_seconds
 
 
 @dataclass

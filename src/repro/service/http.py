@@ -405,7 +405,8 @@ class AsyncHttpServer:
             raise HttpError(400, "request body must be JSON")
         try:
             parsed = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack allows.
             raise HttpError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(parsed, dict):
             raise HttpError(400, "JSON body must be an object")

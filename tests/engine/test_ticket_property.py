@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EmMarkConfig
-from repro.engine import EngineConfig, WatermarkEngine
+from repro.engine import WatermarkEngine
 from repro.quant.api import quantize_model
 from repro.quant.base import QuantizedLinear
 from repro.robustness import build_attack
@@ -219,9 +219,8 @@ def test_insert_ticket_equals_ticket_for(
 def test_insert_counts_only_its_own_lookups(bases, activation_stats):
     """Concurrent insertions on one engine each report one lookup per layer."""
     model = bases["awq-4"]
-    # More pool workers than cores, and frequent thread switches, so the two
-    # insertions' layer lookups interleave.
-    engine = WatermarkEngine(EngineConfig(max_workers=4))
+    # Frequent thread switches, so the two callers' layer lookups interleave.
+    engine = WatermarkEngine()
     reports = []
     errors = []
 
@@ -251,4 +250,16 @@ def test_insert_counts_only_its_own_lookups(bases, activation_stats):
     for report in reports:
         assert report.cache_hits + report.cache_misses == report.num_layers
         assert report.cache_misses == report.num_layers  # every seed is new
-    engine.close()
+
+
+def test_cold_engine_calls_start_no_thread(bases, activation_stats):
+    """A cold insert and a cold ticket derivation run on the caller's thread."""
+    model = bases["awq-4"]
+    config = EmMarkConfig.scaled_for_model(model, bits_per_layer=4, seed=977)
+    before = set(threading.enumerate())
+    _, key, report = WatermarkEngine().insert(model, activation_stats, config=config)
+    WatermarkEngine().ticket_for(key)
+    after = set(threading.enumerate())
+    assert report.cache_misses == report.num_layers > 1  # both calls planned cold
+    assert after - before == set()
+    assert not [t.name for t in after if t.name.startswith("wm-engine")]

@@ -130,11 +130,11 @@ class TestDigestEquality:
         self, awq_subject, small_dataset
     ):
         """Fork hygiene: a forked worker inherits the parent's default engine
-        — thread pool and all — and re-watermarking inserts through it.  With
-        a deliberately warmed (live-threaded) parent pool, the run still
-        completes because the at-fork reset drops the dead executor."""
-        engine = get_default_engine()
-        engine._pool()  # force a live ThreadPoolExecutor in the parent
+        — plan cache, locks and all — and re-watermarking inserts through
+        it.  With a deliberately warmed parent engine, the run still
+        completes because the at-fork reset replaces the inherited locks."""
+        # Warm the parent's default engine: its lock and cache are in use.
+        get_default_engine().reproduce_locations(awq_subject.key)
         report = run_gauntlet(
             {"awq": awq_subject},
             [build_attack("rewatermark", calibration_corpus=small_dataset.calibration)],

@@ -67,6 +67,24 @@ class TestBasicEndpoints:
             client._request("POST", "/v1/register", {"owner": "x"})
         assert excinfo.value.status == 400
 
+    def test_deeply_nested_json_is_400(self, server_handle):
+        """Nesting past the JSON parser's recursion limit is a bad body, not a 500."""
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", server_handle.port, timeout=10)
+        try:
+            conn.request(
+                "POST", "/v1/verify", body=b"[" * 100000,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert payload["error"]["message"].startswith("invalid JSON body")
+
 
 class TestIntegerFieldsRejected:
     """An integer field sent with a float dtype is a 400, not a truncation."""
