@@ -12,7 +12,8 @@ This package turns the library-level ownership checks into a serving system:
   :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` sweeps) and
   :class:`TokenBucket` admission control.
 * :mod:`repro.service.server` — :class:`VerificationServer`, an asyncio
-  JSON-over-HTTP server (stdlib only) with a ``/v1`` surface —
+  HTTP server (stdlib only; JSON, and binary frames for uploads) with a
+  ``/v1`` surface —
   register, upload, verify, revoke, background robustness jobs, health,
   stats and metrics — plus a structured audit log of every ownership
   decision.
@@ -20,8 +21,8 @@ This package turns the library-level ownership checks into a serving system:
   client used by the examples, tests and load generator.
 * :mod:`repro.service.loadgen` — an llm-load-test-style closed-loop load
   generator (:func:`run_load`) producing throughput and latency percentiles.
-* :mod:`repro.service.codec` — base64-NPZ wire / directory codecs for keys
-  and quantized models.
+* :mod:`repro.service.codec` — NPZ wire / directory codecs for keys and
+  quantized models, and the binary request frame that carries them.
 
 Quickstart
 ----------

@@ -4,6 +4,13 @@ One :class:`VerificationClient` wraps one keep-alive HTTP connection, so a
 closed-loop load-generator worker holds exactly one client and reuses the
 socket across its whole request stream.  Instances are **not** thread-safe —
 give each thread its own client.
+
+A request that carries a key or a model (:meth:`~VerificationClient.register_key`,
+:meth:`~VerificationClient.upload_suspect`, an inline
+:meth:`~VerificationClient.verify`) goes out as one binary frame of media
+type :data:`~repro.service.codec.WIRE_MEDIA_TYPE`: the request's scalars as
+a small JSON head, then the packed archive as raw bytes, with no base64 and
+no JSON string around it.  Every other request, and every reply, is JSON.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.core.keys import WatermarkKey
 from repro.quant.base import QuantizedModel
-from repro.service.codec import key_to_wire, model_to_wire
+from repro.service.codec import encode_body, key_to_wire, model_to_wire
 
 __all__ = [
     "ServiceError",
@@ -67,7 +74,10 @@ class ServiceUnavailableError(ServiceError):
 
 
 class VerificationClient:
-    """Minimal JSON client for :class:`~repro.service.server.VerificationServer`.
+    """Minimal client for :class:`~repro.service.server.VerificationServer`.
+
+    Requests that carry a key or a model travel as binary frames, the rest
+    and every reply as JSON (see the module docstring).
 
     Parameters
     ----------
@@ -97,8 +107,7 @@ class VerificationClient:
         payload = None
         headers = {"Connection": "keep-alive"}
         if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+            payload, headers["Content-Type"] = encode_body(body)
         conn = self._connection()
         try:
             conn.request(method, path, body=payload, headers=headers)

@@ -1,11 +1,11 @@
 """Wire and on-disk codecs for keys and quantized models.
 
-The verification service speaks JSON, but watermark keys and suspect models
-are mostly bulk numeric state.  The codec therefore uses a two-part envelope:
+Keys and suspect models are mostly bulk numeric state.  The codec therefore
+splits each into a two-part wire object:
 
 * ``meta`` — plain JSON scalars (config, layer order, grid bits, …),
 * ``arrays`` — every NumPy array packed into one ``.npz`` archive with
-  uncompressed (``ZIP_STORED``) members, transported as base64 text.
+  uncompressed (``ZIP_STORED``) members, as raw bytes.
 
 The archive holds one member per distinct dtype, named by the dtype
 (``|i1``, ``<f8``, …): the arrays of that dtype flattened and concatenated
@@ -15,6 +15,19 @@ members instead of one per array.  Decoding checks the layout strictly and
 returns each array as a view into its member.  An archive without a
 ``layout`` member is an older one-member-per-array archive and decodes as
 it is.
+
+A request that carries a key or a model travels as one binary frame of
+media type :data:`WIRE_MEDIA_TYPE` (:func:`encode_body` /
+:func:`decode_frame`): a 4-byte big-endian head length, a UTF-8 JSON head
+(the request object, its one wire object without ``arrays``) and the raw
+archive.  The frame is checked strictly — the length must fit the body, the
+head must be a UTF-8 JSON object (too deep a nesting is refused, not
+recursed into) with exactly one wire object lacking ``arrays``, and the
+archive must not be empty — so a malformed frame is a :class:`ValueError`
+before anything is decoded.  The head is bounded only by the body, as a
+JSON request is: a co-resident key's head lists every slot its earlier
+owners hold, which no fixed cap below the body limit fits.  Requests without bulk state stay plain JSON.  A JSON request
+whose ``arrays`` is base64 text (the older wire form) still decodes.
 
 Integer fields (quantized weights, reference weights, outlier columns, the
 signature) are written in the smallest signed dtype that holds their values
@@ -41,9 +54,10 @@ import base64
 import io
 import json
 import math
+import struct
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -60,8 +74,11 @@ from repro.utils.serialization import (
 )
 
 __all__ = [
-    "arrays_to_b64",
-    "b64_to_arrays",
+    "WIRE_MEDIA_TYPE",
+    "decode_frame",
+    "encode_body",
+    "pack_arrays",
+    "unpack_arrays",
     "key_to_wire",
     "key_from_wire",
     "model_to_payload",
@@ -84,15 +101,23 @@ _LAYER_FIELDS = ("weight_int", "scale", "bias", "smoothing", "outlier_columns", 
 #: Name of the packed archive's layout member (never a dtype string).
 _LAYOUT = "layout"
 
+#: Media type of a request framed by :func:`encode_body`.
+WIRE_MEDIA_TYPE = "application/vnd.repro.wire"
+
+#: Request members that hold a wire object (``{"meta", "arrays"}``).
+_WIRE_SLOTS = ("model", "key")
+
+_FRAME_PREFIX = struct.Struct(">I")
+
 
 # ----------------------------------------------------------------------
 # Array transport
 # ----------------------------------------------------------------------
-def arrays_to_b64(arrays: Dict[str, np.ndarray]) -> str:
-    """Pack named arrays into one stored NPZ archive, base64-encoded.
+def pack_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
+    """Pack named arrays into one stored NPZ archive.
 
     The archive holds one flat member per distinct dtype plus the ``layout``
-    member that :func:`b64_to_arrays` splits them back by.
+    member that :func:`unpack_arrays` splits them back by.
     """
     groups: Dict[str, List[np.ndarray]] = {}
     layout = []
@@ -104,30 +129,92 @@ def arrays_to_b64(arrays: Dict[str, np.ndarray]) -> str:
     members[_LAYOUT] = np.frombuffer(json.dumps(layout).encode("utf-8"), dtype=np.uint8)
     buffer = io.BytesIO()
     np.savez(buffer, **members)
-    return base64.b64encode(buffer.getvalue()).decode("ascii")
+    return buffer.getvalue()
 
 
-def b64_to_arrays(encoded: str) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`arrays_to_b64`: ``{name: array}`` in layout order.
+def unpack_arrays(archive: Union[bytes, str]) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`pack_arrays`: ``{name: array}`` in layout order.
 
-    Raises :class:`ValueError` on anything that is not a valid base64 NPZ
-    archive (truncated upload, wrong encoding, pickled payload) or whose
-    layout does not split its members exactly.
+    ``archive`` is the raw archive, or the base64 text of one (the older
+    JSON wire form).  Raises :class:`ValueError` on anything that is not a
+    valid NPZ archive (truncated upload, wrong encoding, pickled payload) or
+    whose layout does not split its members exactly.
     """
-    if not isinstance(encoded, str):
-        raise ValueError(f"array payload must be a base64 string, got {type(encoded).__name__}")
+    if isinstance(archive, str):
+        try:
+            archive = base64.b64decode(archive.encode("ascii"), validate=True)
+        except Exception as exc:
+            raise ValueError(f"payload is not valid base64: {exc}") from exc
+    if not isinstance(archive, bytes):
+        raise ValueError(
+            f"array payload must be archive bytes or base64 text, got {type(archive).__name__}"
+        )
     try:
-        raw = base64.b64decode(encoded.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise ValueError(f"payload is not valid base64: {exc}") from exc
-    try:
-        with np.load(io.BytesIO(raw), allow_pickle=False) as handle:
+        with np.load(io.BytesIO(archive), allow_pickle=False) as handle:
             members = {name: handle[name] for name in handle.files}
     except Exception as exc:
         raise ValueError(f"payload is not a valid npz archive: {exc}") from exc
     if _LAYOUT not in members:
         return members  # an older archive: one member per array
     return _unpack(members.pop(_LAYOUT), members)
+
+
+# ----------------------------------------------------------------------
+# Request frames
+# ----------------------------------------------------------------------
+def encode_body(request: Mapping[str, object]) -> Tuple[bytes, str]:
+    """``(body, media type)`` of one request object.
+
+    A request whose wire object (``model`` or ``key``) carries archive bytes
+    becomes a :data:`WIRE_MEDIA_TYPE` frame; any other request is JSON.
+    """
+    slots = [
+        slot for slot in _WIRE_SLOTS
+        if isinstance(request.get(slot), dict) and isinstance(request[slot].get("arrays"), bytes)
+    ]
+    if not slots:
+        return json.dumps(request).encode("utf-8"), "application/json"
+    if len(slots) > 1:
+        raise ValueError(f"a frame carries one archive, not {len(slots)} ({slots})")
+    slot = slots[0]
+    wire = request[slot]
+    head = {**request, slot: {name: value for name, value in wire.items() if name != "arrays"}}
+    text = json.dumps(head).encode("utf-8")
+    return b"".join((_FRAME_PREFIX.pack(len(text)), text, wire["arrays"])), WIRE_MEDIA_TYPE
+
+
+def decode_frame(body: bytes) -> Dict[str, object]:
+    """The request object of a :func:`encode_body` frame.
+
+    The archive goes back into the one wire object that lacks ``arrays``,
+    as raw bytes for :func:`model_from_wire` / :func:`key_from_wire`.  Any
+    framing fault (see the module docstring) is a :class:`ValueError`.
+    """
+    if len(body) < _FRAME_PREFIX.size:
+        raise ValueError(f"frame of {len(body)} bytes has no 4-byte length prefix")
+    (length,) = _FRAME_PREFIX.unpack_from(body)
+    end = _FRAME_PREFIX.size + length
+    if end > len(body):
+        raise ValueError(f"frame head of {length} bytes runs past the {len(body)}-byte body")
+    try:
+        head = json.loads(body[_FRAME_PREFIX.size:end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"frame head is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(head, dict):
+        raise ValueError("frame head must be a JSON object")
+    slots = [
+        slot for slot in _WIRE_SLOTS
+        if isinstance(head.get(slot), dict) and "arrays" not in head[slot]
+    ]
+    if len(slots) != 1:
+        raise ValueError(
+            f"frame head must hold exactly one wire object without 'arrays', got {slots}"
+        )
+    archive = body[end:]
+    if not archive:
+        raise ValueError("frame carries an empty archive")
+    head[slots[0]]["arrays"] = archive
+    return head
 
 
 def _unpack(layout_bytes: np.ndarray, members: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -199,16 +286,18 @@ def _narrow_integers(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 # Watermark keys
 # ----------------------------------------------------------------------
 def key_to_wire(key: WatermarkKey) -> Dict[str, object]:
-    """JSON-able wire form of a watermark key."""
+    """Wire object of a watermark key: JSON-able ``meta`` plus the packed
+    archive as raw bytes in ``arrays`` (sent framed, see :func:`encode_body`)."""
     meta, arrays = key.to_payload()
-    return {"meta": to_jsonable(meta), "arrays": arrays_to_b64(_narrow_integers(arrays))}
+    return {"meta": to_jsonable(meta), "arrays": pack_arrays(_narrow_integers(arrays))}
 
 
 def key_from_wire(wire: Dict[str, object]) -> WatermarkKey:
-    """Rebuild a :class:`WatermarkKey` from :func:`key_to_wire` output."""
+    """Rebuild a :class:`WatermarkKey` from :func:`key_to_wire` output (or
+    its older form, with ``arrays`` as base64 text)."""
     if not isinstance(wire, dict) or "meta" not in wire or "arrays" not in wire:
         raise ValueError("key payload must be an object with 'meta' and 'arrays'")
-    return WatermarkKey.from_payload(wire["meta"], b64_to_arrays(wire["arrays"]))
+    return WatermarkKey.from_payload(wire["meta"], unpack_arrays(wire["arrays"]))
 
 
 # ----------------------------------------------------------------------
@@ -301,16 +390,18 @@ def model_from_payload(
 
 
 def model_to_wire(model: QuantizedModel) -> Dict[str, object]:
-    """JSON-able wire form of a quantized model."""
+    """Wire object of a quantized model: JSON-able ``meta`` plus the packed
+    archive as raw bytes in ``arrays`` (sent framed, see :func:`encode_body`)."""
     meta, arrays = model_to_payload(model)
-    return {"meta": to_jsonable(meta), "arrays": arrays_to_b64(_narrow_integers(arrays))}
+    return {"meta": to_jsonable(meta), "arrays": pack_arrays(_narrow_integers(arrays))}
 
 
 def model_from_wire(wire: Dict[str, object]) -> QuantizedModel:
-    """Rebuild a :class:`QuantizedModel` from :func:`model_to_wire` output."""
+    """Rebuild a :class:`QuantizedModel` from :func:`model_to_wire` output
+    (or its older form, with ``arrays`` as base64 text)."""
     if not isinstance(wire, dict) or "meta" not in wire or "arrays" not in wire:
         raise ValueError("model payload must be an object with 'meta' and 'arrays'")
-    return model_from_payload(wire["meta"], b64_to_arrays(wire["arrays"]))
+    return model_from_payload(wire["meta"], unpack_arrays(wire["arrays"]))
 
 
 def save_model(model: QuantizedModel, directory: PathLike) -> Path:

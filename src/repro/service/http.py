@@ -14,6 +14,13 @@ and a closed connection), keep-alive connections, no TLS, chunked
 transfer-encoding only where a handler returns a :class:`StreamingResponse`
 — the stdlib-only constraint rules out real frameworks, and the interesting
 engineering lives behind the routes, not in header parsing.
+
+Request bodies come in two forms, told apart by ``Content-Type`` in one
+place, :meth:`AsyncHttpServer._route`: a binary frame
+(:data:`~repro.service.codec.WIRE_MEDIA_TYPE`, a request carrying a key or a
+model) is decoded there into the request object, with the archive bytes in
+its wire object; any other body stays bytes until a handler asks
+:meth:`AsyncHttpServer._payload` for it, which parses it as JSON.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ import time
 from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
+from repro.service.codec import WIRE_MEDIA_TYPE, decode_frame
 from repro.utils.logging import get_logger
 
 __all__ = [
     "AsyncHttpServer",
     "HttpError",
+    "RequestBody",
     "Route",
     "StreamingResponse",
     "error_envelope",
@@ -38,6 +47,10 @@ logger = get_logger("service.http")
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 256 * 1024 * 1024
+
+#: What a handler receives: raw body bytes, or the request object of a
+#: binary frame that :meth:`AsyncHttpServer._route` already decoded.
+RequestBody = Union[bytes, Dict[str, object]]
 
 #: Reason phrases for every status the service can answer with.
 REASONS = {
@@ -246,7 +259,9 @@ class AsyncHttpServer:
                 started = time.perf_counter()
                 response: Union[Tuple[int, object, Dict[str, str]], StreamingResponse]
                 try:
-                    response = await self._route(method, path, body)
+                    response = await self._route(
+                        method, path, body, headers.get("content-type", "")
+                    )
                 except HttpError as exc:
                     response = (
                         exc.status,
@@ -400,7 +415,10 @@ class AsyncHttpServer:
                 await aclose()
 
     @staticmethod
-    def _json_body(body: bytes) -> Dict[str, object]:
+    def _payload(body: RequestBody) -> Dict[str, object]:
+        """The request object: a decoded frame as it is, a body parsed as JSON."""
+        if isinstance(body, dict):
+            return body
         if not body:
             raise HttpError(400, "request body must be JSON")
         try:
@@ -414,7 +432,7 @@ class AsyncHttpServer:
 
     # -- routing ----------------------------------------------------------
     async def _route(
-        self, method: str, target: str, body: bytes
+        self, method: str, target: str, body: bytes, content_type: str
     ) -> Union[Tuple[int, object, Dict[str, str]], StreamingResponse]:
         parts = urlsplit(target)
         path = parts.path
@@ -429,7 +447,15 @@ class AsyncHttpServer:
             path_matched = True
             if route.method != method:
                 continue
-            result = route.handler(body, params, query)
+            request: RequestBody = body
+            if content_type.partition(";")[0].strip().lower() == WIRE_MEDIA_TYPE:
+                # Framing is checked here, before any handler decodes,
+                # admits or stores anything.
+                try:
+                    request = decode_frame(body)
+                except ValueError as exc:
+                    raise HttpError(400, f"invalid wire frame: {exc}") from exc
+            result = route.handler(request, params, query)
             if asyncio.iscoroutine(result):
                 result = await result
             if isinstance(result, StreamingResponse):

@@ -83,6 +83,7 @@ from repro.service.http import (
     REASONS as _REASONS,
     AsyncHttpServer,
     HttpError as _HttpError,
+    RequestBody as _RequestBody,
     Route as _Route,
     StreamingResponse as _StreamingResponse,
     error_envelope as _error_envelope,
@@ -699,10 +700,16 @@ class VerificationServer(AsyncHttpServer):
         )
         return 200, {"audit": report.to_dict()}
 
-    async def _handle_register(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
-        payload = self._json_body(body)
+    async def _handle_register(self, body: _RequestBody, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
+        payload = self._payload(body)
         if "key" not in payload:
             raise _HttpError(400, "missing 'key' payload")
+        owner = payload.get("owner", "")
+        if not isinstance(owner, str):
+            raise _HttpError(400, "'owner' must be a string")
+        metadata = payload.get("metadata")
+        if metadata is not None and not isinstance(metadata, dict):
+            raise _HttpError(400, "'metadata' must be a JSON object")
         loop = asyncio.get_running_loop()
         try:
             # NPZ decode and registry persistence are CPU/disk bound — keep
@@ -713,11 +720,7 @@ class VerificationServer(AsyncHttpServer):
             raise _HttpError(400, f"invalid key payload: {exc}") from exc
         record = await loop.run_in_executor(
             None,
-            lambda: self.registry.register(
-                key,
-                owner=str(payload.get("owner", "")),
-                metadata=payload.get("metadata") or {},
-            ),
+            lambda: self.registry.register(key, owner=owner, metadata=metadata or {}),
         )
         return 200, {"registered": record.to_dict()}
 
@@ -729,8 +732,8 @@ class VerificationServer(AsyncHttpServer):
             raise _HttpError(404, str(exc)) from exc
         return 200, {"revoked": record.to_dict()}
 
-    async def _handle_suspects(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
-        payload = self._json_body(body)
+    async def _handle_suspects(self, body: _RequestBody, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
+        payload = self._payload(body)
         if "model" not in payload:
             raise _HttpError(400, "missing 'model' payload")
         rank = payload.get("rank", False)
@@ -863,10 +866,10 @@ class VerificationServer(AsyncHttpServer):
                 retry_after=1.0,
             )
 
-    async def _handle_verify(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
+    async def _handle_verify(self, body: _RequestBody, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object]]:
         if not self.bucket.try_acquire():
             raise _HttpError(429, "rate limit exceeded, retry later", retry_after=1.0)
-        payload = self._json_body(body)
+        payload = self._payload(body)
         thresholds = _thresholds(payload)
         suspect_id, suspect = await self._resolve_suspect(payload)
         key_ids = payload.get("key_ids")
@@ -935,7 +938,7 @@ class VerificationServer(AsyncHttpServer):
             "verify_ms": outcome.verify_seconds * 1000.0,
         }
 
-    async def _parse_gauntlet_request(self, body: bytes) -> _GauntletRequest:
+    async def _parse_gauntlet_request(self, body: _RequestBody) -> _GauntletRequest:
         """Validate + admit one ``POST /v1/jobs/robustness`` request.
 
         Performs the whole admission pipeline: whole-server token bucket,
@@ -952,7 +955,7 @@ class VerificationServer(AsyncHttpServer):
 
         if not self.bucket.try_acquire():
             raise _HttpError(429, "rate limit exceeded, retry later", retry_after=1.0)
-        payload = self._json_body(body)
+        payload = self._payload(body)
         config_kwargs: Dict[str, object] = _thresholds(payload)
         suspect_id, suspect = await self._resolve_suspect(payload)
         # One key per sweep: each (attack, strength) cell attacks the suspect
@@ -1083,7 +1086,7 @@ class VerificationServer(AsyncHttpServer):
     # ------------------------------------------------------------------
     # Robustness jobs (POST /v1/jobs/robustness and friends)
     # ------------------------------------------------------------------
-    async def _handle_job_submit(self, body: bytes, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object], Dict[str, str]]:
+    async def _handle_job_submit(self, body: _RequestBody, _params: Dict[str, str], _query) -> Tuple[int, Dict[str, object], Dict[str, str]]:
         """Run the robustness gauntlet on a stored suspect against one key
         as a background job; answers 202 + job id.
 

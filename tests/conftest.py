@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -154,11 +155,17 @@ MALFORMED_LAYOUT_CASES = (
 )
 
 
-def malformed_layout_archive(encoded, case):
-    """The packed wire archive ``encoded`` (base64) re-packed with its layout
-    or members broken as ``case`` names (one of
+def legacy_wire(wire):
+    """``wire`` (a ``model_to_wire`` / ``key_to_wire`` object) in the older
+    JSON form, its archive as base64 text."""
+    return {**wire, "arrays": base64.b64encode(wire["arrays"]).decode("ascii")}
+
+
+def malformed_layout_archive(archive, case):
+    """The packed wire ``archive`` (bytes) re-packed with its layout or
+    members broken as ``case`` names (one of
     :data:`MALFORMED_LAYOUT_CASES`); the other entries stay intact."""
-    with np.load(io.BytesIO(base64.b64decode(encoded)), allow_pickle=False) as handle:
+    with np.load(io.BytesIO(archive), allow_pickle=False) as handle:
         members = {name: handle[name] for name in handle.files}
     layout = json.loads(members.pop("layout").tobytes())
     name, dtype, shape = layout[0]
@@ -182,7 +189,50 @@ def malformed_layout_archive(encoded, case):
     members["layout"] = np.frombuffer(text, dtype=np.uint8)
     buffer = io.BytesIO()
     np.savez(buffer, **members)
-    return base64.b64encode(buffer.getvalue()).decode("ascii")
+    return buffer.getvalue()
+
+
+#: Framing faults of a binary request, each with the words its refusal names.
+MALFORMED_FRAME_CASES = {
+    "shorter than the prefix": "length prefix",
+    "length past the end": "runs past",
+    "head not utf-8": "not UTF-8 JSON",
+    "head not json": "not UTF-8 JSON",
+    "head nested too deep": "recursion depth",
+    "head not an object": "must be a JSON object",
+    "no wire object": "exactly one wire object",
+    "no wire object lacking arrays": "exactly one wire object",
+    "two wire objects lacking arrays": "exactly one wire object",
+    "empty archive": "empty archive",
+}
+
+
+def malformed_frame(request, case):
+    """The binary frame of ``request`` (one wire object carrying archive
+    bytes) broken as ``case`` names (a key of :data:`MALFORMED_FRAME_CASES`).
+    Every other part of the frame stays well formed."""
+    slot, other = ("model", "key") if "model" in request else ("key", "model")
+    archive = request[slot]["arrays"]
+    head = {**request, slot: {"meta": request[slot]["meta"]}}
+    if case == "no wire object":
+        del head[slot]
+    elif case == "no wire object lacking arrays":
+        head[slot]["arrays"] = ""
+    elif case == "two wire objects lacking arrays":
+        head[other] = {"meta": {}}
+    elif case == "empty archive":
+        archive = b""
+    text = {
+        "head not utf-8": b'{"\xff": 1}',
+        "head not json": b"{not json",
+        "head not an object": b"[1, 2]",
+        "head nested too deep": b"[" * 100_000,
+    }.get(case, json.dumps(head).encode("utf-8"))
+    if case == "length past the end":
+        # A truncated upload: the body ends inside the head it announces.
+        return struct.pack(">I", len(text)) + text[: len(text) // 2]
+    body = struct.pack(">I", len(text)) + text + archive
+    return body[:3] if case == "shorter than the prefix" else body
 
 
 def malformed_key_payload(key, case):

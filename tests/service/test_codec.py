@@ -3,6 +3,9 @@
 import base64
 import dataclasses
 import io
+import json
+import struct
+import time
 import zipfile
 
 import numpy as np
@@ -16,20 +19,29 @@ from repro.engine import WatermarkEngine
 from repro.quant.api import quantize_model
 from repro.quant.base import QuantizedLinear
 from repro.service.codec import (
-    arrays_to_b64,
-    b64_to_arrays,
+    WIRE_MEDIA_TYPE,
+    decode_frame,
+    encode_body,
     key_from_wire,
     key_to_wire,
     load_model,
     model_from_wire,
     model_to_payload,
     model_to_wire,
+    pack_arrays,
     save_model,
+    unpack_arrays,
 )
 from repro.service.registry import KeyRegistry
 from repro.service.server import _model_content_id
 from repro.utils.serialization import save_json, save_npz, to_jsonable
-from tests.conftest import MALFORMED_LAYOUT_CASES, malformed_layout_archive
+from tests.conftest import (
+    MALFORMED_FRAME_CASES,
+    MALFORMED_LAYOUT_CASES,
+    legacy_wire,
+    malformed_frame,
+    malformed_layout_archive,
+)
 
 #: Every dtype the packed wire is exercised with.
 _WIRE_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint64, np.float32, np.float64, np.bool_)
@@ -47,6 +59,28 @@ def _array_dicts(draw):
         elements = st.integers(0, 2**63 - 1) if dtype == np.uint64 else None
         arrays[name] = draw(hnp.arrays(dtype, shape, elements=elements))
     return arrays
+
+
+#: JSON values as a frame head carries them (lists, not tuples; no NaN).
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _framed_requests(draw):
+    """A request object with one wire object carrying archive bytes, plus
+    arbitrary JSON scalars and containers beside it."""
+    slot = draw(st.sampled_from(["model", "key"]))
+    others = draw(
+        st.dictionaries(st.text(max_size=8).filter(lambda k: k not in ("model", "key")),
+                        _JSON_VALUES, max_size=4)
+    )
+    meta = draw(st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4))
+    archive = draw(st.binary(min_size=1, max_size=64))
+    return {**others, slot: {"meta": meta, "arrays": archive}}
 
 
 #: Values at and just past each narrow dtype's range, and ±2**40 past int32.
@@ -92,26 +126,36 @@ class TestArrayTransport:
             "a": np.arange(12, dtype=np.int64).reshape(3, 4),
             "b/nested": np.linspace(0, 1, 7),
         }
-        decoded = b64_to_arrays(arrays_to_b64(arrays))
+        decoded = unpack_arrays(pack_arrays(arrays))
         assert set(decoded) == {"a", "b/nested"}
         np.testing.assert_array_equal(decoded["a"], arrays["a"])
         np.testing.assert_allclose(decoded["b/nested"], arrays["b/nested"])
 
+    def test_base64_text_decodes_like_the_bytes(self):
+        arrays = {"a": np.arange(6, dtype=np.int8), "b": np.ones((2, 2))}
+        archive = pack_arrays(arrays)
+        for decoded in (unpack_arrays(archive), unpack_arrays(base64.b64encode(archive).decode())):
+            assert list(decoded) == ["a", "b"]
+            for name, value in arrays.items():
+                np.testing.assert_array_equal(decoded[name], value)
+
     def test_rejects_bad_base64(self):
         with pytest.raises(ValueError, match="base64"):
-            b64_to_arrays("!!! not base64 !!!")
+            unpack_arrays("!!! not base64 !!!")
 
     def test_rejects_non_npz(self):
-        import base64
-
         with pytest.raises(ValueError, match="npz"):
-            b64_to_arrays(base64.b64encode(b"plain bytes").decode())
+            unpack_arrays(base64.b64encode(b"plain bytes").decode())
+        with pytest.raises(ValueError, match="npz"):
+            unpack_arrays(b"plain bytes")
+        with pytest.raises(ValueError, match="npz"):
+            unpack_arrays(b"")
 
-    def test_rejects_non_string_payload(self):
-        with pytest.raises(ValueError, match="base64 string"):
-            b64_to_arrays(123)
-        with pytest.raises(ValueError, match="base64 string"):
-            b64_to_arrays(["nested"])
+    def test_rejects_non_archive_payload(self):
+        with pytest.raises(ValueError, match="archive bytes or base64 text"):
+            unpack_arrays(123)
+        with pytest.raises(ValueError, match="archive bytes or base64 text"):
+            unpack_arrays(["nested"])
 
 
 class TestPackedArchive:
@@ -120,21 +164,21 @@ class TestPackedArchive:
     @settings(max_examples=80, deadline=None)
     @given(arrays=_array_dicts())
     def test_mixed_dicts_round_trip(self, arrays):
-        encoded = arrays_to_b64(arrays)
-        decoded = b64_to_arrays(encoded)
+        encoded = pack_arrays(arrays)
+        decoded = unpack_arrays(encoded)
         assert list(decoded) == list(arrays)
         for name, value in arrays.items():
             assert decoded[name].dtype == value.dtype
             assert decoded[name].shape == value.shape
             np.testing.assert_array_equal(decoded[name], value)
-        with zipfile.ZipFile(io.BytesIO(base64.b64decode(encoded))) as archive:
+        with zipfile.ZipFile(io.BytesIO(encoded)) as archive:
             members = sorted(archive.namelist())
         dtypes = {value.dtype.str for value in arrays.values()}
         assert members == sorted(f"{name}.npy" for name in dtypes | {"layout"})
 
     def test_model_travels_as_three_members(self, subjects):
         watermarked, _ = subjects["rtn8"]
-        raw = base64.b64decode(model_to_wire(watermarked)["arrays"])
+        raw = model_to_wire(watermarked)["arrays"]
         with zipfile.ZipFile(io.BytesIO(raw)) as archive:
             assert sorted(archive.namelist()) == ["<f8.npy", "layout.npy", "|i1.npy"]
 
@@ -143,7 +187,68 @@ class TestPackedArchive:
         watermarked, _ = watermarked_and_key
         encoded = malformed_layout_archive(model_to_wire(watermarked)["arrays"], case)
         with pytest.raises(ValueError, match="wire (layout|member)"):
-            b64_to_arrays(encoded)
+            unpack_arrays(encoded)
+
+
+class TestRequestFrame:
+    """The binary body of a request that carries a key or a model."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(request=_framed_requests())
+    def test_round_trip(self, request):
+        body, media_type = encode_body(request)
+        assert media_type == WIRE_MEDIA_TYPE
+        assert decode_frame(body) == request
+
+    def test_requests_without_an_archive_stay_json(self):
+        body, media_type = encode_body({"suspect_id": "hit", "key_ids": ["a"]})
+        assert media_type == "application/json"
+        assert json.loads(body) == {"suspect_id": "hit", "key_ids": ["a"]}
+
+    def test_frame_carries_the_archive_raw(self, watermarked_and_key):
+        watermarked, _ = watermarked_and_key
+        wire = model_to_wire(watermarked)
+        body, _ = encode_body({"model": wire, "suspect_id": "x"})
+        assert body.endswith(wire["arrays"])
+        assert len(body) < len(wire["arrays"]) + 4 + len(json.dumps(wire["meta"])) + 64
+
+    def test_two_archives_are_refused(self, watermarked_and_key):
+        watermarked, key = watermarked_and_key
+        with pytest.raises(ValueError, match="one archive"):
+            encode_body({"model": model_to_wire(watermarked), "key": key_to_wire(key)})
+
+    @pytest.mark.parametrize("case", MALFORMED_FRAME_CASES)
+    @pytest.mark.parametrize("slot", ["model", "key"])
+    def test_malformed_frame_is_refused(self, watermarked_and_key, case, slot):
+        watermarked, key = watermarked_and_key
+        wire = model_to_wire(watermarked) if slot == "model" else key_to_wire(key)
+        with pytest.raises(ValueError, match=MALFORMED_FRAME_CASES[case]):
+            decode_frame(malformed_frame({slot: wire, "suspect_id": "x"}, case))
+
+    def test_unterminated_escaped_string_head_is_refused_quickly(self):
+        # A head of one quote followed by escaped quotes and no closing
+        # quote: a backtracking string scan over it is quadratic.
+        text = b'"' + b'\\"' * 131_072 + b"x"
+        body = struct.pack(">I", len(text)) + text + b"\x00"
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="not UTF-8 JSON"):
+            decode_frame(body)
+        assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("name", ["rtn8", "awq4"])
+    def test_framed_and_legacy_forms_decode_identically(self, subjects, name):
+        watermarked, key = subjects[name]
+        for slot, wire, decode in (
+            ("model", model_to_wire(watermarked), model_from_wire),
+            ("key", key_to_wire(key), key_from_wire),
+        ):
+            framed = decode(decode_frame(encode_body({slot: wire})[0])[slot])
+            legacy = decode(json.loads(encode_body({slot: legacy_wire(wire)})[0])[slot])
+            if slot == "model":
+                for content_id in (_model_content_id, model_fingerprint):
+                    assert content_id(framed) == content_id(legacy) == content_id(watermarked)
+            else:
+                assert framed.fingerprint() == legacy.fingerprint() == key.fingerprint()
 
 
 class TestKeyWire:
@@ -216,13 +321,13 @@ class TestModelCodec:
         meta, arrays = model_to_payload(quantized_awq4)
         arrays[member.format(layer=quantized_awq4.layer_names()[0])] = np.ones((2, 1))
         with pytest.raises(ValueError, match=message):
-            model_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+            model_from_wire({"meta": to_jsonable(meta), "arrays": pack_arrays(arrays)})
 
     def test_layer_left_out_of_layer_order_is_refused(self, quantized_awq4):
         meta, arrays = model_to_payload(quantized_awq4)
         meta["layer_order"] = meta["layer_order"][1:]
         with pytest.raises(ValueError, match="missing from layer_order"):
-            model_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+            model_from_wire({"meta": to_jsonable(meta), "arrays": pack_arrays(arrays)})
 
 
 class TestIntegerNarrowing:
@@ -273,7 +378,7 @@ class TestIntegerNarrowing:
             key,
             reference_weights={**key.reference_weights, layer: _reference_with(key, layer, [0, value])},
         )
-        sent = b64_to_arrays(key_to_wire(probe)["arrays"])
+        sent = unpack_arrays(key_to_wire(probe)["arrays"])
         assert sent[f"weights/{layer}"].dtype == dtype
 
     def test_model_outlier_columns_wide_and_empty(self, quantized_awq4):
@@ -300,7 +405,7 @@ class TestIntegerNarrowing:
         watermarked, key = subjects["rtn8"]
         save_model(watermarked, tmp_path)
         archives = [tmp_path / "model.npz"] + [
-            io.BytesIO(base64.b64decode(wire["arrays"]))
+            io.BytesIO(wire["arrays"])
             for wire in (model_to_wire(watermarked), key_to_wire(key))
         ]
         for source in archives:
@@ -308,7 +413,7 @@ class TestIntegerNarrowing:
                 assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
         with np.load(tmp_path / "model.npz") as saved:
             on_disk = {name: saved[name] for name in saved.files}
-        for sent in (on_disk, b64_to_arrays(model_to_wire(watermarked)["arrays"])):
+        for sent in (on_disk, unpack_arrays(model_to_wire(watermarked)["arrays"])):
             assert all(v.dtype == np.int8 for k, v in sent.items() if k.startswith("weight_int/"))
             assert all(v.dtype == np.float64 for k, v in sent.items() if k.startswith("scale/"))
 
@@ -397,7 +502,7 @@ class TestIntegerFieldValidation:
         field = f"weight_int/{watermarked.layer_names()[0]}"
         arrays[field] = bad(arrays[field])
         with pytest.raises(ValueError, match="integers"):
-            model_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+            model_from_wire({"meta": to_jsonable(meta), "arrays": pack_arrays(arrays)})
 
     @pytest.mark.parametrize("field", ["weights/", "outliers/", "signature"])
     def test_key_integer_fields(self, watermarked_and_key, field):
@@ -409,7 +514,7 @@ class TestIntegerFieldValidation:
         name = field if field == "signature" else field + layer
         arrays[name] = arrays[name].astype(np.float64) + 0.7
         with pytest.raises(ValueError, match="integers"):
-            key_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+            key_from_wire({"meta": to_jsonable(meta), "arrays": pack_arrays(arrays)})
 
     def test_unsigned_fields_widen_unless_out_of_range(self, watermarked_and_key):
         _, key = watermarked_and_key
@@ -418,9 +523,9 @@ class TestIntegerFieldValidation:
             key, outlier_columns={layer: np.arange(3, dtype=np.int64)}
         ).to_payload()
         arrays[f"outliers/{layer}"] = np.asarray([1, 200], dtype=np.uint64)
-        restored = key_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+        restored = key_from_wire({"meta": to_jsonable(meta), "arrays": pack_arrays(arrays)})
         assert restored.outlier_columns[layer].dtype == np.int64
         np.testing.assert_array_equal(restored.outlier_columns[layer], [1, 200])
         arrays[f"outliers/{layer}"] = np.asarray([1, 2**63], dtype=np.uint64)
         with pytest.raises(ValueError, match="int64 range"):
-            key_from_wire({"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)})
+            key_from_wire({"meta": to_jsonable(meta), "arrays": pack_arrays(arrays)})

@@ -6,6 +6,7 @@ Mutating scenarios (revocation, rate limiting) spin up their own servers so
 the shared one stays pristine.
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -22,12 +23,21 @@ from repro.service import (
     VerificationServer,
     run_in_background,
 )
-from repro.service.codec import arrays_to_b64, b64_to_arrays, key_to_wire, model_to_wire
+from repro.service.codec import (
+    WIRE_MEDIA_TYPE,
+    key_to_wire,
+    model_to_wire,
+    pack_arrays,
+    unpack_arrays,
+)
 from repro.utils.serialization import to_jsonable
 from tests.conftest import (
+    MALFORMED_FRAME_CASES,
     MALFORMED_KEY_CASES,
     MALFORMED_LAYOUT_CASES,
     legacy_key_payload,
+    legacy_wire,
+    malformed_frame,
     malformed_key_payload,
     malformed_layout_archive,
     one_shot_server,
@@ -86,14 +96,46 @@ class TestBasicEndpoints:
         assert payload["error"]["message"].startswith("invalid JSON body")
 
 
+def _post_raw(port, path, body, content_type=WIRE_MEDIA_TYPE):
+    """POST ``body`` as it is over a fresh connection: (status, reply)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", path, body=body, headers={"Content-Type": content_type})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _stored(client):
+    """What a refused upload must leave untouched: the key records, the
+    stored-suspect count, the verification counter and the jobs."""
+    stats = client.stats()
+    return (
+        client.keys(),
+        stats["suspects"]["count"],
+        stats["server"]["verifications"],
+        client.jobs(),
+    )
+
+
+#: Routes that take a binary frame, with the wire object each one carries.
+_FRAMED_ROUTES = [
+    ("/v1/verify", "model"),
+    ("/v1/suspects", "model"),
+    ("/v1/register", "key"),
+    ("/v1/jobs/robustness", "model"),
+]
+
+
 class TestIntegerFieldsRejected:
     """An integer field sent with a float dtype is a 400, not a truncation."""
 
     @staticmethod
     def _with_float_field(wire, field):
-        arrays = b64_to_arrays(wire["arrays"])
+        arrays = unpack_arrays(wire["arrays"])
         arrays[field] = arrays[field].astype(np.float64) + 0.7
-        return {"meta": wire["meta"], "arrays": arrays_to_b64(arrays)}
+        return {"meta": wire["meta"], "arrays": pack_arrays(arrays)}
 
     def _assert_rejected(self, client, path, body):
         with pytest.raises(ServiceError) as excinfo:
@@ -121,25 +163,63 @@ class TestIntegerFieldsRejected:
         self._assert_rejected(client, "/v1/verify", {"model": wire})
 
 
+class TestMalformedFrameRejected:
+    """A binary body whose framing is broken is a 400 on every route that
+    takes one, answered before anything is decoded, admitted or stored."""
+
+    @pytest.mark.parametrize("case", MALFORMED_FRAME_CASES)
+    @pytest.mark.parametrize("path, slot", _FRAMED_ROUTES)
+    def test_malformed_frame(self, client, server_handle, watermarked_and_key, case, path, slot):
+        watermarked, key = watermarked_and_key
+        wire = model_to_wire(watermarked) if slot == "model" else key_to_wire(key)
+        body = malformed_frame({slot: wire, "suspect_id": "bad", "owner": "x"}, case)
+        before = _stored(client)
+        status, reply = _post_raw(server_handle.port, path, body)
+        assert status == 400
+        assert reply["error"]["message"].startswith("invalid wire frame")
+        assert MALFORMED_FRAME_CASES[case] in reply["error"]["message"]
+        assert _stored(client) == before
+
+    def test_large_co_resident_head_registers(self, quantized_awq4, activation_stats):
+        # A co-resident key's head lists the slots its earlier owners hold
+        # and grows with them; registration metadata rides in the head too.
+        # The head is bounded by the body alone, as a JSON request is.
+        result = WatermarkEngine().insert_multi(quantized_awq4, activation_stats, 3)
+        key = list(result.keys().values())[-1]
+        assert key.occupied_slots
+        metadata = {"note": "x" * (1024 * 1024)}
+        server = VerificationServer(config=ServiceConfig(port=0))
+        with run_in_background(server) as handle:
+            with VerificationClient(port=handle.port) as c:
+                record = c.register_key(key, owner="owner-2", metadata=metadata)
+                assert record["key_id"] == key.fingerprint()
+                assert record["metadata"] == metadata
+                assert [r["key_id"] for r in c.keys()] == [key.fingerprint()]
+
+    def test_media_type_parameters_are_ignored(self, client, server_handle, watermarked_and_key):
+        watermarked, _ = watermarked_and_key
+        body = malformed_frame({"model": model_to_wire(watermarked)}, "empty archive")
+        status, reply = _post_raw(
+            server_handle.port, "/v1/verify", body, f"{WIRE_MEDIA_TYPE.upper()}; v=1"
+        )
+        assert status == 400
+        assert reply["error"]["message"].startswith("invalid wire frame")
+
+
 class TestMalformedWireRejected:
     """A packed archive whose layout does not split its members exactly, or
     a model member no layer can hold, is a 400 that stores nothing."""
 
-    @staticmethod
-    def _stored(client):
-        stats = client.stats()
-        return client.keys(), stats["suspects"]["count"], stats["server"]["verifications"]
-
     def _assert_rejected(self, client, path, body, what):
-        before = self._stored(client)
+        before = _stored(client)
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", path, body)
         assert excinfo.value.status == 400
         assert f"invalid {what} payload" in str(excinfo.value)
-        assert self._stored(client) == before
+        assert _stored(client) == before
 
     @pytest.mark.parametrize("case", MALFORMED_LAYOUT_CASES)
-    @pytest.mark.parametrize("path", ["/v1/verify", "/v1/suspects"])
+    @pytest.mark.parametrize("path", ["/v1/verify", "/v1/suspects", "/v1/jobs/robustness"])
     def test_model_layout(self, client, watermarked_and_key, case, path):
         watermarked, _ = watermarked_and_key
         wire = model_to_wire(watermarked)
@@ -164,9 +244,9 @@ class TestMalformedWireRejected:
     def test_unknown_model_member(self, client, watermarked_and_key, path):
         watermarked, _ = watermarked_and_key
         wire = model_to_wire(watermarked)
-        arrays = b64_to_arrays(wire["arrays"])
+        arrays = unpack_arrays(wire["arrays"])
         arrays[f"gradient/{watermarked.layer_names()[0]}"] = np.ones(3)
-        wire["arrays"] = arrays_to_b64(arrays)
+        wire["arrays"] = pack_arrays(arrays)
         self._assert_rejected(client, path, {"model": wire, "suspect_id": "bad"}, "model")
 
 
@@ -205,7 +285,7 @@ def persistent_client(tmp_path):
 
 
 def _key_body(meta, arrays):
-    return {"owner": "x", "key": {"meta": to_jsonable(meta), "arrays": arrays_to_b64(arrays)}}
+    return {"owner": "x", "key": {"meta": to_jsonable(meta), "arrays": pack_arrays(arrays)}}
 
 
 class TestKeyMaterialValidated:
@@ -237,6 +317,124 @@ class TestKeyMaterialValidated:
             members = set(stored.files)
         assert members == set(key.to_payload()[1])
         assert not any(name.startswith("activations/gram/") for name in members)
+
+
+#: Register fields the registry cannot hold as they are.
+_BAD_REGISTER_FIELDS = [
+    pytest.param({"metadata": "abc"}, id="metadata-string"),
+    pytest.param({"metadata": [1, 2]}, id="metadata-list"),
+    pytest.param({"metadata": 5}, id="metadata-number"),
+    pytest.param({"metadata": [["a", 1]]}, id="metadata-pairs"),
+    pytest.param({"owner": {"x": 1}}, id="owner-object"),
+    pytest.param({"owner": 5}, id="owner-number"),
+    pytest.param({"owner": None}, id="owner-null"),
+]
+
+
+class TestRegisterFieldsValidated:
+    """``owner`` must be a string and ``metadata`` a JSON object (or
+    absent): anything else is a 400 before the key is decoded, and the
+    registry stays empty."""
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["framed", "json"])
+    @pytest.mark.parametrize("fields", _BAD_REGISTER_FIELDS)
+    def test_bad_field_is_400(self, persistent_client, watermarked_and_key, monkeypatch, fields, legacy):
+        import repro.service.server as server_mod
+
+        client, root = persistent_client
+        _, key = watermarked_and_key
+        decoded = []
+        monkeypatch.setattr(server_mod, "key_from_wire", lambda wire: decoded.append(wire))
+        wire = key_to_wire(key)
+        body = {"owner": "x", "metadata": {}, "key": legacy_wire(wire) if legacy else wire, **fields}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/register", body)
+        assert excinfo.value.status == 400
+        assert "must be a" in str(excinfo.value)
+        assert decoded == []
+        assert list(root.iterdir()) == []
+        assert client.keys() == []
+
+    @pytest.mark.parametrize(
+        "fields, owner, metadata",
+        [({}, "", {}), ({"metadata": None}, "", {}), ({"owner": "acme", "metadata": {"a": [1]}}, "acme", {"a": [1]})],
+        ids=["absent", "null-metadata", "both"],
+    )
+    def test_accepted_fields(self, persistent_client, watermarked_and_key, fields, owner, metadata):
+        client, _ = persistent_client
+        _, key = watermarked_and_key
+        record = client._request("POST", "/v1/register", {"key": key_to_wire(key), **fields})["registered"]
+        assert (record["owner"], record["metadata"]) == (owner, metadata)
+
+
+class TestLegacyJsonBodies:
+    """A JSON body with base64 ``arrays`` (the older wire form) behaves
+    exactly like the binary frame the client sends."""
+
+    def test_register_under_the_same_key_id(self, persistent_client, watermarked_and_key):
+        client, _ = persistent_client
+        _, key = watermarked_and_key
+        body = {"owner": "x", "key": legacy_wire(key_to_wire(key))}
+        legacy = client._request("POST", "/v1/register", body)["registered"]
+        assert legacy["key_id"] == key.fingerprint()
+        assert client.register_key(key, owner="x")["key_id"] == legacy["key_id"]
+        assert [record["key_id"] for record in client.keys()] == [key.fingerprint()]
+
+    def test_upload_under_the_same_suspect_id(self, client, watermarked_and_key):
+        watermarked, _ = watermarked_and_key
+        legacy = client._request(
+            "POST", "/v1/suspects", {"model": legacy_wire(model_to_wire(watermarked))}
+        )
+        framed = client.upload_suspect(watermarked)
+        assert legacy["suspect_id"].startswith("suspect-")
+        for field in ("suspect_id", "model_fingerprint", "num_layers", "candidate_key_ids"):
+            assert legacy[field] == framed[field]
+
+    @pytest.mark.parametrize("suspect", ["watermarked", "clean"])
+    def test_inline_verify_decides_identically(
+        self, client, watermarked_and_key, quantized_awq4, suspect
+    ):
+        watermarked, _ = watermarked_and_key
+        model = watermarked if suspect == "watermarked" else quantized_awq4
+        legacy = client._request("POST", "/v1/verify", {"model": legacy_wire(model_to_wire(model))})
+        framed = client.verify(model=model)
+        fields = ("key_id", "matched_bits", "total_bits", "wer_percent", "owned")
+        assert [[d[f] for f in fields] for d in legacy["decisions"]] == [
+            [d[f] for f in fields] for d in framed["decisions"]
+        ]
+        assert framed["decisions"][0]["owned"] is (suspect == "watermarked")
+
+
+def test_client_frames_only_requests_that_carry_bulk_state(
+    persistent_client, watermarked_and_key, monkeypatch
+):
+    """The client sends keys and models as binary frames and every small
+    control request as JSON."""
+    client, _ = persistent_client
+    watermarked, key = watermarked_and_key
+    sent = []
+    original = http.client.HTTPConnection.request
+
+    def recording(conn, method, url, body=None, headers=None, **kwargs):
+        sent.append((method, url.partition("?")[0], (headers or {}).get("Content-Type")))
+        return original(conn, method, url, body=body, headers=headers or {}, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", recording)
+    key_id = client.register_key(key, owner="acme")["key_id"]
+    client.upload_suspect(watermarked, suspect_id="hit")
+    client.verify(model=watermarked, key_ids=[key_id])
+    client.verify(suspect_id="hit")
+    client.submit_robustness_job(
+        "hit", attacks=[{"name": "overwrite", "strengths": [0]}], executor="serial"
+    ).wait(timeout=120)
+    posts = [(url, content_type) for method, url, content_type in sent if method == "POST"]
+    assert posts == [
+        ("/v1/register", WIRE_MEDIA_TYPE),
+        ("/v1/suspects", WIRE_MEDIA_TYPE),
+        ("/v1/verify", WIRE_MEDIA_TYPE),
+        ("/v1/verify", "application/json"),
+        ("/v1/jobs/robustness", "application/json"),
+    ]
 
 
 class TestVerification:
