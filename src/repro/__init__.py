@@ -11,9 +11,13 @@ model zoo (:mod:`repro.models`), the post-training quantization frameworks
 SmoothQuant, LLM.int8(), AWQ and GPTQ (:mod:`repro.quant`), synthetic
 evaluation corpora and tasks (:mod:`repro.data`, :mod:`repro.eval`),
 fine-tuning (:mod:`repro.finetune`), the watermarking algorithms
-(:mod:`repro.core`), the attack registry and robustness gauntlet
-(:mod:`repro.robustness`) and the experiment harness regenerating every
-table and figure (:mod:`repro.experiments`).
+(:mod:`repro.core`) and the engine that runs them (:mod:`repro.engine`), the
+attack registry and robustness gauntlet (:mod:`repro.robustness`) and the
+experiment harness regenerating every table and figure
+(:mod:`repro.experiments`).
+
+Watermarks are inserted, extracted and verified through the methods of
+:class:`WatermarkEngine` or through :class:`EmMark`, the one facade over it.
 
 Quickstart
 ----------
@@ -28,26 +32,15 @@ Quickstart
 100.0
 """
 
-from repro.core import (
-    EmMark,
-    EmMarkConfig,
-    ExtractionResult,
-    WatermarkKey,
-    extract_watermark,
-    insert_watermark,
-    insert_watermark_multi,
-    verify_ownership,
-    watermark_strength,
-)
+from repro.core import EmMark, EmMarkConfig, WatermarkKey, watermark_strength
 from repro.core.baselines import RandomWM, SpecMark
 from repro.engine import (
     EngineConfig,
+    ExtractionResult,
     FleetVerificationReport,
     SlotAllocator,
     WatermarkEngine,
     get_default_engine,
-    insert_batch,
-    verify_fleet,
 )
 from repro.models import TransformerLM, collect_activation_stats, get_pretrained_model
 from repro.quant import QuantizedModel, quantize_model
@@ -60,25 +53,19 @@ from repro.robustness import (
     run_gauntlet,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "EmMark",
     "EmMarkConfig",
     "ExtractionResult",
     "WatermarkKey",
-    "insert_watermark",
-    "insert_watermark_multi",
-    "extract_watermark",
-    "verify_ownership",
     "watermark_strength",
     "SlotAllocator",
     "WatermarkEngine",
     "EngineConfig",
     "FleetVerificationReport",
     "get_default_engine",
-    "verify_fleet",
-    "insert_batch",
     "RandomWM",
     "SpecMark",
     "TransformerLM",

@@ -11,12 +11,15 @@ The package implements the full watermarking pipeline of Section 4:
 * :mod:`repro.core.keys` — :class:`WatermarkKey`, everything the owner keeps
   secret (signature, seed, reference weights, full-precision activations,
   coefficients) plus (de)serialization.
-* :mod:`repro.core.insertion` — signature insertion (Equation 5).
-* :mod:`repro.core.extraction` — location reproduction, signature decoding,
-  WER (Equations 6–7) and ownership verdicts.
 * :mod:`repro.core.strength` — the watermark-strength bound (Equation 8).
-* :mod:`repro.core.emmark` — the :class:`EmMark` facade tying it together.
+* :mod:`repro.core.emmark` — :class:`EmMark`, the one facade over the
+  engine.
 * :mod:`repro.core.baselines` — RandomWM and SpecMark comparison methods.
+
+Signature insertion (Equation 5), location reproduction, extraction
+(Equations 6–7) and ownership verdicts run in
+:class:`repro.engine.WatermarkEngine`; call its methods directly, or go
+through :class:`EmMark`.
 """
 
 from repro.core.config import EmMarkConfig
@@ -31,18 +34,6 @@ from repro.core.scoring import (
     topk_argsort_stable,
 )
 from repro.core.keys import WatermarkKey, model_fingerprint
-from repro.core.insertion import (
-    InsertionReport,
-    MultiOwnerInsertionResult,
-    insert_watermark,
-    insert_watermark_multi,
-)
-from repro.core.extraction import (
-    ExtractionResult,
-    extract_watermark,
-    reproduce_locations,
-    verify_ownership,
-)
 from repro.core.strength import false_claim_probability, watermark_strength
 from repro.core.emmark import EmMark
 from repro.core.interface import InsertionRecord, Watermarker
@@ -60,14 +51,6 @@ __all__ = [
     "select_candidates",
     "WatermarkKey",
     "model_fingerprint",
-    "insert_watermark",
-    "insert_watermark_multi",
-    "MultiOwnerInsertionResult",
-    "InsertionReport",
-    "ExtractionResult",
-    "extract_watermark",
-    "reproduce_locations",
-    "verify_ownership",
     "false_claim_probability",
     "watermark_strength",
     "EmMark",

@@ -19,9 +19,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.extraction import ExtractionResult
 from repro.core.interface import InsertionRecord, Watermarker
 from repro.core.signature import generate_signature, split_signature_per_layer, validate_signature
+from repro.engine.reports import ExtractionResult
 from repro.models.activations import ActivationStats
 from repro.quant.base import QuantizedModel
 from repro.utils.rng import new_rng

@@ -2,9 +2,10 @@
 
 :class:`EmMark` packages the insertion and extraction stages behind the
 :class:`~repro.core.interface.Watermarker` interface used by the experiment
-harness, and also exposes the richer key-based API (``insert_with_key`` /
-``extract_with_key`` / ``verify`` / ``verify_fleet``) that downstream users
-of the library are expected to call.
+harness, and also exposes the key-based API (``insert_with_key`` /
+``extract_with_key`` / ``verify``) that downstream users of the library are
+expected to call.  Everything else — co-resident owners, fleet screening,
+tickets — is a :class:`~repro.engine.WatermarkEngine` method.
 
 Every EmMark instance runs on a :class:`~repro.engine.WatermarkEngine` —
 either one passed explicitly (e.g. the experiment harness shares a single
@@ -14,22 +15,17 @@ default engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import EmMarkConfig
-from repro.core.extraction import ExtractionResult
-from repro.core.insertion import InsertionReport
 from repro.core.interface import InsertionRecord, Watermarker
 from repro.core.keys import WatermarkKey
-from repro.engine.reports import DEFAULT_OWNERSHIP_THRESHOLD
+from repro.engine.engine import WatermarkEngine, get_default_engine
+from repro.engine.reports import DEFAULT_OWNERSHIP_THRESHOLD, ExtractionResult, InsertionReport
 from repro.models.activations import ActivationStats
 from repro.quant.base import QuantizedModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import WatermarkEngine
-    from repro.engine.reports import FleetVerificationReport
 
 __all__ = ["EmMark"]
 
@@ -61,13 +57,15 @@ class EmMark(Watermarker):
     def __init__(
         self,
         config: Optional[EmMarkConfig] = None,
-        engine: "Optional[WatermarkEngine]" = None,
+        engine: Optional[WatermarkEngine] = None,
     ) -> None:
         self.config = config
         self.engine = engine
 
-    # (engine resolution — the ``_engine`` property — is inherited from
-    # :class:`~repro.core.interface.Watermarker`.)
+    @property
+    def _engine(self) -> WatermarkEngine:
+        """The engine to run on: :attr:`engine`, or the process-wide default."""
+        return self.engine if self.engine is not None else get_default_engine()
 
     # ------------------------------------------------------------------
     # Key-based API (primary)
@@ -83,11 +81,6 @@ class EmMark(Watermarker):
         effective = config or self.config or EmMarkConfig.scaled_for_model(model)
         return self._engine.insert(model, activations, config=effective, signature=signature)
 
-    def insert_multi(self, model: QuantizedModel, activations: ActivationStats, owners, **kwargs):
-        """Insert N co-resident owners into one model — see
-        :meth:`repro.engine.WatermarkEngine.insert_multi`."""
-        return self._engine.insert_multi(model, activations, owners, **kwargs)
-
     def extract_with_key(self, suspect: QuantizedModel, key: WatermarkKey) -> ExtractionResult:
         """Extract the watermark from ``suspect`` using the owner's key."""
         return self._engine.extract(suspect, key, strict_layout=False)
@@ -98,12 +91,8 @@ class EmMark(Watermarker):
         key: WatermarkKey,
         wer_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD,
     ) -> bool:
-        """Boolean ownership verdict (see :func:`verify_ownership`)."""
+        """Boolean ownership verdict (see :meth:`WatermarkEngine.verify`)."""
         return self._engine.verify(suspect, key, wer_threshold=wer_threshold)
-
-    def verify_fleet(self, suspects, keys, **kwargs) -> "FleetVerificationReport":
-        """Batch ownership screening — see :meth:`WatermarkEngine.verify_fleet`."""
-        return self._engine.verify_fleet(suspects, keys, **kwargs)
 
     # ------------------------------------------------------------------
     # Watermarker interface (used by the Table 1 harness)

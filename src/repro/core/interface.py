@@ -8,24 +8,19 @@ lets the experiment treat them interchangeably.
 
 Each scheme inserts and extracts with a plain loop over the model's layers,
 in canonical layer order; EmMark's loop runs inside the
-:class:`~repro.engine.WatermarkEngine` (resolved by :attr:`Watermarker._engine`),
-which memoizes its location plans.  :meth:`Watermarker.extract_many` screens
-several suspects against one insertion record in a single call.
+:class:`~repro.engine.WatermarkEngine`, which memoizes its location plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.extraction import ExtractionResult
+from repro.engine.reports import ExtractionResult
 from repro.models.activations import ActivationStats
 from repro.quant.base import QuantizedModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import WatermarkEngine
 
 __all__ = ["InsertionRecord", "Watermarker"]
 
@@ -60,18 +55,6 @@ class Watermarker:
     #: Registry / reporting name of the scheme.
     method_name: str = "base"
 
-    #: Engine the scheme runs on; ``None`` means the process-wide default.
-    engine: "Optional[WatermarkEngine]" = None
-
-    @property
-    def _engine(self) -> "WatermarkEngine":
-        """The execution engine (lazy import; see :mod:`repro.core.insertion`)."""
-        if self.engine is not None:
-            return self.engine
-        from repro.engine.engine import get_default_engine
-
-        return get_default_engine()
-
     def insert(
         self,
         model: QuantizedModel,
@@ -84,16 +67,6 @@ class Watermarker:
     def extract(self, suspect: QuantizedModel, record: InsertionRecord) -> ExtractionResult:
         """Extract the watermark from ``suspect`` using ``record``."""
         raise NotImplementedError
-
-    def extract_many(
-        self, suspects: Sequence[QuantizedModel], record: InsertionRecord
-    ) -> List[ExtractionResult]:
-        """Extract the same watermark from several suspects.
-
-        The default implementation simply loops; cached schemes (EmMark)
-        reuse one location plan for the whole batch.
-        """
-        return [self.extract(suspect, record) for suspect in suspects]
 
     def watermark_and_verify(
         self,

@@ -8,8 +8,8 @@ pipeline in the reproduction:
 * :mod:`repro.engine.cache` — :class:`PlanCache`, a thread-safe LRU cache of
   plans with hit/miss/eviction counters.
 * :mod:`repro.engine.reports` — structured reports: insertion timing
-  (wall-clock vs. summed per-layer CPU), extraction results, and the batch
-  fleet-verification / batch-insertion reports.
+  (wall-clock vs. summed per-layer CPU), extraction results, and the
+  fleet-verification / multi-owner insertion reports.
 * :mod:`repro.engine.ticket` — :class:`VerificationTicket`, the few-KB
   per-key evidence a verdict reads (locations, reference integers at them,
   signature slices, layer shapes), derived once per key.
@@ -19,9 +19,10 @@ pipeline in the reproduction:
   owners can co-reside in one integer-weight domain on disjoint pools.
 * :mod:`repro.engine.engine` — :class:`WatermarkEngine`, tying cached
   planning, the fused top-k scoring kernel and a serial per-layer loop
-  together, plus the batch serving APIs ``verify_fleet`` / ``insert_batch``
-  / ``insert_multi`` and the process-wide default engine shared by the
-  functional ``repro.core`` entry points.
+  together: ``insert`` / ``insert_multi`` / ``extract`` / ``verify`` /
+  ``reproduce_locations`` / ``ticket_for``, the batch serving APIs
+  ``verify_fleet`` / ``verification_session``, and the process-wide default
+  engine :class:`~repro.core.emmark.EmMark` runs on when given none.
 
 Quickstart
 ----------
@@ -43,8 +44,6 @@ from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.plan import LocationPlan, plan_fingerprint
 from repro.engine.ticket import VerificationTicket
 from repro.engine.reports import (
-    BatchInsertionItem,
-    BatchInsertionResult,
     ExtractionResult,
     FleetVerificationReport,
     InsertionReport,
@@ -60,12 +59,8 @@ from repro.engine.engine import (
     EngineConfig,
     FleetVerificationSession,
     WatermarkEngine,
-    configure_default_engine,
     derive_owner_configs,
     get_default_engine,
-    insert_batch,
-    set_default_engine,
-    verify_fleet,
 )
 
 __all__ = [
@@ -80,17 +75,11 @@ __all__ = [
     "ExtractionResult",
     "PairVerification",
     "FleetVerificationReport",
-    "BatchInsertionItem",
-    "BatchInsertionResult",
     "OwnerInsertion",
     "MultiOwnerInsertionResult",
     "EngineConfig",
     "WatermarkEngine",
     "FleetVerificationSession",
     "get_default_engine",
-    "set_default_engine",
-    "configure_default_engine",
     "derive_owner_configs",
-    "verify_fleet",
-    "insert_batch",
 ]

@@ -31,7 +31,8 @@ API used by the "millions of users" verification workload:
 >>> [pair.suspect_id for pair in report.owned_pairs()]
 ['deploy-a']
 
-and ``engine.insert_batch({...})`` for watermarking many models in one call.
+and ``engine.insert_multi(model, activations, owners)`` for placing several
+independently keyed owners in one model.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ from repro.engine.ticket import VerificationTicket
 from repro.engine.reports import (
     DEFAULT_MAX_FALSE_CLAIM_PROBABILITY,
     DEFAULT_OWNERSHIP_THRESHOLD,
-    BatchInsertionItem,
-    BatchInsertionResult,
     ExtractionResult,
     FleetVerificationReport,
     InsertionReport,
@@ -80,11 +79,7 @@ __all__ = [
     "WatermarkEngine",
     "FleetVerificationSession",
     "get_default_engine",
-    "set_default_engine",
-    "configure_default_engine",
     "derive_owner_configs",
-    "verify_fleet",
-    "insert_batch",
 ]
 
 logger = get_logger("engine")
@@ -440,26 +435,54 @@ class WatermarkEngine:
     ) -> Tuple[QuantizedModel, WatermarkKey, InsertionReport]:
         """Insert an EmMark watermark into ``model``, one layer at a time.
 
-        Semantically identical to the paper pipeline (Section 4.1); see
-        :func:`repro.core.insertion.insert_watermark` for the parameter
-        documentation.  The engine additionally memoizes each layer's
-        location plan, so a follow-up :meth:`extract` against the returned
-        key is pure cache lookups, and ``report.ticket`` carries the key's
+        The paper pipeline (Section 4.1): score every quantized weight of
+        each layer, keep the ``|B_c|`` best-scoring positions as candidates,
+        sub-sample ``|B|/n`` of them with the secret seed ``d`` and add the
+        layer's signature bits there (Equation 5: ``W'[L_i] = W[L_i] + b_i``).
+        Each layer's location plan is memoized, so a follow-up
+        :meth:`extract` against the returned key is pure cache lookups, and
+        ``report.ticket`` carries the key's
         :class:`~repro.engine.ticket.VerificationTicket`, built from the
         plans this call already holds — identical to :meth:`ticket_for`
         on the returned key, without re-fingerprinting it.
 
-        ``occupied`` makes the insertion *co-resident aware*: a
-        :class:`~repro.engine.allocator.SlotAllocator` (or a plain
-        ``{layer: flat indices}`` mapping) naming the slots earlier owners
-        already hold.  Planning re-ranks past those slots, so the new
-        signature lands on a disjoint pool; the occupancy the key was
-        planned under is recorded in ``key.metadata["occupied_slots"]`` so
-        extraction reproduces the same re-ranked plan from the key alone.
-        When an allocator is passed, the new key's slots are claimed on it
-        (under ``owner``, when given) before returning — handing the same
-        allocator to the next insertion is all multi-tenancy takes.  An
-        empty occupancy is bit-identical to omitting the argument.
+        Parameters
+        ----------
+        model:
+            The original quantized model (INT8 or INT4).
+        activations:
+            Full-precision activation statistics collected with
+            :func:`repro.models.activations.collect_activation_stats`.
+        config:
+            Insertion hyper-parameters; defaults to
+            :meth:`EmMarkConfig.scaled_for_model` for the given model.
+        signature:
+            Optional explicit ±1 signature of length
+            ``bits_per_layer × num_layers``; generated from
+            ``config.signature_seed`` when omitted.
+        in_place:
+            Modify ``model`` directly instead of watermarking a copy.
+        occupied:
+            Makes the insertion *co-resident aware*: a
+            :class:`~repro.engine.allocator.SlotAllocator` (or a plain
+            ``{layer: flat indices}`` mapping) naming the slots earlier
+            owners already hold.  Planning re-ranks past those slots, so the
+            new signature lands on a disjoint pool; the occupancy the key was
+            planned under is recorded in ``key.metadata["occupied_slots"]``
+            so extraction reproduces the same re-ranked plan from the key
+            alone.  An empty occupancy is bit-identical to omitting it.
+        owner:
+            Label the new key's slots are claimed under when ``occupied`` is
+            an allocator: its slots are claimed on it before returning, so
+            handing the same allocator to the next insertion is all
+            multi-tenancy takes.
+
+        Returns
+        -------
+        (watermarked_model, key, report)
+            The watermarked model, the owner's key, and timing information
+            (per-layer CPU cost plus the call's wall-clock; see
+            :class:`~repro.engine.reports.InsertionReport`).
         """
         wall_start = time.perf_counter()
         if config is None:
@@ -663,9 +686,29 @@ class WatermarkEngine:
     ) -> ExtractionResult:
         """Extract the watermark from ``suspect`` and compare it with the key.
 
-        ``key`` (a key or its ticket) is matched through :meth:`ticket_for`.
-        See :func:`repro.core.extraction.extract_watermark` for parameter
-        documentation.
+        The paper's extraction (Section 4.2): read the suspect's integer
+        weights at the reproduced locations ``L``, form
+        ``ΔW[L] = W'[L] − W[L]`` (Equation 6), compare it with the signature
+        (the WER of Equation 7) and convert the match count into the
+        false-claim probability of Equation 8.
+
+        Parameters
+        ----------
+        suspect:
+            The deployed (possibly attacked, possibly unrelated) quantized
+            model.
+        key:
+            The owner's watermark key, or its ticket; matched through
+            :meth:`ticket_for`.
+        strict_layout:
+            When true (default) the suspect model must expose every layer
+            named in the key with matching weight shapes; otherwise missing
+            layers are counted as fully unmatched instead of raising.
+
+        Returns
+        -------
+        ExtractionResult
+            Match counts, WER and the false-claim probability.
         """
         wall_start = time.perf_counter()
         result = self.ticket_for(key).match(suspect, strict_layout, wall_start)
@@ -813,72 +856,6 @@ class WatermarkEngine:
         report = session.report(results)
         logger.debug("%s", report.summary())
         return report
-
-    def insert_batch(
-        self,
-        models: ModelGroup,
-        activations: Union[ActivationStats, Sequence[ActivationStats], Mapping[str, ActivationStats]],
-        config: Optional[EmMarkConfig] = None,
-        signatures: Optional[Mapping[str, np.ndarray]] = None,
-        in_place: bool = False,
-    ) -> BatchInsertionResult:
-        """Watermark a batch of models in one call.
-
-        Parameters
-        ----------
-        models:
-            A single model, a sequence (auto-named ``model-0`` …) or a
-            mapping of explicit ids.
-        activations:
-            Either one :class:`~repro.models.activations.ActivationStats`
-            shared by every model (fleet of clones), or a sequence / mapping
-            aligned with ``models``.
-        config:
-            Shared insertion configuration; when omitted each model gets
-            :meth:`EmMarkConfig.scaled_for_model`.
-        signatures:
-            Optional explicit per-model signatures keyed by model id.
-        in_place:
-            Watermark the models directly instead of cloning.
-
-        Models are processed sequentially, each through :meth:`insert`;
-        identical models sharing activations and config hit the plan cache
-        after the first insertion.
-        """
-        wall_start = time.perf_counter()
-        model_items = _named_items(models, "model")
-        if isinstance(activations, Mapping):
-            activation_for = dict(activations)
-        elif isinstance(activations, (list, tuple)):
-            if len(activations) != len(model_items):
-                raise ValueError(
-                    f"{len(activations)} activation stats for {len(model_items)} models"
-                )
-            activation_for = {
-                model_id: stats for (model_id, _), stats in zip(model_items, activations)
-            }
-        else:
-            activation_for = {model_id: activations for model_id, _ in model_items}
-        items: List[BatchInsertionItem] = []
-        for model_id, model in model_items:
-            if model_id not in activation_for:
-                raise KeyError(f"no activation statistics supplied for model {model_id!r}")
-            signature = signatures.get(model_id) if signatures else None
-            watermarked, key, report = self.insert(
-                model,
-                activation_for[model_id],
-                config=config,
-                signature=signature,
-                in_place=in_place,
-            )
-            items.append(
-                BatchInsertionItem(model_id=model_id, model=watermarked, key=key, report=report)
-            )
-        result = BatchInsertionResult(
-            items=items, wall_clock_seconds=time.perf_counter() - wall_start
-        )
-        logger.debug("%s", result.summary())
-        return result
 
     def insert_multi(
         self,
@@ -1053,37 +1030,12 @@ def derive_owner_configs(base: EmMarkConfig, owners: int) -> Dict[str, EmMarkCon
 def get_default_engine() -> WatermarkEngine:
     """The process-wide shared engine (created on first use).
 
-    The functional APIs (:func:`repro.core.insertion.insert_watermark`,
-    :func:`repro.core.extraction.extract_watermark`, …) and the experiment
-    harness all route through this instance, so its plan cache is shared by
-    every pipeline in the process.
+    :class:`~repro.core.emmark.EmMark` without an explicit engine, the
+    experiment harness and the re-watermarking attacks all run on this
+    instance, so its plan cache is shared by every pipeline in the process.
     """
     global _default_engine
     with _default_engine_lock:
         if _default_engine is None:
             _default_engine = WatermarkEngine()
         return _default_engine
-
-
-def set_default_engine(engine: Optional[WatermarkEngine]) -> None:
-    """Replace (or, with ``None``, reset) the process-wide default engine."""
-    global _default_engine
-    with _default_engine_lock:
-        _default_engine = engine
-
-
-def configure_default_engine(**config_kwargs) -> WatermarkEngine:
-    """Rebuild the default engine with new :class:`EngineConfig` settings."""
-    engine = WatermarkEngine(EngineConfig(**config_kwargs))
-    set_default_engine(engine)
-    return engine
-
-
-def verify_fleet(suspects: ModelGroup, keys: KeyGroup, **kwargs) -> FleetVerificationReport:
-    """Module-level convenience: :meth:`WatermarkEngine.verify_fleet` on the default engine."""
-    return get_default_engine().verify_fleet(suspects, keys, **kwargs)
-
-
-def insert_batch(models: ModelGroup, activations, **kwargs) -> BatchInsertionResult:
-    """Module-level convenience: :meth:`WatermarkEngine.insert_batch` on the default engine."""
-    return get_default_engine().insert_batch(models, activations, **kwargs)

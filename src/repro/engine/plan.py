@@ -4,10 +4,10 @@ Scoring a layer and seed-sub-sampling its candidate pool is a *pure function*
 of ``(reference weights, activations, configuration, payload size)`` — the
 paper relies on exactly this purity for extraction to reproduce the
 insertion-time locations.  A :class:`LocationPlan` captures one such result
-together with the :func:`plan_fingerprint` of its inputs, so that
-``insert_watermark``, ``reproduce_locations``, ``verify_ownership`` and
-repeated attack-sweep extractions can all share one memoized computation
-instead of re-running the scoring pipeline per call.
+together with the :func:`plan_fingerprint` of its inputs, so that the
+engine's ``insert``, ``reproduce_locations``, ``verify`` and repeated
+attack-sweep extractions can all share one memoized computation instead of
+re-running the scoring pipeline per call.
 
 Determinism is guaranteed by construction: cached and uncached lookups run
 the identical code path, and the fingerprint covers every input that can

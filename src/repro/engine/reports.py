@@ -3,7 +3,7 @@
 These dataclasses are shared by every pipeline that sits on the engine — the
 EmMark insertion/extraction stages, the baseline watermarkers and the batch
 serving APIs (:meth:`~repro.engine.engine.WatermarkEngine.verify_fleet`,
-:meth:`~repro.engine.engine.WatermarkEngine.insert_batch`).  They live in a
+:meth:`~repro.engine.engine.WatermarkEngine.insert_multi`).  They live in a
 dependency-light module (NumPy only) so that both ``repro.core`` and
 ``repro.engine`` can import them without circularity.
 """
@@ -25,15 +25,13 @@ __all__ = [
     "ExtractionResult",
     "PairVerification",
     "FleetVerificationReport",
-    "BatchInsertionItem",
-    "BatchInsertionResult",
     "OwnerInsertion",
     "MultiOwnerInsertionResult",
 ]
 
 #: WER (in percent) above which ownership is asserted by default.  Defined
-#: here (the dependency-light module) so the engine and the ``repro.core``
-#: facades share a single source of truth.
+#: here (the dependency-light module) so every verdict path shares a single
+#: source of truth.
 DEFAULT_OWNERSHIP_THRESHOLD = 90.0
 #: Default bound on the Equation 8 false-claim probability.
 DEFAULT_MAX_FALSE_CLAIM_PROBABILITY = 1e-6
@@ -283,49 +281,6 @@ class FleetVerificationReport:
 
 
 @dataclass
-class BatchInsertionItem:
-    """One model's outcome inside a batch insertion."""
-
-    model_id: str
-    model: object
-    key: object
-    report: InsertionReport
-
-
-@dataclass
-class BatchInsertionResult:
-    """Structured result of :meth:`WatermarkEngine.insert_batch`."""
-
-    items: List[BatchInsertionItem] = field(default_factory=list)
-    wall_clock_seconds: float = 0.0
-
-    @property
-    def num_models(self) -> int:
-        """Number of models watermarked."""
-        return len(self.items)
-
-    @property
-    def total_bits(self) -> int:
-        """Signature bits inserted across the whole batch."""
-        return sum(item.report.total_bits for item in self.items)
-
-    def keys(self) -> Dict[str, object]:
-        """``{model_id: WatermarkKey}`` for every watermarked model."""
-        return {item.model_id: item.key for item in self.items}
-
-    def models(self) -> Dict[str, object]:
-        """``{model_id: watermarked model}``."""
-        return {item.model_id: item.model for item in self.items}
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"batch insertion: {self.num_models} models, {self.total_bits} bits, "
-            f"{self.wall_clock_seconds:.3f}s wall clock"
-        )
-
-
-@dataclass
 class OwnerInsertion:
     """One owner's outcome inside a multi-owner (co-resident) insertion."""
 
@@ -338,8 +293,7 @@ class OwnerInsertion:
 class MultiOwnerInsertionResult:
     """Structured result of :meth:`WatermarkEngine.insert_multi`.
 
-    Unlike :class:`BatchInsertionResult` (N models, one key each), this is
-    **one model carrying N keys**: every owner's signature lives on a
+    This is **one model carrying N keys**: every owner's signature lives on a
     disjoint slot pool of the same integer-weight domain, and each key
     extracts independently at full WER from :attr:`model`.
     """

@@ -6,7 +6,7 @@ The paper reports two model-quality metrics and one watermark metric:
 * **Zero-shot accuracy** as the mean over LAMBADA / HellaSwag / PIQA /
   WinoGrande — :mod:`repro.eval.zero_shot`.
 * **Watermark extraction rate (WER)** — computed by
-  :mod:`repro.core.extraction` and the baselines themselves.
+  :meth:`repro.engine.WatermarkEngine.extract` and the baselines themselves.
 
 :mod:`repro.eval.harness` bundles the two quality metrics into a single
 :class:`~repro.eval.harness.QualityReport` so every experiment reports them

@@ -23,7 +23,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.emmark import EmMark
-from repro.core.extraction import reproduce_locations
 from repro.experiments.common import prepare_context
 from repro.models.activations import collect_activation_stats
 from repro.utils.tables import Table, format_float
@@ -159,7 +158,7 @@ def run_saliency_source_ablation(
     emmark = EmMark(context.emmark_config, engine=context.engine)
     _, owner_key, _ = emmark.insert_with_key(context.fresh_quantized(), context.activations)
     # Insertion just warmed the plan cache, so this reproduction is pure lookups.
-    owner_locations = reproduce_locations(owner_key, engine=context.engine)
+    owner_locations = context.engine.reproduce_locations(owner_key)
 
     # Re-score with activations measured on the *quantized* model, which is
     # all an adversary has.
@@ -178,7 +177,7 @@ def run_saliency_source_ablation(
         model_name=owner_key.model_name,
         outlier_columns=owner_key.outlier_columns,
     )
-    adversary_locations = reproduce_locations(adversary_key, engine=context.engine)
+    adversary_locations = context.engine.reproduce_locations(adversary_key)
 
     result = SaliencySourceResult(model_name=model_name, bits=bits)
     for name in owner_key.layer_names:

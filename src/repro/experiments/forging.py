@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.config import EmMarkConfig
 from repro.core.emmark import EmMark
-from repro.core.extraction import reproduce_locations
 from repro.core.keys import WatermarkKey
 from repro.core.strength import false_claim_probability, log10_watermark_strength
 from repro.engine import get_default_engine
@@ -130,7 +129,9 @@ def forge_with_fake_locations(
         bits=model.bits,
         model_name=model.config.name,
     )
-    overlap = _location_overlap(claimed_locations, reproduce_locations(fabricated_key))
+    overlap = _location_overlap(
+        claimed_locations, get_default_engine().reproduce_locations(fabricated_key)
+    )
     # Unable to tie the claimed locations to reproducible key material, the
     # verifier gives the claim no statistical weight.
     accepted = overlap > 0.99

@@ -4,7 +4,7 @@ The paper reports the average wall-clock time to watermark one quantization
 layer (0.4 s for INT8, 0.3 s for INT4 on OPT models) and the additional GPU
 memory required (0 GB — EmMark runs entirely on the CPU).  The reproduction
 measures the same two quantities on the simulated OPT family: per-layer
-insertion time via the :class:`~repro.core.insertion.InsertionReport` and GPU
+insertion time via the :class:`~repro.engine.reports.InsertionReport` and GPU
 memory, which is structurally zero because the whole substrate is NumPy on
 the CPU.
 """

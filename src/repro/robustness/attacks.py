@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.core.config import EmMarkConfig
-from repro.core.insertion import insert_watermark
+from repro.engine.engine import get_default_engine
 from repro.quant.base import QuantizedLinear, QuantizedModel
 from repro.quant.llm_int8 import rewrite_outlier_entries
 from repro.utils.rng import new_rng
@@ -465,7 +465,7 @@ class RewatermarkAttack(AttackSpec):
             seed=self.config.seed,
             signature_seed=self.config.signature_seed,
         )
-        attacked, _, report = insert_watermark(
+        attacked, _, report = get_default_engine().insert(
             model,
             self._attacker_activations(model),
             config=attacker_config,
@@ -1120,7 +1120,7 @@ class SoupAttack(AttackSpec):
             seed=_derived_seed(rng),
             signature_seed=_derived_seed(rng),
         )
-        partner, _, partner_report = insert_watermark(
+        partner, _, partner_report = get_default_engine().insert(
             self.base_model, self.base_activations, config=partner_config
         )
         souped = model.clone()

@@ -255,6 +255,18 @@ def _thresholds(payload: Dict[str, object]) -> Dict[str, object]:
     return thresholds
 
 
+def _suspect_id(payload: Dict[str, object]) -> Optional[str]:
+    """The request's ``suspect_id``: absent or a string, anything else a 400.
+
+    Checked before any model upload is decoded, so a malformed id costs no
+    decode.
+    """
+    suspect_id = payload.get("suspect_id")
+    if suspect_id is not None and not isinstance(suspect_id, str):
+        raise _HttpError(400, "'suspect_id' must be a string")
+    return suspect_id
+
+
 class _GauntletRequest:
     """A validated, admitted ``POST /v1/jobs/robustness`` request: grid,
     suspect, key and gauntlet settings, ready to run as a job."""
@@ -736,6 +748,7 @@ class VerificationServer(AsyncHttpServer):
         payload = self._payload(body)
         if "model" not in payload:
             raise _HttpError(400, "missing 'model' payload")
+        suspect_id = _suspect_id(payload)
         rank = payload.get("rank", False)
         if not isinstance(rank, bool):
             raise _HttpError(400, "'rank' must be a boolean")
@@ -751,16 +764,12 @@ class VerificationServer(AsyncHttpServer):
         except ValueError as exc:
             raise _HttpError(400, f"invalid model payload: {exc}") from exc
         fingerprint = model_fingerprint(model)
-        suspect_id = payload.get("suspect_id")
-        if suspect_id is not None and not isinstance(suspect_id, str):
-            raise _HttpError(400, "'suspect_id' must be a string")
         if not suspect_id:
             # Content-addressed default: same bytes → same id, different
             # model → different id (see _model_content_id).
             suspect_id = "suspect-" + await loop.run_in_executor(
                 None, _model_content_id, model
             )
-        suspect_id = str(suspect_id)
         with self._suspects_lock:
             if suspect_id in self._suspects:
                 self._suspects.move_to_end(suspect_id)
@@ -1299,6 +1308,7 @@ class VerificationServer(AsyncHttpServer):
 
     async def _resolve_suspect(self, payload: Dict[str, object]) -> Tuple[str, QuantizedModel]:
         """A verify request names a stored suspect or carries one inline."""
+        suspect_id = _suspect_id(payload)
         if "model" in payload:
             try:
                 model = await asyncio.get_running_loop().run_in_executor(
@@ -1306,18 +1316,11 @@ class VerificationServer(AsyncHttpServer):
                 )
             except ValueError as exc:
                 raise _HttpError(400, f"invalid model payload: {exc}") from exc
-            raw_id = payload.get("suspect_id")
-            if raw_id is not None and not isinstance(raw_id, str):
-                raise _HttpError(400, "'suspect_id' must be a string")
             # Anonymous inline suspects get a unique per-request id: a shared
             # default id would let the batch dispatcher deduplicate two
             # *different* same-architecture models onto one entry and answer
             # one client with the other's verdict.
-            suspect_id = raw_id or f"inline-{next(self._inline_ids)}"
-            return suspect_id, model
-        suspect_id = payload.get("suspect_id")
-        if suspect_id is not None and not isinstance(suspect_id, str):
-            raise _HttpError(400, "'suspect_id' must be a string")
+            return suspect_id or f"inline-{next(self._inline_ids)}", model
         if not suspect_id:
             raise _HttpError(400, "provide 'suspect_id' (uploaded) or inline 'model'")
         with self._suspects_lock:

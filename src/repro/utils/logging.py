@@ -74,8 +74,8 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     Parameters
     ----------
     name:
-        Optional sub-name; ``get_logger("core.insertion")`` returns the
-        logger ``repro.core.insertion``.
+        Optional sub-name; ``get_logger("robustness.gauntlet")`` returns the
+        logger ``repro.robustness.gauntlet``.
     """
     logger = logging.getLogger(_ROOT_NAME if not name else f"{_ROOT_NAME}.{name}")
     if not logging.getLogger(_ROOT_NAME).handlers:

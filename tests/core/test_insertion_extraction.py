@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.config import EmMarkConfig
-from repro.core.extraction import extract_watermark, reproduce_locations, verify_ownership
-from repro.core.insertion import insert_watermark
 from repro.core.keys import WatermarkKey
 from repro.core.signature import generate_signature
+from repro.engine import get_default_engine
+
+engine = get_default_engine()
 
 
 @pytest.fixture(scope="module")
 def inserted(quantized_awq4_module, activation_stats_module):
     config = EmMarkConfig.scaled_for_model(quantized_awq4_module, bits_per_layer=8)
-    return insert_watermark(quantized_awq4_module, activation_stats_module, config=config)
+    return engine.insert(quantized_awq4_module, activation_stats_module, config=config)
 
 
 # Module-scoped aliases of the session fixtures so `inserted` can be module-scoped.
@@ -71,7 +72,7 @@ class TestInsertion:
     def test_in_place_insertion(self, quantized_awq4, activation_stats):
         target = quantized_awq4.clone()
         config = EmMarkConfig.scaled_for_model(target, bits_per_layer=4)
-        watermarked, _, _ = insert_watermark(
+        watermarked, _, _ = engine.insert(
             target, activation_stats, config=config, in_place=True
         )
         assert watermarked is target
@@ -79,7 +80,7 @@ class TestInsertion:
     def test_explicit_signature_used(self, quantized_awq4, activation_stats):
         config = EmMarkConfig.scaled_for_model(quantized_awq4, bits_per_layer=4)
         signature = generate_signature(config.total_bits(quantized_awq4.num_quantization_layers), 77)
-        _, key, _ = insert_watermark(
+        _, key, _ = engine.insert(
             quantized_awq4, activation_stats, config=config, signature=signature
         )
         np.testing.assert_array_equal(key.signature, signature)
@@ -87,7 +88,7 @@ class TestInsertion:
     def test_wrong_signature_length_rejected(self, quantized_awq4, activation_stats):
         config = EmMarkConfig.scaled_for_model(quantized_awq4, bits_per_layer=4)
         with pytest.raises(ValueError):
-            insert_watermark(
+            engine.insert(
                 quantized_awq4, activation_stats, config=config,
                 signature=np.array([1, -1, 1]),
             )
@@ -100,19 +101,19 @@ class TestInsertion:
             for name in list(activation_stats.mean_abs)[:2]
         })
         with pytest.raises(ValueError):
-            insert_watermark(quantized_awq4, partial)
+            engine.insert(quantized_awq4, partial)
 
     def test_oversized_payload_rejected(self, quantized_awq4, activation_stats):
         config = EmMarkConfig.scaled_for_model(
             quantized_awq4, bits_per_layer=10_000, max_candidate_fraction=1.0
         )
         with pytest.raises(ValueError):
-            insert_watermark(quantized_awq4, activation_stats, config=config)
+            engine.insert(quantized_awq4, activation_stats, config=config)
 
     def test_insertion_is_deterministic(self, quantized_awq4, activation_stats):
         config = EmMarkConfig.scaled_for_model(quantized_awq4, bits_per_layer=4)
-        a, _, _ = insert_watermark(quantized_awq4, activation_stats, config=config)
-        b, _, _ = insert_watermark(quantized_awq4, activation_stats, config=config)
+        a, _, _ = engine.insert(quantized_awq4, activation_stats, config=config)
+        b, _, _ = engine.insert(quantized_awq4, activation_stats, config=config)
         for name in a.layer_names():
             np.testing.assert_array_equal(
                 a.get_layer(name).weight_int, b.get_layer(name).weight_int
@@ -122,31 +123,31 @@ class TestInsertion:
 class TestExtraction:
     def test_self_extraction_is_perfect(self, inserted):
         watermarked, key, _ = inserted
-        result = extract_watermark(watermarked, key)
+        result = engine.extract(watermarked, key)
         assert result.wer_percent == 100.0
         assert result.fully_extracted
         assert result.matched_bits == key.total_bits
 
     def test_non_watermarked_model_gives_zero(self, inserted, quantized_awq4):
         _, key, _ = inserted
-        result = extract_watermark(quantized_awq4, key)
+        result = engine.extract(quantized_awq4, key)
         assert result.wer_percent == 0.0
         assert result.false_claim_probability == pytest.approx(1.0)
 
     def test_per_layer_wer_reported(self, inserted):
         watermarked, key, _ = inserted
-        result = extract_watermark(watermarked, key)
+        result = engine.extract(watermarked, key)
         assert set(result.per_layer_wer) == set(key.layer_names)
         assert all(v == 100.0 for v in result.per_layer_wer.values())
 
     def test_false_claim_probability_small_for_full_match(self, inserted):
         watermarked, key, _ = inserted
-        result = extract_watermark(watermarked, key)
+        result = engine.extract(watermarked, key)
         assert result.false_claim_probability < 1e-20
 
     def test_locations_match_insertion_diff(self, inserted, quantized_awq4):
         watermarked, key, _ = inserted
-        locations = reproduce_locations(key)
+        locations = engine.reproduce_locations(key)
         diff = watermarked.weight_difference(quantized_awq4)
         for name in key.layer_names:
             changed = set(np.flatnonzero(diff[name].reshape(-1)).tolist())
@@ -154,7 +155,7 @@ class TestExtraction:
 
     def test_different_seed_reproduces_different_locations(self, inserted):
         _, key, _ = inserted
-        original = reproduce_locations(key)
+        original = engine.reproduce_locations(key)
         altered_key = WatermarkKey(
             signature=key.signature,
             config=key.config.with_overrides(seed=key.config.seed + 1),
@@ -166,7 +167,7 @@ class TestExtraction:
             model_name=key.model_name,
             outlier_columns=key.outlier_columns,
         )
-        altered = reproduce_locations(altered_key)
+        altered = engine.reproduce_locations(altered_key)
         overlaps = [
             len(set(original[n].tolist()) & set(altered[n].tolist())) / len(original[n])
             for n in key.layer_names
@@ -176,7 +177,7 @@ class TestExtraction:
     def test_partial_damage_partial_wer(self, inserted):
         watermarked, key, _ = inserted
         damaged = watermarked.clone()
-        locations = reproduce_locations(key)
+        locations = engine.reproduce_locations(key)
         # Undo the watermark in half the layers.
         for name in key.layer_names[: len(key.layer_names) // 2]:
             layer = damaged.get_layer(name)
@@ -184,7 +185,7 @@ class TestExtraction:
             flat = restored.reshape(-1)
             flat[locations[name]] = key.reference_weights[name].reshape(-1)[locations[name]]
             layer.weight_int = restored
-        result = extract_watermark(damaged, key)
+        result = engine.extract(damaged, key)
         assert 0.0 < result.wer_percent < 100.0
 
     def test_missing_layer_strict_raises(self, inserted):
@@ -193,14 +194,14 @@ class TestExtraction:
         first = crippled.layer_names()[0]
         del crippled.layers[first]
         with pytest.raises(KeyError):
-            extract_watermark(crippled, key, strict_layout=True)
-        result = extract_watermark(crippled, key, strict_layout=False)
+            engine.extract(crippled, key, strict_layout=True)
+        result = engine.extract(crippled, key, strict_layout=False)
         assert result.per_layer_wer[first] == 0.0
 
-    def test_verify_ownership_thresholds(self, inserted, quantized_awq4):
+    def test_verify_thresholds(self, inserted, quantized_awq4):
         watermarked, key, _ = inserted
-        assert verify_ownership(watermarked, key)
-        assert not verify_ownership(quantized_awq4, key)
+        assert engine.verify(watermarked, key)
+        assert not engine.verify(quantized_awq4, key)
 
 
 class TestWatermarkKey:
@@ -226,7 +227,7 @@ class TestWatermarkKey:
         assert restored.layer_names == key.layer_names
         assert restored.method == key.method
         # And, critically, extraction with the restored key still works.
-        result = extract_watermark(watermarked, restored)
+        result = engine.extract(watermarked, restored)
         assert result.wer_percent == 100.0
 
     def test_signature_length_validated(self, inserted):

@@ -2,8 +2,9 @@
 
 Covers cache-hit determinism (locations are identical cold / warm / on a
 fresh engine), zero rescoring on warm-cache extraction,
-plan-cache eviction behaviour inside the engine, and the batch serving APIs
-(``verify_fleet`` over mixed suspects, ``insert_batch``).
+plan-cache eviction behaviour inside the engine, the batch serving API
+(``verify_fleet`` over mixed suspects) and the default engine :class:`EmMark`
+runs on.
 """
 
 import threading
@@ -12,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import EmMarkConfig
-from repro.core.extraction import extract_watermark, reproduce_locations
-from repro.core.insertion import insert_watermark
+from repro.core.emmark import EmMark
 from repro.engine import EngineConfig, PlanCache, WatermarkEngine, get_default_engine
 from repro.quant.api import quantize_model
 from repro.robustness import build_attack
@@ -89,13 +89,13 @@ class TestDeterminism:
         assert result.wer_percent == 100.0
         assert tiny.cache.evictions > 0
 
-    def test_functional_api_accepts_engine(self, quantized_awq4, activation_stats, config):
+    def test_insert_extract_reproduce_round_trip(
+        self, quantized_awq4, activation_stats, config
+    ):
         engine = WatermarkEngine()
-        watermarked, key, _ = insert_watermark(
-            quantized_awq4, activation_stats, config=config, engine=engine
-        )
-        assert extract_watermark(watermarked, key, engine=engine).wer_percent == 100.0
-        locations = reproduce_locations(key, engine=engine)
+        watermarked, key, _ = engine.insert(quantized_awq4, activation_stats, config=config)
+        assert engine.extract(watermarked, key).wer_percent == 100.0
+        locations = engine.reproduce_locations(key)
         assert set(locations) == set(key.layer_names)
 
 
@@ -219,47 +219,14 @@ class TestVerifyFleet:
         assert "wm" in report.summary()
 
 
-class TestInsertBatch:
-    def test_batch_round_trip(self, quantized_awq4, activation_stats, config):
-        engine = WatermarkEngine()
-        result = engine.insert_batch(
-            {"a": quantized_awq4.clone(), "b": quantized_awq4.clone()},
-            activation_stats,
-            config=config,
-        )
-        assert result.num_models == 2
-        assert result.total_bits == 2 * config.total_bits(len(quantized_awq4.layers))
-        for model_id, key in result.keys().items():
-            extraction = engine.extract(result.models()[model_id], key)
-            assert extraction.wer_percent == 100.0
-
-    def test_identical_models_share_plans(self, quantized_awq4, activation_stats, config):
-        engine = WatermarkEngine()
-        result = engine.insert_batch(
-            [quantized_awq4.clone(), quantized_awq4.clone()],
-            activation_stats,
-            config=config,
-        )
-        reports = [item.report for item in result.items]
-        assert reports[0].cache_misses == reports[0].num_layers
-        assert reports[1].cache_misses == 0
-
-    def test_activation_sequence_must_align(self, quantized_awq4, activation_stats):
-        engine = WatermarkEngine()
-        with pytest.raises(ValueError):
-            engine.insert_batch(
-                [quantized_awq4.clone(), quantized_awq4.clone()],
-                [activation_stats],
-            )
-
-
 class TestDefaultEngine:
-    def test_functional_api_routes_through_default_engine(
+    def test_emmark_routes_through_default_engine(
         self, quantized_awq4, activation_stats, config
     ):
         engine = get_default_engine()
-        watermarked, key, _ = insert_watermark(quantized_awq4, activation_stats, config=config)
+        emmark = EmMark(config)
+        watermarked, key, _ = emmark.insert_with_key(quantized_awq4, activation_stats)
         before = engine.cache_info()
-        result = extract_watermark(watermarked, key)
+        result = emmark.extract_with_key(watermarked, key)
         assert result.wer_percent == 100.0
         assert engine.cache_info().delta(before).misses == 0

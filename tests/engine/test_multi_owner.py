@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import EmMarkConfig
-from repro.core.insertion import insert_watermark, insert_watermark_multi
 from repro.core.keys import WatermarkKey
 from repro.engine import SlotAllocator, WatermarkEngine
 from repro.quant.api import quantize_model
@@ -187,19 +186,16 @@ class TestOccupancyPlanning:
                 layer, saliency, config.bits_per_layer, config, occupied=everything
             )
 
-    def test_functional_facades_roundtrip(self, rtn_int8, activation_stats):
-        result = insert_watermark_multi(
-            rtn_int8, activation_stats, 3, engine=WatermarkEngine()
-        )
+    def test_insert_multi_and_allocator_claim_roundtrip(self, rtn_int8, activation_stats):
+        result = WatermarkEngine().insert_multi(rtn_int8, activation_stats, 3)
         assert result.num_owners == 3
         engine = WatermarkEngine()
         for key in result.keys().values():
             extraction = engine.extract(result.model, key, strict_layout=False)
             assert extraction.wer_percent == 100.0
         allocator = SlotAllocator()
-        _, key, _ = insert_watermark(
-            rtn_int8, activation_stats, engine=WatermarkEngine(),
-            occupied=allocator, owner="facade",
+        _, key, _ = WatermarkEngine().insert(
+            rtn_int8, activation_stats, occupied=allocator, owner="facade"
         )
         assert allocator.owners() == ["facade"]
         assert allocator.total_slots == key.total_bits

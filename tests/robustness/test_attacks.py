@@ -819,7 +819,7 @@ class TestSoupAttack:
         # the same cell RNG hand forward the identical partner ticket — the
         # one derived from a partner key inserted here, outside the spec.
         from repro.core.config import EmMarkConfig
-        from repro.core.insertion import insert_watermark
+        from repro.engine import get_default_engine
 
         out_a = soup_spec.apply(awq_subject.model, 1.0, new_rng(7))
         out_b = soup_spec.apply(quantized_awq4, 1.0, new_rng(7))
@@ -828,7 +828,9 @@ class TestSoupAttack:
         config = EmMarkConfig.scaled_for_model(
             quantized_awq4, seed=seed, signature_seed=signature_seed
         )
-        _, partner_key, _ = insert_watermark(quantized_awq4, activation_stats, config=config)
+        _, partner_key, _ = get_default_engine().insert(
+            quantized_awq4, activation_stats, config=config
+        )
         expected = gauntlet_engine.ticket_for(partner_key)
         assert_same_ticket(out_a.attacker_key, expected)
         assert_same_ticket(out_b.attacker_key, expected)

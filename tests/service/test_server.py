@@ -367,6 +367,35 @@ class TestRegisterFieldsValidated:
         assert (record["owner"], record["metadata"]) == (owner, metadata)
 
 
+@pytest.fixture(scope="module")
+def opt125m_int8():
+    from repro.models.registry import get_pretrained_model
+    from repro.quant import quantize_model
+
+    return quantize_model(get_pretrained_model("opt-125m-sim", profile="smoke"), "rtn", bits=8)
+
+
+class TestSuspectIdCheckedBeforeDecode:
+    """A non-string ``suspect_id`` next to an uploaded model is a 400 that
+    costs no model decode, on every route that takes an upload."""
+
+    @pytest.mark.parametrize("path", ["/v1/suspects", "/v1/verify", "/v1/jobs/robustness"])
+    def test_bad_suspect_id_is_400_without_decode(self, persistent_client, opt125m_int8, monkeypatch, path):
+        import repro.service.server as server_mod
+
+        client, _ = persistent_client
+        decoded = []
+        real = server_mod.model_from_wire
+        monkeypatch.setattr(
+            server_mod, "model_from_wire", lambda wire: decoded.append(wire) or real(wire)
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, {"model": model_to_wire(opt125m_int8), "suspect_id": 5})
+        assert excinfo.value.status == 400
+        assert "'suspect_id' must be a string" in str(excinfo.value)
+        assert decoded == []
+
+
 class TestLegacyJsonBodies:
     """A JSON body with base64 ``arrays`` (the older wire form) behaves
     exactly like the binary frame the client sends."""

@@ -7,7 +7,7 @@ from repro.utils.logging import configure, get_logger
 
 def test_get_logger_namespacing():
     assert get_logger().name == "repro"
-    assert get_logger("core.insertion").name == "repro.core.insertion"
+    assert get_logger("robustness.gauntlet").name == "repro.robustness.gauntlet"
 
 
 def test_root_logger_has_null_handler_by_default():
